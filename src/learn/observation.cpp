@@ -5,6 +5,19 @@
 #include "fault/fault.hpp"
 
 namespace webppm::learn {
+namespace {
+
+/// One evaluation of the learn.queue.push fault site: true when the armed
+/// plan drops this observation (a throwing rule drops it too).
+bool injected_drop() noexcept {
+  try {
+    return WEBPPM_FAULT_INJECT("learn.queue.push");
+  } catch (...) {
+    return true;
+  }
+}
+
+}  // namespace
 
 ObservationQueue::ObservationQueue(std::size_t capacity)
     : capacity_(std::max<std::size_t>(1, capacity)) {
@@ -12,32 +25,62 @@ ObservationQueue::ObservationQueue(std::size_t capacity)
 }
 
 bool ObservationQueue::push(const Observation& o) noexcept {
-  // The serve path must never see an exception out of the tap; the only
-  // throwing operation here is the mutex (resource exhaustion), and a
-  // dropped observation is the designed answer to any failure to enqueue.
-  try {
-    if (WEBPPM_FAULT_INJECT("learn.queue.push")) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    bool notify = false;
-    {
-      std::lock_guard lock(mu_);
-      if (closed_ || count_ == capacity_) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-        return false;
-      }
-      ring_[(head_ + count_) % capacity_] = o;
-      notify = count_ == 0;
-      ++count_;
-    }
-    pushed_.fetch_add(1, std::memory_order_relaxed);
-    if (notify) cv_.notify_one();
-    return true;
-  } catch (...) {
+  if (injected_drop()) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
+  return append(std::span(&o, 1)) == 1;
+}
+
+void ObservationQueue::on_requests(
+    std::span<const trace::Request> reqs) noexcept {
+  // The fault site fires per observation, in order and outside the lock,
+  // exactly as reqs.size() push() calls would evaluate it; the survivors
+  // are staged so one append takes them all.
+  thread_local std::vector<Observation> staged;
+  staged.clear();
+  try {
+    for (const auto& r : reqs) {
+      if (!injected_drop()) staged.push_back(Observation::from(r));
+    }
+  } catch (...) {
+    // Staging ran out of memory: the whole batch drops.
+    dropped_.fetch_add(reqs.size(), std::memory_order_relaxed);
+    return;
+  }
+  dropped_.fetch_add(reqs.size() - staged.size(), std::memory_order_relaxed);
+  append(staged);
+}
+
+std::size_t ObservationQueue::append(
+    std::span<const Observation> obs) noexcept {
+  // The serve path must never see an exception out of the tap; the only
+  // throwing operation here is the mutex (resource exhaustion), and a
+  // dropped observation is the designed answer to any failure to enqueue.
+  std::size_t accepted = 0;
+  bool notify = false;
+  try {
+    std::lock_guard lock(mu_);
+    if (!closed_) {
+      // What fits goes in, in order; the rest drops, as a full ring drops
+      // every push past it.
+      accepted = std::min(obs.size(), capacity_ - count_);
+      const std::size_t tail = (head_ + count_) % capacity_;
+      const std::size_t first = std::min(accepted, capacity_ - tail);
+      std::copy_n(obs.data(), first, ring_.data() + tail);
+      std::copy_n(obs.data() + first, accepted - first, ring_.data());
+      notify = count_ == 0 && accepted != 0;
+      count_ += accepted;
+    }
+  } catch (...) {
+    // The lock failed: nothing was accepted, everything drops below.
+  }
+  pushed_.fetch_add(accepted, std::memory_order_relaxed);
+  dropped_.fetch_add(obs.size() - accepted, std::memory_order_relaxed);
+  // At most one wake per append, and only when it made the ring non-empty:
+  // a non-empty ring already has its consumer's wake outstanding.
+  if (notify) cv_.notify_one();
+  return accepted;
 }
 
 std::size_t ObservationQueue::drain(std::vector<Observation>& out) {

@@ -16,15 +16,23 @@
 // shadow model just learns from a sampled stream until it catches up
 // (dropped_total is the gauge to alarm on).
 //
+// query_batch hands its whole batch to on_requests: one lock and at most
+// one trainer wake per batch instead of per observation — on a shared CPU
+// a wake per observation lets the trainer preempt the serving thread once
+// per request. query_ex, observe and v3 observe frames still push one at a
+// time.
+//
 // Fault site (chaos suite): learn.queue.push — a firing rule drops the
 // observation exactly as a full ring would, proving the serve path is
-// indifferent to observation loss.
+// indifferent to observation loss. It fires once per observation on both
+// entry points.
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "serve/model_server.hpp"
@@ -73,6 +81,13 @@ class ObservationQueue final : public serve::RequestObserver {
     (void)push(Observation::from(r));
   }
 
+  /// RequestObserver, batched (query_batch): the same outcome as one
+  /// push() per request with no drain in between — the fault site fires
+  /// per observation, in order, outside the lock; then one lock appends
+  /// what fits, the rest drops and is counted, and the consumer is woken
+  /// at most once, only when the batch made the ring non-empty.
+  void on_requests(std::span<const trace::Request> reqs) noexcept override;
+
   /// Appends everything currently buffered to `out` (non-blocking).
   /// Returns the number of observations moved.
   std::size_t drain(std::vector<Observation>& out);
@@ -105,6 +120,11 @@ class ObservationQueue final : public serve::RequestObserver {
   }
 
  private:
+  /// Appends what fits of `obs` under one lock and drops the rest (all of
+  /// it when closed), counting both; wakes the consumer when the ring was
+  /// empty. Returns how many were accepted.
+  std::size_t append(std::span<const Observation> obs) noexcept;
+
   const std::size_t capacity_;
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -637,13 +637,17 @@ void PredictServer::conn_process_frames(Connection& c) {
           }
           ins_->stage_decode->record(q0 - s0);
         }
-        thread_local std::vector<ppm::Prediction> preds;
-        const auto qr = model_.query_ex(to_trace_request(req), preds);
+        // Built in place: query_ex fills the list only when a pass ran
+        // (make_wire_response's rule) and the list keeps its capacity, so
+        // a v1 query does not allocate. The label is the snapshot the
+        // query loaded; version() read now could name a later publish.
+        thread_local WireResponse resp;
+        const auto qr =
+            model_.query_ex(to_trace_request(req), resp.predictions);
         const std::uint64_t s2 = stage ? obs::now_ns() : 0;
         if (stage) ins_->stage_predict->record(s2 - q0);
-        const auto resp =
-            make_wire_response(qr, req, model_.version(), std::move(preds));
-        preds = {};
+        resp.snapshot_version = qr.snapshot_version;
+        resp.status = wire_status(qr, req.flags, qr.snapshot_version);
         const std::size_t dropped = encode_response(resp, c.out);
         if (dropped != 0) {
           count(&Instruments::responses_truncated, responses_truncated_,

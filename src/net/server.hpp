@@ -88,9 +88,9 @@ struct NetServerConfig {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-/// Wire status for one query outcome — the shared core of
-/// make_wire_response and the batched response writer, so a v2 sub-response
-/// and a v1 single frame for the same query can never disagree:
+/// Wire status for one query outcome — the shared core of the server's v1
+/// and v2 response paths and make_wire_response, so a v2 sub-response and
+/// a v1 single frame for the same query can never disagree:
 /// predicted → kOk (kDegraded when the fallback answered); otherwise
 /// kNoModel before the first publish, kOk-with-empty-list for a skipped
 /// error request, kError for a refusal (e.g. an injected serve.query
@@ -98,10 +98,12 @@ struct NetServerConfig {
 Status wire_status(const serve::QueryResult& qr, std::uint8_t flags,
                    std::uint64_t snapshot_version);
 
-/// The one request→response mapping, shared by the server's connection
-/// handler and by anything reproducing server answers in-process (the
-/// net_throughput byte-identity gate): given what ModelServer said about a
-/// query, build the wire response.
+/// The v1 request→response mapping for anything reproducing server answers
+/// in-process (the net_throughput byte-identity gate): given what
+/// ModelServer said about a query, build the wire response — wire_status,
+/// plus the predictions when a pass ran, the bytes the server's v1 path
+/// writes for the same query. Pass qr.snapshot_version as the version to
+/// label the answer with the snapshot that produced it.
 WireResponse make_wire_response(const serve::QueryResult& qr,
                                 const WireRequest& req,
                                 std::uint64_t snapshot_version,

@@ -236,6 +236,10 @@ QueryResult ModelServer::query_ex(const trace::Request& r,
   // (see RequestObserver — error and fault-refused requests are part of
   // the log the offline oracle trains on).
   notify_observer(r);
+  // One snapshot load per call: it answers the query and labels the
+  // result, refused or not, so the label can never name a later publish.
+  const auto snap = snapshot();
+  result.snapshot_version = snap ? snap->version : 0;
   // The prefetching server does not predict on failed requests (the
   // simulator's piggyback path skips them the same way).
   if (config_.session.skip_errors && r.status >= 400) return result;
@@ -271,8 +275,6 @@ QueryResult ModelServer::query_ex(const trace::Request& r,
     shed_.fetch_add(1, std::memory_order_relaxed);
     if (ins_ != nullptr) ins_->shed->add();
   }
-
-  const auto snap = snapshot();
 
   // Full service needs both the model and an admitted context; a shed
   // client or a degraded (fallback-only) snapshot falls back to the
@@ -317,14 +319,23 @@ void ModelServer::query_batch(std::span<const trace::Request> reqs,
                               BatchQueryScratch& scratch) {
   constexpr std::uint32_t kSkip = 0xffffffffu;
   const std::size_t n = reqs.size();
-  scratch.items.assign(n, BatchQueryItem{});
-  scratch.predictions.clear();
 
-  // Training tap first, in request order — exactly where a sequential
-  // query_ex stream would fire it (before admission filtering).
-  if (observer_.load(std::memory_order_acquire) != nullptr) {
-    for (const auto& r : reqs) notify_observer(r);
+  // Training tap first, the whole batch in one call and in request order —
+  // exactly the stream a sequential query_ex loop would hand it (before
+  // admission filtering).
+  if (RequestObserver* obs = observer_.load(std::memory_order_acquire);
+      obs != nullptr && n != 0) {
+    obs->on_requests(reqs);
   }
+
+  // The snapshot pointer is loaded once — every sub-result in the batch
+  // answers from (and reports) the same model version.
+  const auto snap = snapshot();
+  scratch.snapshot_version = snap ? snap->version : 0;
+  scratch.items.assign(
+      n, BatchQueryItem{QueryResult{.snapshot_version =
+                                        scratch.snapshot_version}});
+  scratch.predictions.clear();
 
   // Pre-pass in request order: the skip-errors rule and the serve.query
   // chaos hook fire in exactly the sequence a per-query loop would (fault
@@ -408,11 +419,6 @@ void ModelServer::query_batch(std::span<const trace::Request> reqs,
     shed_.fetch_add(shed_total, std::memory_order_relaxed);
     if (ins_ != nullptr) ins_->shed->add(shed_total);
   }
-
-  // The snapshot pointer is loaded once — every sub-result in the batch
-  // answers from (and reports) the same model version.
-  const auto snap = snapshot();
-  scratch.snapshot_version = snap ? snap->version : 0;
 
   std::uint64_t predicted = 0;
   std::uint64_t degraded = 0;

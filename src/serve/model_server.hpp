@@ -133,10 +133,19 @@ std::shared_ptr<const Snapshot> load_snapshot(
 /// step). Detached (the default) the hook costs one relaxed load + branch;
 /// the online-training bench gates that at <3% with byte-identical
 /// predictions.
+///
+/// query_batch hands over its whole batch in one on_requests call (request
+/// order, same admission rule); query_ex and observe call on_request. The
+/// default on_requests forwards one request at a time, so an observer that
+/// only overrides on_request sees the same stream either way; overriding
+/// it lets a queue take a batch under one lock and wake its consumer once.
 class RequestObserver {
  public:
   virtual ~RequestObserver() = default;
   virtual void on_request(const trace::Request& r) noexcept = 0;
+  virtual void on_requests(std::span<const trace::Request> reqs) noexcept {
+    for (const auto& r : reqs) on_request(r);
+  }
 };
 
 struct ModelServerConfig {
@@ -193,6 +202,10 @@ struct QueryResult {
   bool predicted = false;        ///< a prediction pass ran (out is valid)
   ServedBy served = ServedBy::kNone;
   bool shed = false;             ///< client refused by the per-shard cap
+  /// Version of the snapshot the call loaded (0 when none was published) —
+  /// the label a response must carry: reading version() afterwards races
+  /// a concurrent publish.
+  std::uint64_t snapshot_version = 0;
 };
 
 /// Per-request outcome of a query_batch() call: the same QueryResult a
@@ -279,7 +292,8 @@ class ModelServer {
   /// once, and predictions go into one flat caller-owned pool. Because the
   /// client→shard map is a pure hash, one client's clicks stay in one
   /// group in arrival order, so its sessionizer sees the exact sequence a
-  /// per-query loop would. Thread-safe against concurrent query_ex /
+  /// per-query loop would. The attached observer gets the batch in one
+  /// on_requests call. Thread-safe against concurrent query_ex /
   /// query_batch / publish; every sub-result reports the same
   /// snapshot_version.
   void query_batch(std::span<const trace::Request> reqs,

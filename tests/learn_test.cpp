@@ -1,10 +1,12 @@
 // Online-training suite ("learn" label, run under asan/tsan by the
 // *-learn presets and the CI learn job):
 //   * ObservationQueue semantics — bounded non-blocking push, drop
-//     accounting, close, and the learn.queue.push fault site;
+//     accounting, close, and the learn.queue.push fault site, for single
+//     pushes and for the batch tap query_batch feeds (on_requests);
 //   * the convergence contract — an OnlineTrainer fed the same stream the
-//     offline SweepEngine trained on publishes models that answer
-//     byte-identically to the oracle at every day boundary;
+//     offline SweepEngine trained on (through observe or query_batch)
+//     publishes models that answer byte-identically to the oracle at every
+//     day boundary;
 //   * publish-policy triggers (threshold, interval, manual) and the
 //     drift_alert_epoch edge-triggered API;
 //   * chaos — learn.publish aborts leave trainer and serving state
@@ -18,9 +20,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -138,6 +142,193 @@ TEST(ObservationQueue, FaultSiteDropsExactNth) {
   EXPECT_EQ(q.dropped(), 1u);
 }
 
+/// Clicks of one client at t0, t0 + 1, ... (url = i % 7), as the server
+/// would hand them to the tap.
+std::vector<trace::Request> clicks_from(TimeSec t0, std::size_t n) {
+  std::vector<trace::Request> reqs;
+  for (std::size_t i = 0; i < n; ++i) {
+    reqs.push_back(click(3, static_cast<UrlId>(i % 7),
+                         t0 + static_cast<TimeSec>(i)));
+  }
+  return reqs;
+}
+
+std::vector<TimeSec> drained_times(ObservationQueue& q) {
+  std::vector<Observation> out;
+  q.drain(out);
+  std::vector<TimeSec> times;
+  for (const auto& o : out) times.push_back(o.timestamp);
+  return times;
+}
+
+TEST(ObservationQueue, BatchPushKeepsArrivalOrder) {
+  ObservationQueue q(16);
+  ASSERT_TRUE(q.push(obs_at(0)));
+  auto reqs = clicks_from(1, 5);
+  reqs[2].status = 404;  // errors are observations too
+  q.on_requests(reqs);
+  EXPECT_EQ(q.pushed(), 6u);
+  EXPECT_EQ(q.dropped(), 0u);
+
+  std::vector<Observation> out;
+  ASSERT_EQ(q.drain(out), 6u);
+  for (std::size_t i = 1; i < out.size(); ++i) {
+    const auto& r = reqs[i - 1];
+    EXPECT_EQ(out[i].timestamp, r.timestamp);
+    EXPECT_EQ(out[i].client, r.client);
+    EXPECT_EQ(out[i].url, r.url);
+    EXPECT_EQ(out[i].status, r.status);
+  }
+}
+
+TEST(ObservationQueue, BatchPastFreeSpacePushesWhatFitsDropsRest) {
+  ObservationQueue q(8);
+  // Move the ring's head so the batch wraps around the end of the slots.
+  for (TimeSec t = 0; t < 6; ++t) ASSERT_TRUE(q.push(obs_at(t)));
+  std::vector<Observation> sink;
+  ASSERT_EQ(q.drain(sink), 6u);
+  ASSERT_TRUE(q.push(obs_at(99)));
+
+  // Seven slots free: the first seven of ten go in, in order; three drop.
+  q.on_requests(clicks_from(100, 10));
+  EXPECT_EQ(q.size(), 8u);
+  EXPECT_EQ(q.pushed(), 6u + 1u + 7u);
+  EXPECT_EQ(q.dropped(), 3u);
+  EXPECT_EQ(q.pushed() + q.dropped(), 6u + 1u + 10u);
+  EXPECT_EQ(drained_times(q),
+            (std::vector<TimeSec>{99, 100, 101, 102, 103, 104, 105, 106}));
+
+  // A full ring drops the whole batch.
+  for (TimeSec t = 0; t < 8; ++t) ASSERT_TRUE(q.push(obs_at(t)));
+  q.on_requests(clicks_from(200, 4));
+  EXPECT_EQ(q.dropped(), 3u + 4u);
+  EXPECT_EQ(q.size(), 8u);
+}
+
+TEST(ObservationQueue, ClosedQueueDropsWholeBatch) {
+  ObservationQueue q(16);
+  ASSERT_TRUE(q.push(obs_at(1)));
+  q.close();
+  q.on_requests(clicks_from(10, 5));
+  EXPECT_EQ(q.pushed(), 1u);
+  EXPECT_EQ(q.dropped(), 5u);
+  EXPECT_EQ(drained_times(q), (std::vector<TimeSec>{1}));
+}
+
+TEST(ObservationQueue, BatchFaultDropsSameObservationsAsSingles) {
+  // Each plan is replayed twice from a fresh arm: once with the stream as
+  // one batch, once one request at a time. The fault site must fire on
+  // the same observations either way.
+  const auto reqs = clicks_from(0, 24);
+  const std::vector<fault::Plan> plans{
+      fault::Plan{}.fail_nth("learn.queue.push", 2, 3),
+      fault::Plan{}
+          .fail_nth("learn.queue.push", 0, 1)
+          .throw_nth("learn.queue.push", 10, 2),
+      fault::Plan{}.fail_with_probability("learn.queue.push", 0.3),
+  };
+  for (std::size_t p = 0; p < plans.size(); ++p) {
+    ObservationQueue batched(64);
+    fault::arm(plans[p]);
+    batched.on_requests(reqs);
+    fault::disarm();
+
+    ObservationQueue single(64);
+    fault::arm(plans[p]);
+    for (const auto& r : reqs) single.on_request(r);
+    fault::disarm();
+
+    EXPECT_GT(single.dropped(), 0u) << "plan " << p;
+    EXPECT_EQ(batched.dropped(), single.dropped()) << "plan " << p;
+    EXPECT_EQ(batched.pushed(), single.pushed()) << "plan " << p;
+    EXPECT_EQ(drained_times(batched), drained_times(single)) << "plan " << p;
+  }
+}
+
+/// Records which entry point delivered each request.
+class RecordingObserver final : public serve::RequestObserver {
+ public:
+  void on_request(const trace::Request& r) noexcept override {
+    singles.push_back(r.timestamp);
+  }
+  void on_requests(std::span<const trace::Request> reqs) noexcept override {
+    batches.emplace_back();
+    for (const auto& r : reqs) batches.back().push_back(r.timestamp);
+  }
+  std::vector<TimeSec> singles;
+  std::vector<std::vector<TimeSec>> batches;
+};
+
+/// Overrides only on_request, like an observer written before the batch
+/// entry point existed.
+class SingleOnlyObserver final : public serve::RequestObserver {
+ public:
+  void on_request(const trace::Request& r) noexcept override {
+    seen.push_back(r.timestamp);
+  }
+  std::vector<TimeSec> seen;
+};
+
+/// A batch with an error-status entry, served by a published model while
+/// a serve.query rule refuses its second admitted entry.
+std::vector<trace::Request> mixed_batch() {
+  std::vector<trace::Request> reqs = clicks_from(50, 6);
+  reqs[1].status = 404;
+  reqs[4].client = 9;
+  return reqs;
+}
+
+std::shared_ptr<const serve::Snapshot> popularity_snapshot() {
+  return serve::make_degraded_snapshot(
+      popularity::PopularityTable::from_counts({0, 5, 4, 3, 2, 1, 1}), 1);
+}
+
+TEST(ObservationQueue, QueryBatchHandsObserverOneCallPerBatch) {
+  serve::ModelServer target;
+  target.publish(popularity_snapshot());
+  RecordingObserver rec;
+  target.attach_observer(&rec);
+  const auto reqs = mixed_batch();
+  std::vector<TimeSec> times;
+  for (const auto& r : reqs) times.push_back(r.timestamp);
+
+  serve::BatchQueryScratch scratch;
+  fault::arm(fault::Plan{}.fail_nth("serve.query", 1, 1));
+  target.query_batch(reqs, scratch);
+  fault::disarm();
+  EXPECT_EQ(target.fault_rejected_count(), 1u);
+  EXPECT_FALSE(scratch.items[1].result.predicted);  // the error entry
+  EXPECT_FALSE(scratch.items[2].result.predicted);  // the refused entry
+  EXPECT_TRUE(scratch.items[0].result.predicted);
+
+  target.query_batch(std::span(reqs).first(2), scratch);
+  target.query_batch({}, scratch);  // nothing to observe: no call
+  target.attach_observer(nullptr);
+
+  EXPECT_TRUE(rec.singles.empty());
+  ASSERT_EQ(rec.batches.size(), 2u);
+  EXPECT_EQ(rec.batches[0], times);
+  EXPECT_EQ(rec.batches[1], std::vector<TimeSec>(times.begin(),
+                                                 times.begin() + 2));
+}
+
+TEST(ObservationQueue, SingleOnlyObserverSeesEveryBatchedRequest) {
+  serve::ModelServer target;
+  target.publish(popularity_snapshot());
+  SingleOnlyObserver seen;
+  target.attach_observer(&seen);
+  const auto reqs = mixed_batch();
+  serve::BatchQueryScratch scratch;
+  fault::arm(fault::Plan{}.fail_nth("serve.query", 1, 1));
+  target.query_batch(reqs, scratch);
+  fault::disarm();
+  target.attach_observer(nullptr);
+
+  std::vector<TimeSec> times;
+  for (const auto& r : reqs) times.push_back(r.timestamp);
+  EXPECT_EQ(seen.seen, times);
+}
+
 TEST(ObservationQueue, TapSeesErrorRequests) {
   // The observer fires before the server's skip-errors gate: the trainer
   // must see the raw access log (popularity counts errors).
@@ -178,8 +369,31 @@ void expect_identical_service(std::shared_ptr<const serve::Snapshot> a,
   }
 }
 
+/// How run_convergence feeds each day to the served ModelServer.
+enum class Feed {
+  kObserve,     ///< one ModelServer::observe per request
+  kQueryBatch,  ///< query_batch chunks (the batch tap)
+};
+
+void feed_day(serve::ModelServer& target, std::span<const trace::Request> day,
+              Feed feed) {
+  if (feed == Feed::kObserve) {
+    for (const auto& r : day) target.observe(r);
+    return;
+  }
+  // An odd chunk size, so chunks start mid-session and the last one is
+  // short.
+  constexpr std::size_t kChunk = 61;
+  serve::BatchQueryScratch scratch;
+  for (std::size_t i = 0; i < day.size(); i += kChunk) {
+    target.query_batch(day.subspan(i, std::min(kChunk, day.size() - i)),
+                       scratch);
+  }
+}
+
 void run_convergence(const core::ModelSpec& spec,
-                     const workload::GeneratorConfig& wcfg) {
+                     const workload::GeneratorConfig& wcfg,
+                     Feed feed = Feed::kObserve) {
   const trace::Trace trace = workload::generate_page_trace(wcfg);
   core::SweepEngine engine(trace);
 
@@ -193,7 +407,7 @@ void run_convergence(const core::ModelSpec& spec,
   const std::uint32_t days = trace.day_count();
   ASSERT_GE(days, 3u);
   for (std::uint32_t d = 0; d < days; ++d) {
-    for (const auto& r : trace.day_slice(d)) target.observe(r);
+    feed_day(target, trace.day_slice(d), feed);
     trainer.step();
     if (d == 0) {
       // No boundary crossed yet: nothing published.
@@ -229,6 +443,11 @@ TEST(OnlineTrainer, ConvergesToOracleNasaStandard) {
 TEST(OnlineTrainer, ConvergesToOracleUcbPb) {
   run_convergence(core::ModelSpec::pb_model_aggressive(),
                   workload::ucb_like(3, 0.15));
+}
+
+TEST(OnlineTrainer, ConvergesToOracleThroughQueryBatch) {
+  run_convergence(core::ModelSpec::pb_model_aggressive(),
+                  workload::ucb_like(3, 0.15), Feed::kQueryBatch);
 }
 
 // ---------------------------------------------------------------------------
@@ -485,25 +704,35 @@ TEST(OnlineTrainer, MobileChurnAgainstCapsAndEviction) {
 
   constexpr int kThreads = 4;
   constexpr int kReqs = 3000;
+  constexpr int kBlock = 8;
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
   for (int w = 0; w < kThreads; ++w) {
     workers.emplace_back([&, w] {
       std::vector<ppm::Prediction> out;
-      for (int i = 0; i < kReqs; ++i) {
-        // Fresh client every four clicks: mobile-style churn that keeps
-        // slamming the admission cap while old contexts idle out.
-        const ClientId c =
-            static_cast<ClientId>(w) * 1000000u + static_cast<ClientId>(i / 4);
-        const auto r = click(c, static_cast<UrlId>(i % 97),
-                             static_cast<TimeSec>(i) * 2);
-        if (i % 3 == 0) {
-          target.observe(r);
-        } else {
-          target.query_ex(r, out);
+      std::vector<trace::Request> block;
+      serve::BatchQueryScratch scratch;
+      for (int b = 0; b < kReqs / kBlock; ++b) {
+        block.clear();
+        for (int i = b * kBlock; i < (b + 1) * kBlock; ++i) {
+          // Fresh client every four clicks: mobile-style churn that keeps
+          // slamming the admission cap while old contexts idle out.
+          const ClientId c = static_cast<ClientId>(w) * 1000000u +
+                             static_cast<ClientId>(i / 4);
+          block.push_back(click(c, static_cast<UrlId>(i % 97),
+                                static_cast<TimeSec>(i) * 2));
         }
-        if (w == 0 && i % 256 == 255) {
-          target.evict_idle(static_cast<TimeSec>(i) * 2);
+        // Blocks rotate through the three entry points of the tap: single
+        // observes, single queries, and one batch (one queue lock).
+        if (b % 3 == 0) {
+          for (const auto& r : block) target.observe(r);
+        } else if (b % 3 == 1) {
+          for (const auto& r : block) target.query_ex(r, out);
+        } else {
+          target.query_batch(block, scratch);
+        }
+        if (w == 0 && b % 32 == 31) {
+          target.evict_idle(block.back().timestamp);
         }
       }
     });

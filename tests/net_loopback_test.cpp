@@ -13,9 +13,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <functional>
+#include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -246,6 +250,107 @@ TEST(NetLoopback, AnswersMatchInProcessModelServerByteForByte) {
           << "shard " << s << " response " << i;
     }
   }
+}
+
+/// The newest version a publisher has finished publishing.
+class Landed {
+ public:
+  void set(std::uint64_t version) {
+    {
+      std::lock_guard lock(mu_);
+      version_ = version;
+    }
+    cv_.notify_all();
+  }
+  /// Blocks until a version newer than `version` has been published (5 s
+  /// at most, rather than hang a test).
+  void await_newer_than(std::uint64_t version) {
+    std::unique_lock lock(mu_);
+    cv_.wait_for(lock, 5s, [&] { return version_ > version; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::uint64_t version_ = 0;
+};
+
+/// A model whose one prediction names its snapshot: url == the version it
+/// was published as. predict() returns only once a newer version has been
+/// published, so every query has a publish land while it is in flight.
+class VersionEchoModel final : public ppm::Predictor {
+ public:
+  VersionEchoModel(UrlId version, Landed& landed)
+      : version_(version), landed_(landed) {}
+  void predict(std::span<const UrlId>, std::vector<ppm::Prediction>& out,
+               ppm::UsageScratch*) const override {
+    landed_.await_newer_than(version_);
+    out.assign(1, ppm::Prediction{version_, 1.0f});
+  }
+  std::size_t node_count() const override { return 1; }
+  std::size_t storage_bytes() const override { return sizeof(*this); }
+  ppm::PredictionTree::PathUsage path_usage(
+      const ppm::UsageScratch&) const override {
+    return {};
+  }
+  void apply_usage(const ppm::UsageScratch&) override {}
+  ppm::PredictionTree::PathUsage path_usage() const override { return {}; }
+  void clear_usage() override {}
+  std::string_view name() const override { return "version-echo"; }
+
+ private:
+  UrlId version_;
+  Landed& landed_;
+};
+
+std::shared_ptr<const serve::Snapshot> echo_snapshot(std::uint64_t version,
+                                                     Landed& landed) {
+  return serve::make_snapshot(
+      std::make_unique<VersionEchoModel>(static_cast<UrlId>(version), landed),
+      popularity::PopularityTable{}, version);
+}
+
+TEST(NetLoopback, V1AnswerIsLabelledWithTheSnapshotThatAnswered) {
+  // Snapshots with different answers are published in a tight loop while
+  // v1 queries run, and every query has a publish land mid-flight: each
+  // response's predictions must come from the version it is labelled
+  // with, never from the one before that publish.
+  Landed landed;
+  serve::ModelServer model;
+  model.publish(echo_snapshot(1, landed));
+  PredictServer server(model, {});
+  ASSERT_TRUE(server.start());
+
+  std::atomic<bool> stop{false};
+  std::thread publisher([&] {
+    for (std::uint64_t v = 2; !stop.load(); ++v) {
+      model.publish(echo_snapshot(v, landed));
+      landed.set(v);
+      std::this_thread::yield();
+    }
+  });
+
+  RawConn conn;
+  ASSERT_TRUE(conn.connect_to(server.port()));
+  constexpr int kQueries = 300;
+  int mislabelled = 0;
+  std::uint64_t last_version = 0;
+  for (int i = 0; i < kQueries; ++i) {
+    std::vector<std::uint8_t> frame;
+    encode_request(
+        LoadClient::to_wire(click(1, 1, static_cast<TimeSec>(i))), frame);
+    ASSERT_TRUE(conn.send_all(frame));
+    WireResponse resp;
+    ASSERT_TRUE(conn.read_response(resp));
+    ASSERT_EQ(resp.status, Status::kOk);
+    ASSERT_EQ(resp.predictions.size(), 1u);
+    if (resp.predictions[0].url != resp.snapshot_version) ++mislabelled;
+    EXPECT_GE(resp.snapshot_version, last_version);
+    last_version = resp.snapshot_version;
+  }
+  stop.store(true);
+  publisher.join();
+  EXPECT_EQ(mislabelled, 0) << "of " << kQueries << " answers";
 }
 
 TEST(NetLoopback, NoModelAnswersNoModelStatus) {

@@ -278,15 +278,32 @@ TEST(ServeChaos, TotalStoreLossDegradesInsteadOfFailing) {
   fs::remove_all(dir);
 }
 
-TEST(ServeChaos, OnlineTrainerFaultPlanNeverCorruptsServing) {
-  // The learn-pipeline leg of the chaos gate: one scripted plan drops
-  // observations mid-stream (learn.queue.push), aborts the first republish
-  // attempt (learn.publish), and fails the first durable store write
-  // (serve.snapshot.write) — and at no point may the serving path diverge
-  // from a fault-free twin or lose its model. Trainer crash/republish
-  // failure degrades training freshness, never serving.
-  const std::string dir =
-      (fs::path(::testing::TempDir()) / "chaos_learn_store").string();
+/// How the learn leg of the chaos gate sends its clicks to the trainer.
+enum class Tap {
+  kObserve,     ///< one ModelServer::observe per click
+  kQueryBatch,  ///< one query_batch per burst (the batch tap)
+};
+
+/// Sends `clicks` through `tap`. Bursts reach the observer before any
+/// prediction runs, so either way the trainer sees the same stream.
+void send_clicks(ModelServer& server, const std::vector<trace::Request>& clicks,
+                 Tap tap) {
+  if (tap == Tap::kObserve) {
+    for (const auto& r : clicks) server.observe(r);
+    return;
+  }
+  BatchQueryScratch scratch;
+  server.query_batch(clicks, scratch);
+}
+
+/// The learn-pipeline leg of the chaos gate: one scripted plan drops
+/// observations mid-stream (learn.queue.push), aborts the first republish
+/// attempt (learn.publish), and fails the first durable store write
+/// (serve.snapshot.write) — and at no point may the serving path diverge
+/// from a fault-free twin or lose its model. Trainer crash/republish
+/// failure degrades training freshness, never serving.
+void run_online_trainer_fault_plan(Tap tap, const std::string& dir_name) {
+  const std::string dir = (fs::path(::testing::TempDir()) / dir_name).string();
   fs::remove_all(dir);
 
   SnapshotStoreConfig store_cfg;
@@ -314,9 +331,11 @@ TEST(ServeChaos, OnlineTrainerFaultPlanNeverCorruptsServing) {
   // Ten observed clicks; three vanish at the queue. Observation loss is
   // training loss only — the serving snapshot is untouched.
   TimeSec t = 1000;
+  std::vector<trace::Request> clicks;
   for (const UrlId u : {1u, 2u, 3u, 1u, 2u, 4u, 5u, 6u, 7u, 1u}) {
-    server.observe(click(60, u, t++));
+    clicks.push_back(click(60, u, t++));
   }
+  send_clicks(server, clicks, tap);
   trainer.step();
   EXPECT_EQ(trainer.dropped(), 3u);
   EXPECT_EQ(trainer.observations(), 7u);
@@ -345,9 +364,13 @@ TEST(ServeChaos, OnlineTrainerFaultPlanNeverCorruptsServing) {
 
   // Chaos over: the next publish persists, and the disk generation carries
   // the exact served version.
-  server.observe(click(61, 1, t++));
-  server.observe(click(61, 2, t++));
+  clicks = {click(61, 1, t), click(61, 2, t + 1)};
+  send_clicks(server, clicks, tap);
   trainer.step();
+  // Exact accounting: the two replays fed ten queries each, and the plan
+  // dropped nothing past its three scripted hits.
+  EXPECT_EQ(trainer.observations(), 7u + 10u + 10u + 2u);
+  EXPECT_EQ(trainer.dropped(), 3u);
   EXPECT_TRUE(trainer.publish_now());
   EXPECT_EQ(trainer.store_failures(), 1u);
   const auto loaded = store.load_latest();
@@ -357,6 +380,14 @@ TEST(ServeChaos, OnlineTrainerFaultPlanNeverCorruptsServing) {
 
   trainer.detach();
   fs::remove_all(dir);
+}
+
+TEST(ServeChaos, OnlineTrainerFaultPlanNeverCorruptsServing) {
+  run_online_trainer_fault_plan(Tap::kObserve, "chaos_learn_store");
+}
+
+TEST(ServeChaos, OnlineTrainerFaultPlanOverQueryBatch) {
+  run_online_trainer_fault_plan(Tap::kQueryBatch, "chaos_learn_store_batch");
 }
 
 }  // namespace
