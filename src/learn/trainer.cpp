@@ -185,6 +185,11 @@ struct OnlineTrainer::Instruments {
   obs::Gauge* retained;
   obs::Gauge* storage_bytes;
   obs::Gauge* version;
+  // Publish stages, one histogram each.
+  obs::LogHistogram* publish_model;
+  obs::LogHistogram* publish_freeze;
+  obs::LogHistogram* publish_store;
+  obs::LogHistogram* publish_swap;
 };
 
 OnlineTrainer::OnlineTrainer(serve::ModelServer& target,
@@ -210,6 +215,10 @@ OnlineTrainer::OnlineTrainer(serve::ModelServer& target,
         &reg.gauge("webppm_learn_retained_sessions"),
         &reg.gauge("webppm_learn_storage_bytes"),
         &reg.gauge("webppm_learn_published_version"),
+        &reg.histogram("webppm_learn_publish_model_ns"),
+        &reg.histogram("webppm_learn_publish_freeze_ns"),
+        &reg.histogram("webppm_learn_publish_store_ns"),
+        &reg.histogram("webppm_learn_publish_swap_ns"),
     });
   }
 }
@@ -390,6 +399,15 @@ bool OnlineTrainer::publish_locked(TimeSec settle_ts, PublishTrigger why) {
     return false;
   }
 
+  // Stage timing for the publish histograms, with metrics attached only.
+  const bool timed = ins_ != nullptr;
+  std::uint64_t lap = timed ? obs::now_ns() : 0;
+  const auto record_lap = [&lap](obs::LogHistogram* stage) {
+    const std::uint64_t now = obs::now_ns();
+    stage->record(now - lap);
+    lap = now;
+  };
+
   sessionizer_.settle_before(settle_ts);
   auto fresh = sessionizer_.take_closed();
   for (auto& s : fresh) {
@@ -432,9 +450,11 @@ bool OnlineTrainer::publish_locked(TimeSec settle_ts, PublishTrigger why) {
   version_counter_ = std::max(version_counter_, target_.version()) + 1;
   auto snap = serve::make_snapshot(std::move(model), std::move(pop),
                                    version_counter_, config_.fallback_top_n);
+  if (timed) record_lap(ins_->publish_model);
   if (config_.freeze_published &&
       config_.spec.kind != core::ModelKind::kTopN) {
     snap = serve::freeze_snapshot(*snap, config_.fallback_top_n);
+    if (timed) record_lap(ins_->publish_freeze);
   }
 
   if (config_.store != nullptr) {
@@ -446,8 +466,10 @@ bool OnlineTrainer::publish_locked(TimeSec settle_ts, PublishTrigger why) {
       if (ins_ != nullptr) ins_->store_failures->add();
       obs::log_event(obs::Severity::kWarn, "learn.store_failed", pr.error);
     }
+    if (timed) record_lap(ins_->publish_store);
   }
   target_.publish(snap);
+  if (timed) record_lap(ins_->publish_swap);
 
   publishes_.fetch_add(1, std::memory_order_relaxed);
   published_version_.store(version_counter_, std::memory_order_relaxed);

@@ -135,7 +135,11 @@ struct OnlineTrainerConfig {
   serve::SnapshotStore* store = nullptr;
   /// Trainer-thread wakeup cadence when the queue is idle.
   std::uint64_t poll_interval_ms = 50;
-  /// Non-null attaches webppm_learn_* metrics.
+  /// Non-null attaches webppm_learn_* metrics, among them one histogram
+  /// per publish stage: webppm_learn_publish_model_ns (settle until the
+  /// snapshot is built), _freeze_ns (sampled by freezing publishes only),
+  /// _store_ns (sampled with a store only) and _swap_ns. A publish that
+  /// the learn.publish fault aborts records none of them.
   obs::MetricsRegistry* metrics = nullptr;
 };
 

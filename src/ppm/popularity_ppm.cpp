@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace webppm::ppm {
 
@@ -11,37 +12,54 @@ PopularityPpm::PopularityPpm(const PopularityPpmConfig& config,
   assert(grades_ != nullptr);
 }
 
-void PopularityPpm::insert_session(const session::Session& s) {
-  // Open branches currently being extended by this session.
-  struct Open {
-    NodeId tip;
-    NodeId root;
-    int head_grade;
-  };
-  std::vector<Open> open;
-  std::vector<Open> next_open;
+PopularityPpm PopularityPpm::from_parts(
+    const PopularityPpmConfig& config,
+    const popularity::PopularityTable* grades, PredictionTree tree,
+    std::unordered_map<NodeId, std::vector<NodeId>> links) {
+  PopularityPpm m(config, grades);
+  m.tree_ = std::move(tree);
+  m.links_ = std::move(links);
+  for (const auto& [root, targets] : m.links_) {
+    m.tree_.node(root).stale = true;
+    m.stale_roots_.push_back(root);
+    for (const NodeId t : targets) m.tree_.node(t).linked = true;
+  }
+  m.rank_links();
+  return m;
+}
 
+void PopularityPpm::insert_session(const session::Session& s,
+                                   std::vector<OpenBranch>& open,
+                                   std::vector<OpenBranch>& next_open) {
+  open.clear();
   int prev_grade = 0;
   for (std::size_t i = 0; i < s.urls.size(); ++i) {
     const UrlId u = s.urls[i];
     const int g = grades_->grade(u);
 
     next_open.clear();
-    for (const Open& b : open) {
+    for (const OpenBranch& b : open) {
       const auto cap =
           config_.height_by_grade[static_cast<std::size_t>(b.head_grade)];
       if (tree_.node(b.tip).depth >= cap) continue;  // branch is full
       const NodeId child = tree_.child_or_add(b.tip, u);
       next_open.push_back({child, b.root, b.head_grade});
+      if (!config_.special_links) continue;
+      // The extension moved counts in b.root's subtree, where all of its
+      // link targets live: its ranking may be out of date.
+      if (TreeNode& r = tree_.node(b.root); !r.stale) {
+        r.stale = true;
+        stale_roots_.push_back(b.root);
+      }
       // Rule 3: special link for a popular URL deeper in the branch
-      // ("not immediately following the heading URL" => depth >= 3).
-      if (config_.special_links && tree_.node(child).depth >= 3 &&
+      // ("not immediately following the heading URL" => depth >= 3). A
+      // node is only ever linked from its own branch root, so its linked
+      // bit says whether that root's list already holds it.
+      TreeNode& c = tree_.node(child);
+      if (c.depth >= 3 && !c.linked &&
           (g > b.head_grade || g == popularity::kMaxGrade)) {
-        auto& targets = links_[b.root];
-        if (std::find(targets.begin(), targets.end(), child) ==
-            targets.end()) {
-          targets.push_back(child);
-        }
+        c.linked = true;
+        links_[b.root].push_back(child);
       }
     }
     // Rule 2/4: head a new branch at session start or on a grade increase.
@@ -56,7 +74,9 @@ void PopularityPpm::insert_session(const session::Session& s) {
 
 void PopularityPpm::train_without_optimization(
     std::span<const session::Session> sessions) {
-  for (const auto& s : sessions) insert_session(s);
+  std::vector<OpenBranch> open;
+  std::vector<OpenBranch> next_open;
+  for (const auto& s : sessions) insert_session(s, open, next_open);
   rank_links();
 }
 
@@ -64,34 +84,46 @@ void PopularityPpm::rank_links() {
   // Order link targets by traversal count; count ties break on the
   // target's root-to-node URL path (node ids depend on insertion order,
   // which differs between batch and incremental training; the URL path
-  // identifies a tree position canonically).
+  // identifies a tree position canonically, so the order is total).
+  // Every target of a list shares its root, so paths are stored from
+  // depth 2 on, all of one list's in one flat buffer. The walk up to the
+  // root sizes each path; the stored depth does not, since it wraps on
+  // chains deeper than 65,535 nodes.
   struct RankedTarget {
     std::uint32_t count;
-    std::vector<UrlId> path;
+    std::uint32_t path_begin;
+    std::uint32_t path_end;
     NodeId node;
   };
   std::vector<RankedTarget> ranked;
-  for (auto& [root, targets] : links_) {
+  std::vector<UrlId> paths;
+  for (const NodeId root : std::exchange(stale_roots_, {})) {
+    tree_.node(root).stale = false;
+    const auto it = links_.find(root);
+    if (it == links_.end() || it->second.size() < 2) continue;
+    auto& targets = it->second;
     ranked.clear();
-    ranked.reserve(targets.size());
+    paths.clear();
     for (const NodeId id : targets) {
-      RankedTarget r{tree_.node(id).count, {}, id};
-      for (NodeId n = id; n != kNoNode; n = tree_.node(n).parent) {
-        r.path.push_back(tree_.node(n).url);
+      const auto begin = static_cast<std::uint32_t>(paths.size());
+      for (NodeId a = id; a != root; a = tree_.node(a).parent) {
+        paths.push_back(tree_.node(a).url);
       }
-      std::reverse(r.path.begin(), r.path.end());
-      ranked.push_back(std::move(r));
+      std::reverse(paths.begin() + begin, paths.end());
+      ranked.push_back({tree_.node(id).count, begin,
+                        static_cast<std::uint32_t>(paths.size()), id});
     }
     std::sort(ranked.begin(), ranked.end(),
-              [](const RankedTarget& a, const RankedTarget& b) {
-                return a.count != b.count ? a.count > b.count
-                                          : a.path < b.path;
+              [&paths](const RankedTarget& a, const RankedTarget& b) {
+                if (a.count != b.count) return a.count > b.count;
+                return std::lexicographical_compare(
+                    paths.begin() + a.path_begin, paths.begin() + a.path_end,
+                    paths.begin() + b.path_begin, paths.begin() + b.path_end);
               });
     for (std::size_t i = 0; i < ranked.size(); ++i) {
       targets[i] = ranked[i].node;
     }
   }
-  links_ranked_ = true;
 }
 
 void PopularityPpm::train(std::span<const session::Session> sessions) {
@@ -102,12 +134,9 @@ void PopularityPpm::train(std::span<const session::Session> sessions) {
 void PopularityPpm::optimize_space() {
   if (config_.min_relative_probability <= 0.0 &&
       config_.min_absolute_count == 0) {
-    if (!links_ranked_) rank_links();
     return;
   }
-  // Collect victims root-down; prune_subtree tombstones whole subtrees, so
-  // skip nodes that died while we iterate.
-  const auto should_cut = [&](NodeId id) {
+  tree_.prune([&](NodeId id) {
     const TreeNode& n = tree_.node(id);
     if (n.parent == kNoNode) return false;  // roots are never cut
     if (config_.min_absolute_count > 0 &&
@@ -124,25 +153,12 @@ void PopularityPpm::optimize_space() {
       }
     }
     return false;
-  };
-
-  std::vector<NodeId> stack;
-  for (const auto& [url, root] : tree_.roots()) stack.push_back(root);
-  // Snapshot iteration: children discovered before any pruning of them.
-  while (!stack.empty()) {
-    const NodeId id = stack.back();
-    stack.pop_back();
-    if (tree_.node(id).dead) continue;
-    if (should_cut(id)) {
-      tree_.prune_subtree(id);
-      continue;
-    }
-    tree_.node(id).children.for_each(
-        [&](UrlId, NodeId c) { stack.push_back(c); });
-  }
+  });
 
   const auto remap = tree_.compact();
   // Remap special links; drop links to pruned nodes and remap roots.
+  // Pruning moves no count and keeps the survivors' relative order, so
+  // every filtered list is still ranked.
   std::unordered_map<NodeId, std::vector<NodeId>> fresh;
   for (const auto& [root, targets] : links_) {
     if (remap[root] == kNoNode) continue;
@@ -153,7 +169,6 @@ void PopularityPpm::optimize_space() {
     if (!alive.empty()) fresh.emplace(remap[root], std::move(alive));
   }
   links_ = std::move(fresh);
-  rank_links();
 }
 
 void PopularityPpm::predict(std::span<const UrlId> context,
@@ -162,7 +177,7 @@ void PopularityPpm::predict(std::span<const UrlId> context,
   out.clear();
   if (context.empty()) return;
   // Every mutating entry point re-ranks before handing the model out.
-  assert(links_ranked_ || links_.empty());
+  assert(stale_roots_.empty());
 
   const auto m = longest_match(tree_, context, config_.max_context);
   if (m.node != kNoNode) {

@@ -122,30 +122,37 @@ class PopularityPpm final : public Predictor {
   static PopularityPpm from_parts(
       const PopularityPpmConfig& config,
       const popularity::PopularityTable* grades, PredictionTree tree,
-      std::unordered_map<NodeId, std::vector<NodeId>> links) {
-    PopularityPpm m(config, grades);
-    m.tree_ = std::move(tree);
-    m.links_ = std::move(links);
-    m.rank_links();
-    return m;
-  }
+      std::unordered_map<NodeId, std::vector<NodeId>> links);
 
  private:
-  void insert_session(const session::Session& s);
+  /// A branch the current session is extending.
+  struct OpenBranch {
+    NodeId tip;
+    NodeId root;
+    int head_grade;
+  };
 
-  /// Sorts every link-target list by (traversal count desc, root-to-node
-  /// URL path asc) — the canonical emission order predict() uses. Counts
-  /// only change while training, so every mutating entry point (train,
-  /// train_without_optimization, optimize_space, from_parts) re-ranks
-  /// eagerly before returning; predict() is const and relies on the
-  /// links-are-ranked invariant.
+  /// `open` and `next_open` are scratch the caller reuses across sessions.
+  void insert_session(const session::Session& s, std::vector<OpenBranch>& open,
+                      std::vector<OpenBranch>& next_open);
+
+  /// Sorts the link-target list of every stale root by (traversal count
+  /// desc, root-to-node URL path asc) — the canonical emission order
+  /// predict() uses. A list's order can only change when insert_session
+  /// extends that root's branch (targets lie in their root's subtree), so
+  /// insert_session marks the root stale and only stale roots are
+  /// re-sorted. Every entry point that adds counts (train,
+  /// train_without_optimization, from_parts) ranks before returning;
+  /// optimize_space only drops targets, which keeps each list ranked.
+  /// predict() is const and relies on the links-are-ranked invariant.
   void rank_links();
 
   PopularityPpmConfig config_;
   const popularity::PopularityTable* grades_;
   PredictionTree tree_;
   std::unordered_map<NodeId, std::vector<NodeId>> links_;
-  bool links_ranked_ = false;
+  /// Roots marked stale since the last rank_links() (empty between calls).
+  std::vector<NodeId> stale_roots_;
 };
 
 }  // namespace webppm::ppm

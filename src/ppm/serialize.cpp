@@ -224,10 +224,23 @@ std::optional<PopularityPpm> load_popularity(
                                " truncated or out of range");
       }
       // Rule 3 targets sit "not immediately following the heading URL",
-      // i.e. at depth >= 3; anything shallower is a forged link.
-      if (tree->node(t).depth < 3) {
+      // i.e. at depth >= 3, and a popular node is linked from the head of
+      // its own branch only; anything else is a forged link. The walk
+      // counts the depth itself: the stored one wraps on chains deeper
+      // than 65,535 nodes.
+      std::size_t depth = 1;
+      NodeId top = t;
+      for (; tree->node(top).parent != kNoNode; ++depth) {
+        top = tree->node(top).parent;
+      }
+      if (depth < 3) {
         return fail(error, "pb: link target " + std::to_string(t) +
                                " at depth < 3");
+      }
+      if (top != root) {
+        return fail(error, "pb: link target " + std::to_string(t) +
+                               " outside the subtree of root " +
+                               std::to_string(root));
       }
       if (std::count(targets.begin(), targets.end(), t) > 1) {
         return fail(error, "pb: duplicate link target " + std::to_string(t) +

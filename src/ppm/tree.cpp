@@ -102,34 +102,6 @@ PredictionTree::PathUsage PredictionTree::path_usage(
   return usage;
 }
 
-void PredictionTree::prune_subtree(NodeId id) {
-  assert(id < nodes_.size() && !nodes_[id].dead);
-  // Detach from parent (or root table).
-  TreeNode& n = nodes_[id];
-  if (n.parent == kNoNode) {
-    roots_.erase(n.url);
-  } else {
-    nodes_[n.parent].children.erase_if(
-        [&](UrlId, NodeId c) { return c == id; });
-  }
-  // The parent sheds its last child -> it becomes a leaf.
-  if (n.parent != kNoNode && nodes_[n.parent].children.empty()) {
-    ++leaf_count_;
-  }
-  // Iterative DFS tombstoning.
-  std::vector<NodeId> stack{id};
-  while (!stack.empty()) {
-    const NodeId cur = stack.back();
-    stack.pop_back();
-    if (nodes_[cur].dead) continue;
-    nodes_[cur].dead = true;
-    --live_count_;
-    if (nodes_[cur].children.empty()) --leaf_count_;  // was a live leaf
-    nodes_[cur].children.for_each(
-        [&](UrlId, NodeId c) { stack.push_back(c); });
-  }
-}
-
 std::vector<NodeId> PredictionTree::compact() {
   std::vector<NodeId> remap(nodes_.size(), kNoNode);
   std::vector<TreeNode> fresh;

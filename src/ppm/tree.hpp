@@ -8,9 +8,11 @@
 // this structure.
 //
 // Nodes live in a single arena (std::vector) and refer to each other by
-// index; children are kept in a SmallChildMap keyed by URL. Pruning
-// tombstones nodes and compact() reindexes the arena so node_count() is
-// exact after the PB-PPM space optimisation.
+// index; children are kept in a SmallChildMap keyed by URL. A child's id
+// always exceeds its parent's, so one ascending pass over the arena visits
+// every parent before its children: prune() tombstones in such a pass and
+// compact() reindexes the arena so node_count() is exact after the PB-PPM
+// space optimisation.
 #pragma once
 
 #include <cstdint>
@@ -31,10 +33,15 @@ struct TreeNode {
   std::uint32_t count = 0;   ///< traversals of the path ending here
   NodeId parent = kNoNode;   ///< kNoNode for roots
   std::uint16_t depth = 1;   ///< nodes on the path from root (root = 1)
-  bool used = false;         ///< touched while predicting (utilisation)
-  bool dead = false;         ///< tombstoned by pruning
+  // One byte of flags: bit-fields keep sizeof(TreeNode) at 80.
+  bool used : 1 = false;     ///< touched while predicting (utilisation)
+  bool dead : 1 = false;     ///< tombstoned by pruning
+  bool linked : 1 = false;   ///< PB-PPM: a special-link target of its root
+  bool stale : 1 = false;    ///< PB-PPM root: its link order needs a re-rank
   util::SmallChildMap<NodeId> children;  ///< url -> child node
 };
+static_assert(sizeof(void*) != 8 || sizeof(TreeNode) == 80,
+              "TreeNode flags must stay packed beside depth");
 
 class PredictionTree {
  public:
@@ -97,9 +104,14 @@ class PredictionTree {
   /// tree with no prior marks.
   PathUsage path_usage(std::span<const NodeId> marked) const;
 
-  /// Tombstones `id` and its whole subtree; detaches it from its parent.
-  /// Precondition: `id` is live.
-  void prune_subtree(NodeId id);
+  /// Tombstones every live node for which `cut(id)` holds, with its whole
+  /// subtree, in one ascending pass over the arena: each live node drops
+  /// its cut children from its child map (a cut root leaves the root
+  /// table) before the pass reaches them, so `cut` sees every node at most
+  /// once and never one below a cut. Recomputes the live and leaf counts.
+  /// compact() afterwards reclaims the tombstones.
+  template <typename Cut>
+  void prune(Cut&& cut);
 
   /// Compacts the arena after pruning: reindexes live nodes, drops
   /// tombstones. Invalidates all NodeIds held by callers except through
@@ -121,12 +133,37 @@ class PredictionTree {
   std::vector<TreeNode> nodes_;
   std::unordered_map<UrlId, NodeId> roots_;
   std::size_t live_count_ = 0;
-  /// Live leaves, maintained across insert/prune/compact so path_usage()
-  /// need not walk the arena. Invariant: live nodes only ever hold live
-  /// children (prune_subtree detaches the subtree top from its parent), so
+  /// Live leaves, maintained by insertion and recomputed by prune() so
+  /// path_usage() need not walk the arena. Invariant: live nodes only ever
+  /// hold live children (prune() detaches each cut from its parent), so
   /// "leaf" is simply an empty child map.
   std::size_t leaf_count_ = 0;
   std::vector<NodeId> used_nodes_;  ///< nodes with the used bit set
 };
+
+template <typename Cut>
+void PredictionTree::prune(Cut&& cut) {
+  live_count_ = 0;
+  leaf_count_ = 0;
+  for (NodeId id = 0; id < nodes_.size(); ++id) {
+    TreeNode& n = nodes_[id];
+    if (!n.dead && n.parent == kNoNode && cut(id)) {
+      n.dead = true;
+      roots_.erase(n.url);
+    }
+    if (n.dead) {
+      // Children come later in the arena; mark them so the pass skips them.
+      n.children.for_each([&](UrlId, NodeId c) { nodes_[c].dead = true; });
+      continue;
+    }
+    n.children.erase_if([&](UrlId, NodeId c) {
+      if (!cut(c)) return false;
+      nodes_[c].dead = true;
+      return true;
+    });
+    ++live_count_;
+    if (n.children.empty()) ++leaf_count_;
+  }
+}
 
 }  // namespace webppm::ppm

@@ -1,0 +1,96 @@
+// Golden payload digests ("learn" label): the frozen bytes of PB-PPM models
+// published by offline training and by the online trainer.
+//
+// A frozen PB payload stores each root's special links in rank order —
+// (traversal count desc, root-to-node URL path asc) — with no ordering key
+// beside it, so a ranking shortcut that leaves a list stale after an
+// append changes these bytes even where every prediction test still
+// passes. The constants are FNV-1a 64 digests of
+// serve::serialize_snapshot_frozen; a deliberate model change must update
+// them (and say why), an optimisation must leave them alone.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/experiment.hpp"
+#include "learn/trainer.hpp"
+#include "serve/frozen_snapshot.hpp"
+#include "serve/model_server.hpp"
+#include "workload/generator.hpp"
+
+namespace webppm::learn {
+namespace {
+
+std::uint64_t payload_digest(const serve::Snapshot& snap) {
+  const std::string bytes = serve::serialize_snapshot_frozen(snap);
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(PbGolden, TrainModelNasa) {
+  const trace::Trace trace =
+      workload::generate_page_trace(workload::nasa_like(3, 0.3));
+  auto tm = core::train_model(core::ModelSpec::pb_model(), trace, 0, 1);
+  const auto snap = serve::make_snapshot(std::move(tm.predictor),
+                                         std::move(tm.popularity), 1);
+  EXPECT_EQ(payload_digest(*snap), 0xb281f7de3e637c21ull);
+}
+
+TEST(PbGolden, OnlineTrainerUcbMidDayAndBoundary) {
+  const trace::Trace trace =
+      workload::generate_page_trace(workload::ucb_like(3, 1.0));
+  serve::ModelServer target;
+  OnlineTrainerConfig tc;
+  tc.spec = core::ModelSpec::pb_model_aggressive();
+  tc.url_count_hint = trace.urls.size();
+  tc.queue_capacity = trace.requests.size() + 1;
+  OnlineTrainer trainer(target, tc);
+
+  // Each day is fed in quarters. Crossing a day boundary publishes; after
+  // each of days 1 and 2's first three quarters a mid-day publish follows,
+  // with sessions still open reaching the model as tails.
+  std::vector<std::uint64_t> digests;
+  for (std::uint32_t d = 0; d < trace.day_count(); ++d) {
+    const auto day = trace.day_slice(d);
+    for (std::size_t q = 0; q < 4; ++q) {
+      for (const auto& r : day.subspan(day.size() * q / 4,
+                                       day.size() * (q + 1) / 4 -
+                                           day.size() * q / 4)) {
+        ASSERT_TRUE(trainer.queue().push(Observation::from(r)));
+      }
+      const std::uint64_t before = trainer.publishes();
+      trainer.step();
+      if (trainer.publishes() != before) {
+        digests.push_back(payload_digest(*target.snapshot()));
+      }
+      if (d > 0 && q < 3) {
+        ASSERT_GT(trainer.open_sessions(), 0u);
+        ASSERT_TRUE(trainer.publish_now());
+        digests.push_back(payload_digest(*target.snapshot()));
+      }
+    }
+  }
+  // Boundary 1, three mid-day publishes, boundary 2, three mid-day ones.
+  const std::vector<std::uint64_t> expected = {
+      0xb18f0b84647aa527ull,
+      0x7fed3499daab6e47ull,
+      0x8dee447a44a7ff2eull,
+      0x39a967538ad0b0deull,
+      0xd964caad2e07b430ull,
+      0x1bfa7803581054daull,
+      0x51dcc4b8e4d5adf9ull,
+      0x083ba96b57534225ull,
+  };
+  EXPECT_EQ(digests, expected);
+}
+
+}  // namespace
+}  // namespace webppm::learn

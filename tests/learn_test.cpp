@@ -11,6 +11,8 @@
 //     drift_alert_epoch edge-triggered API;
 //   * chaos — learn.publish aborts leave trainer and serving state
 //     untouched; a snapshot-store failure costs durability, not freshness;
+//   * publish-stage histograms — one sample per stage per publish, none
+//     for an aborted one;
 //   * decay — bounded retention plus periodic rebuild forgets evicted
 //     history without breaking serving;
 //   * mobile-style churn — high client turnover against per-shard caps and
@@ -21,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -609,6 +612,69 @@ TEST(OnlineTrainer, StoreFailureKeepsInMemoryPublish) {
   ASSERT_NE(loaded.snapshot, nullptr) << loaded.error;
   EXPECT_EQ(loaded.snapshot->version, trainer.last_published_version());
   fs::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// Publish-stage histograms.
+
+TEST(OnlineTrainer, PublishStageHistogramsCountEveryPublish) {
+  const fs::path dir =
+      fs::path(::testing::TempDir()) /
+      ("learn_stages_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  serve::SnapshotStoreConfig sc;
+  sc.dir = dir.string();
+  serve::SnapshotStore store(sc);
+
+  obs::MetricsRegistry reg;
+  serve::ModelServer target;
+  OnlineTrainerConfig tc;
+  tc.policy.day_boundaries = false;
+  tc.freeze_published = true;
+  tc.store = &store;
+  tc.metrics = &reg;
+  OnlineTrainer trainer(target, tc);
+
+  // Samples of the model, freeze, store and swap stages, in that order.
+  const auto expect_stage_counts = [](const obs::MetricsRegistry& r,
+                                      std::array<std::uint64_t, 4> n) {
+    const char* const names[] = {
+        "webppm_learn_publish_model_ns", "webppm_learn_publish_freeze_ns",
+        "webppm_learn_publish_store_ns", "webppm_learn_publish_swap_ns"};
+    for (std::size_t i = 0; i < n.size(); ++i) {
+      const obs::LogHistogram* h = r.find_histogram(names[i]);
+      ASSERT_NE(h, nullptr) << names[i];
+      EXPECT_EQ(h->count(), n[i]) << names[i];
+    }
+  };
+  push_clicks(trainer, 8, 100);
+  trainer.step();
+  ASSERT_TRUE(trainer.publish_now());
+  push_clicks(trainer, 8, 200);
+  trainer.step();
+  ASSERT_TRUE(trainer.publish_now());
+  EXPECT_EQ(trainer.publishes(), 2u);
+  expect_stage_counts(reg, {2, 2, 2, 2});
+
+  // A publish the fault aborts has no stages to time.
+  fault::arm(fault::Plan{}.fail("learn.publish"));
+  EXPECT_FALSE(trainer.publish_now());
+  fault::disarm();
+  EXPECT_EQ(trainer.publishes(), 2u);
+  expect_stage_counts(reg, {2, 2, 2, 2});
+  fs::remove_all(dir);
+
+  // Without a store or freezing, those two stages are never sampled.
+  obs::MetricsRegistry bare_reg;
+  serve::ModelServer bare_target;
+  OnlineTrainerConfig bare;
+  bare.policy.day_boundaries = false;
+  bare.metrics = &bare_reg;
+  OnlineTrainer bare_trainer(bare_target, bare);
+  push_clicks(bare_trainer, 8, 100);
+  bare_trainer.step();
+  ASSERT_TRUE(bare_trainer.publish_now());
+  expect_stage_counts(bare_reg, {1, 0, 0, 1});
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 // randomly generated training sessions, parameterised over RNG seeds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "ppm/lrs_ppm.hpp"
@@ -51,12 +53,14 @@ popularity::PopularityTable popularity_of(
 
 void check_tree_invariants(const PredictionTree& tree) {
   std::size_t live = 0;
+  std::size_t leaves = 0;
   std::size_t reachable_children = 0;
   for (NodeId id = 0;
        id < static_cast<NodeId>(tree.node_count()); ++id) {
     const auto& n = tree.node(id);
     ASSERT_FALSE(n.dead) << "compact trees must hold no tombstones";
     ++live;
+    if (n.children.empty()) ++leaves;
     if (n.parent != kNoNode) {
       const auto& p = tree.node(n.parent);
       // Child reachable from its parent under its own URL.
@@ -77,6 +81,41 @@ void check_tree_invariants(const PredictionTree& tree) {
   }
   EXPECT_EQ(live, tree.node_count());
   EXPECT_EQ(reachable_children + tree.root_count(), tree.node_count());
+  // The maintained leaf count (path_usage's and Fig. 2's denominator).
+  EXPECT_EQ(tree.path_usage().total, leaves);
+}
+
+/// PB special links, checked against an order the test derives itself:
+/// each root's targets strictly by (traversal count desc, root-to-node URL
+/// path asc), each target once and inside its root's subtree.
+void check_links_ranked(const PopularityPpm& m) {
+  const PredictionTree& tree = m.tree();
+  for (const auto& [root, targets] : m.links()) {
+    ASSERT_EQ(tree.node(root).parent, kNoNode) << "link from a non-root";
+    std::vector<NodeId> uniq(targets);
+    std::sort(uniq.begin(), uniq.end());
+    EXPECT_EQ(std::adjacent_find(uniq.begin(), uniq.end()), uniq.end())
+        << "target listed twice under root " << root;
+    std::vector<std::pair<std::uint32_t, std::vector<UrlId>>> keys;
+    for (const NodeId t : targets) {
+      std::vector<UrlId> path;
+      NodeId top = t;
+      for (NodeId a = t; a != kNoNode; a = tree.node(a).parent) {
+        path.push_back(tree.node(a).url);
+        top = a;
+      }
+      EXPECT_EQ(top, root) << "target " << t << " outside its root's subtree";
+      std::reverse(path.begin(), path.end());
+      keys.emplace_back(tree.node(t).count, std::move(path));
+    }
+    for (std::size_t i = 1; i < keys.size(); ++i) {
+      const auto& [ca, pa] = keys[i - 1];
+      const auto& [cb, pb] = keys[i];
+      EXPECT_TRUE(ca > cb || (ca == cb && pa < pb))
+          << "root " << root << ": targets " << i - 1 << " and " << i
+          << " out of rank order (counts " << ca << ", " << cb << ")";
+    }
+  }
 }
 
 void check_predictions_sane(Predictor& model,
@@ -170,6 +209,41 @@ TEST_P(ModelPropertyTest, OptimizationOnlyShrinks) {
   raw.optimize_space();
   EXPECT_LE(raw.node_count(), before);
   check_tree_invariants(raw.tree());
+}
+
+TEST_P(ModelPropertyTest, PbLinksStayRankedThroughAppendsAndPruning) {
+  // The trainers' recipe: grow an unpruned base in appends, and at each
+  // publish copy it, add the open tails and prune the copy. Sessions are
+  // redrawn from a small pool, so once the pool's paths exist, appends
+  // only raise counts, unevenly, under roots whose lists gain no link —
+  // an order kept up only when a list gains a link goes stale here.
+  const auto pool = random_sessions(GetParam() ^ 0x1ead, 60);
+  const auto pop = popularity_of(pool);
+  util::Rng rng(GetParam());
+  const auto draw = [&](std::size_t n) {
+    std::vector<session::Session> out;
+    for (std::size_t i = 0; i < n; ++i) {
+      out.push_back(pool[rng.below(pool.size())]);
+    }
+    return out;
+  };
+  for (const std::uint32_t min_count : {0u, 1u}) {  // pb_model, aggressive
+    PopularityPpmConfig cfg;
+    cfg.min_absolute_count = min_count;
+    PopularityPpm base(cfg, &pop);
+    for (int chunk = 0; chunk < 12; ++chunk) {
+      base.train_without_optimization(draw(1 + rng.below(40)));
+      check_links_ranked(base);
+
+      PopularityPpm copy = base;
+      copy.train_without_optimization(draw(1 + rng.below(8)));
+      check_links_ranked(copy);
+      copy.optimize_space();
+      check_links_ranked(copy);
+      check_tree_invariants(copy.tree());
+    }
+    EXPECT_FALSE(base.links().empty());
+  }
 }
 
 TEST_P(ModelPropertyTest, PredictionsAreSaneAcrossModels) {

@@ -204,6 +204,37 @@ TEST(SerializeModel, RejectsOutOfRangeLinkTarget) {
   EXPECT_FALSE(load_popularity(ss, &pop).has_value());
 }
 
+TEST(SerializeModel, RejectsLinkTargetOutsideItsRootsSubtree) {
+  const auto pop = popularity::PopularityTable::from_counts(
+      {0, 100, 80, 60, 0, 0, 0, 0, 0, 10});
+  // Node 2 lies under root 0, not under root 3.
+  std::stringstream ss(pb_payload("webppm-links v1 1\n3 1 2\n"));
+  EXPECT_FALSE(load_popularity(ss, &pop).has_value());
+}
+
+TEST(SerializeModel, LinksUnderAChainDeeperThanStoredDepthRankSafely) {
+  // One chain 1 -> 2 -> 2 -> ... of 65,540 nodes. A node's stored depth is
+  // 16 bits wide and wraps, so the target at real depth 65,539 (node
+  // 65,538) reads as depth 3: ranking must size its path by walking it.
+  constexpr NodeId kChain = 65'540;
+  constexpr NodeId kDeep = 65'538;
+  constexpr NodeId kShallow = 2;
+  std::string s = "webppm-pb v1 1 3 5 7 0.1 8 1 0.05 4 0 0\n";
+  s += "webppm-tree v1 " + std::to_string(kChain) + "\n1 1 -1\n";
+  for (NodeId i = 1; i < kChain; ++i) {
+    s += "2 1 " + std::to_string(i - 1) + "\n";
+  }
+  s += "webppm-links v1 1\n0 2 " + std::to_string(kDeep) + " " +
+       std::to_string(kShallow) + "\n";
+  const auto pop = popularity::PopularityTable::from_counts({0, 100, 80});
+  std::stringstream ss(s);
+  const auto m = load_popularity(ss, &pop);
+  ASSERT_TRUE(m.has_value());
+  // Equal counts: the shallow target's path is a prefix of the deep one's,
+  // so it ranks first.
+  EXPECT_EQ(m->links().at(0), (std::vector<NodeId>{kShallow, kDeep}));
+}
+
 TEST(SerializeModel, WrongModelKindRejected) {
   StandardPpm m;
   m.train(small_training());

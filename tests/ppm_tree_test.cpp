@@ -91,17 +91,18 @@ TEST(PredictionTree, PruneSubtreeRemovesDescendants) {
   const auto e = t.child_or_add(a, 5);
   (void)e;
   EXPECT_EQ(t.node_count(), 5u);
-  t.prune_subtree(b);
+  t.prune([&](NodeId id) { return id == b; });
   EXPECT_EQ(t.node_count(), 2u);  // a and e remain
   EXPECT_EQ(t.find_child(a, 2), kNoNode);
   EXPECT_NE(t.find_child(a, 5), kNoNode);
+  EXPECT_EQ(t.path_usage().total, 1u);  // e is the only leaf left
 }
 
 TEST(PredictionTree, PruneRootRemovesFromRootTable) {
   PredictionTree t;
   const auto a = t.root_or_add(1);
   t.child_or_add(a, 2);
-  t.prune_subtree(a);
+  t.prune([&](NodeId id) { return id == a; });
   EXPECT_EQ(t.node_count(), 0u);
   EXPECT_EQ(t.find_root(1), kNoNode);
   EXPECT_EQ(t.root_count(), 0u);
@@ -113,7 +114,7 @@ TEST(PredictionTree, CompactReindexesAndPreservesStructure) {
   const auto b = t.child_or_add(a, 2);
   t.child_or_add(b, 3);
   const auto d = t.child_or_add(a, 4);
-  t.prune_subtree(b);
+  t.prune([&](NodeId id) { return id == b; });
   const auto remap = t.compact();
   EXPECT_EQ(t.node_count(), 2u);
   EXPECT_EQ(remap[b], kNoNode);
