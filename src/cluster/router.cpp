@@ -328,67 +328,40 @@ void PredictRouter::conn_main(DownConn* c) {
 bool PredictRouter::handle_frame(std::span<const std::uint8_t> frame,
                                  std::span<const std::uint8_t> body,
                                  std::vector<std::uint8_t>& out) {
-  const std::uint8_t version = net::frame_version(body);
-  if (version == net::kWireVersion) {
-    net::WireRequest req;
-    const auto derr = net::decode_request(body, req);
-    if (!derr.ok()) {
-      count(protocol_errors_,
-            ins_ != nullptr ? ins_->protocol_errors : nullptr);
-      net::WireResponse bad;
-      bad.status = net::Status::kBadRequest;
-      net::encode_response(bad, out);
-      return false;
-    }
-    count(requests_, ins_ != nullptr ? ins_->requests : nullptr);
-    const std::size_t shard = ring_.shard_of(req.client);
-    std::vector<std::uint8_t> resp;
-    std::string err;
-    if (upstreams_[shard]->round_trip(frame, config_.max_frame_bytes, resp,
-                                      &err)) {
-      out.insert(out.end(), resp.begin(), resp.end());
-    } else {
-      // Budget spent: degrade this one answer; the connection lives on.
-      count(degraded_, nullptr);
-      net::encode_response(retry_later_response(), out);
-    }
-    count(responses_, ins_ != nullptr ? ins_->responses : nullptr);
-    return true;
+  // Either query frame decodes into entries; a v1 frame is the one-entry
+  // case (its decoder rejects unknown flag bits and any version byte other
+  // than 1, as the server's does). A frame that does not decode gets the
+  // server's answer: kBadRequest, close after flush.
+  const bool v1 = net::frame_version(body) != net::kWireVersionBatch;
+  std::vector<net::WireRequest> entries(v1 ? 1 : 0);
+  const auto derr = v1 ? net::decode_request(body, entries[0])
+                       : net::decode_batch_request(body, entries);
+  if (!derr.ok()) {
+    count(protocol_errors_,
+          ins_ != nullptr ? ins_->protocol_errors : nullptr);
+    net::WireResponse bad;
+    bad.status = net::Status::kBadRequest;
+    net::encode_response(bad, out);
+    return false;
   }
-  if (version == net::kWireVersionBatch) {
-    std::vector<net::WireRequest> entries;
-    const auto derr = net::decode_batch_request(body, entries);
-    if (!derr.ok()) {
-      count(protocol_errors_,
-            ins_ != nullptr ? ins_->protocol_errors : nullptr);
-      net::WireResponse bad;
-      bad.status = net::Status::kBadRequest;
-      net::encode_response(bad, out);
-      return false;
-    }
-    count(batches_, ins_ != nullptr ? ins_->batches : nullptr);
-    count(requests_, ins_ != nullptr ? ins_->requests : nullptr,
-          entries.size());
-    handle_batch(frame, entries, out);
-    count(responses_, ins_ != nullptr ? ins_->responses : nullptr,
-          entries.size());
-    return true;
-  }
-  // Unknown version byte inside a well-framed body: the server's decoders
-  // would answer kBadRequest; match that, close after flush.
-  count(protocol_errors_,
-        ins_ != nullptr ? ins_->protocol_errors : nullptr);
-  net::WireResponse bad;
-  bad.status = net::Status::kBadRequest;
-  net::encode_response(bad, out);
-  return false;
+  if (!v1) count(batches_, ins_ != nullptr ? ins_->batches : nullptr);
+  count(requests_, ins_ != nullptr ? ins_->requests : nullptr,
+        entries.size());
+  forward(frame, entries, v1, out);
+  count(responses_, ins_ != nullptr ? ins_->responses : nullptr,
+        entries.size());
+  return true;
 }
 
-void PredictRouter::handle_batch(std::span<const std::uint8_t> frame,
-                                 const std::vector<net::WireRequest>& entries,
-                                 std::vector<std::uint8_t>& out) {
+void PredictRouter::forward(std::span<const std::uint8_t> frame,
+                            const std::vector<net::WireRequest>& entries,
+                            bool v1, std::vector<std::uint8_t>& out) {
+  // Only two things depend on the frame's version: the response cap (a
+  // batch response aggregates many prediction lists) and how a give-up
+  // answer is framed.
   const std::uint32_t resp_cap =
-      std::max(config_.max_frame_bytes, net::kDefaultMaxBatchFrameBytes);
+      v1 ? config_.max_frame_bytes
+         : std::max(config_.max_frame_bytes, net::kDefaultMaxBatchFrameBytes);
 
   // Map entries to shards; detect the single-shard fast path.
   std::vector<std::uint32_t> entry_shard(entries.size());
@@ -399,19 +372,24 @@ void PredictRouter::handle_batch(std::span<const std::uint8_t> frame,
   }
 
   if (single) {
-    // Whole batch belongs to one shard (the common case under
-    // client-disjoint load): forward the frame verbatim and relay the
-    // shard's batch response byte-for-byte.
+    // Every entry belongs to one shard (always for v1, the common case for
+    // a batch under client-disjoint load): forward the frame verbatim and
+    // relay the shard's response byte-for-byte.
     std::vector<std::uint8_t> resp;
     std::string err;
     if (upstreams_[entry_shard[0]]->round_trip(frame, resp_cap, resp, &err)) {
       out.insert(out.end(), resp.begin(), resp.end());
       return;
     }
+    // Budget spent: degrade these answers; the connection lives on.
     count(degraded_, nullptr, entries.size());
-    std::vector<net::WireResponse> slots(entries.size(),
-                                         retry_later_response());
-    net::encode_batch_response(slots, out);
+    if (v1) {
+      net::encode_response(retry_later_response(), out);
+    } else {
+      std::vector<net::WireResponse> slots(entries.size(),
+                                           retry_later_response());
+      net::encode_batch_response(slots, out);
+    }
     return;
   }
 

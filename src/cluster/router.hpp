@@ -142,9 +142,12 @@ class PredictRouter {
   bool handle_frame(std::span<const std::uint8_t> frame,
                     std::span<const std::uint8_t> body,
                     std::vector<std::uint8_t>& out);
-  void handle_batch(std::span<const std::uint8_t> frame,
-                    const std::vector<net::WireRequest>& entries,
-                    std::vector<std::uint8_t>& out);
+  /// Routes one decoded query frame's entries (a v1 frame is one entry)
+  /// and appends the response frame — relayed, reassembled, or the
+  /// frame-version's kRetryLater give-up — to `out`.
+  void forward(std::span<const std::uint8_t> frame,
+               const std::vector<net::WireRequest>& entries, bool v1,
+               std::vector<std::uint8_t>& out);
   void handle_admin(int fd);
   std::string admin_response(const std::string& request_line);
   void reap_finished(bool all);

@@ -19,8 +19,8 @@
 // query_batch hands its whole batch to on_requests: one lock and at most
 // one trainer wake per batch instead of per observation — on a shared CPU
 // a wake per observation lets the trainer preempt the serving thread once
-// per request. query_ex, observe and v3 observe frames still push one at a
-// time.
+// per request. query_ex and v1 frames are batches of one; observe and v3
+// observe frames still push one at a time.
 //
 // Fault site (chaos suite): learn.queue.push — a firing rule drops the
 // observation exactly as a full ring would, proving the serve path is

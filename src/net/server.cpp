@@ -605,64 +605,14 @@ void PredictServer::conn_process_frames(Connection& c) {
     std::string reject;
     if (frame.result == FrameParser::Result::kBad) {
       reject = frame.reason;
-    } else if (frame_version(frame.body) == kWireVersionBatch) {
-      // v2 batch frame. The version byte is per frame, so one connection
-      // may interleave v1 singles and v2 batches freely.
-      pos += frame.consumed;
-      reject = conn_handle_batch(c, frame.body);
-    } else if (frame_version(frame.body) == kWireVersionObserve) {
-      // v3 observe frame: feed the trainer tap, write nothing back. A
-      // connection may interleave observes with queries (a proxy that
-      // predicts for some clients and only reports the rest).
-      pos += frame.consumed;
-      reject = conn_handle_observe(c, frame.body);
     } else {
-      // Stage attribution: a sampled frame times queue → decode → predict
-      // → serialize here and marks the connection so the flush that pushes
-      // its response is timed too. Unsampled frames keep the original two
-      // clock reads.
-      const bool stage =
-          ins_ != nullptr && (c.stage_tick++ % kStageSampleEvery) == 0;
-      const std::uint64_t s0 = stage ? obs::now_ns() : 0;
-      WireRequest req;
-      const auto err = decode_request(frame.body, req);
-      reject = err.reason;
+      // The version byte is per frame, so one connection may interleave v1
+      // singles, v2 batches and v3 observes freely (a proxy that predicts
+      // for some clients and only reports the rest).
       pos += frame.consumed;
-      if (reject.empty()) {
-        count(&Instruments::requests, requests_);
-        const std::uint64_t q0 = ins_ != nullptr ? obs::now_ns() : 0;
-        if (stage) {
-          if (c.read_done_ns != 0) {
-            ins_->stage_queue->record(s0 - c.read_done_ns);
-          }
-          ins_->stage_decode->record(q0 - s0);
-        }
-        // Built in place: query_ex fills the list only when a pass ran
-        // (make_wire_response's rule) and the list keeps its capacity, so
-        // a v1 query does not allocate. The label is the snapshot the
-        // query loaded; version() read now could name a later publish.
-        thread_local WireResponse resp;
-        const auto qr =
-            model_.query_ex(to_trace_request(req), resp.predictions);
-        const std::uint64_t s2 = stage ? obs::now_ns() : 0;
-        if (stage) ins_->stage_predict->record(s2 - q0);
-        resp.snapshot_version = qr.snapshot_version;
-        resp.status = wire_status(qr, req.flags, qr.snapshot_version);
-        const std::size_t dropped = encode_response(resp, c.out);
-        if (dropped != 0) {
-          count(&Instruments::responses_truncated, responses_truncated_,
-                dropped);
-        }
-        if (ins_ != nullptr) {
-          const std::uint64_t s3 = obs::now_ns();
-          ins_->request_latency->record(s3 - q0);
-          if (stage) {
-            ins_->stage_serialize->record(s3 - s2);
-            c.stage_flush_sample = true;
-          }
-        }
-        count(&Instruments::responses, responses_);
-      }
+      reject = frame_version(frame.body) == kWireVersionObserve
+                   ? conn_handle_observe(c, frame.body)
+                   : conn_handle_query(c, frame.body);
     }
     if (!reject.empty()) {
       // Malformed input never crashes and never passes silently: one
@@ -670,10 +620,7 @@ void PredictServer::conn_process_frames(Connection& c) {
       // framing error the byte stream has no trustworthy resync point).
       count(&Instruments::protocol_errors, protocol_errors_);
       obs::log_event(obs::Severity::kWarn, "net.protocol_error", reject);
-      WireResponse resp;
-      resp.status = Status::kBadRequest;
-      resp.snapshot_version = model_.version();
-      encode_response(resp, c.out);
+      encode_response(Status::kBadRequest, model_.version(), {}, c.out);
       c.close_after_flush = true;
       c.want_read = false;
       break;
@@ -682,19 +629,27 @@ void PredictServer::conn_process_frames(Connection& c) {
   if (pos > 0) c.in.erase(c.in.begin(), c.in.begin() + static_cast<std::ptrdiff_t>(pos));
 }
 
-std::string PredictServer::conn_handle_batch(
+std::string PredictServer::conn_handle_query(
     Connection& c, std::span<const std::uint8_t> body) {
   thread_local std::vector<WireRequest> batch;
   thread_local std::vector<trace::Request> treqs;
   thread_local std::vector<std::uint32_t> slot;
   thread_local serve::BatchQueryScratch scratch;
 
-  // A batch frame is one frame on the stage-sampling cadence; its predict
-  // stage covers entry validation plus the whole query_batch call.
+  // Stage attribution: a sampled frame times queue → decode → predict →
+  // serialize here and marks the connection so the flush that pushes its
+  // response is timed too. Its predict stage covers entry validation plus
+  // the whole query_batch call. Unsampled frames pay two clock reads.
   const bool stage =
       ins_ != nullptr && (c.stage_tick++ % kStageSampleEvery) == 0;
   const std::uint64_t s0 = stage ? obs::now_ns() : 0;
-  const auto err = decode_batch_request(body, batch);
+  // A v1 frame is a batch of one. Its decoder checks the flag bits, so an
+  // unknown bit rejects the whole frame (and closes the connection) — the
+  // v1 contract — before the per-entry check below could degrade a slot.
+  const bool v1 = frame_version(body) != kWireVersionBatch;
+  if (v1) batch.resize(1);
+  const auto err = v1 ? decode_request(body, batch[0])
+                      : decode_batch_request(body, batch);
   if (!err.ok()) return err.reason;
 
   const std::uint64_t q0 = ins_ != nullptr ? obs::now_ns() : 0;
@@ -703,11 +658,10 @@ std::string PredictServer::conn_handle_batch(
     ins_->stage_decode->record(q0 - s0);
   }
 
-  // Per-entry validation the frame decoder deliberately leaves to us: an
+  // Per-entry validation the batch decoder deliberately leaves to us: an
   // entry with unknown flag bits degrades its own slot to kBadRequest — one
-  // bad entry never kills the batch or the connection. (A v1 frame with the
-  // same bytes closes the connection; batch clients asked for independent
-  // sub-request status, so they get it.)
+  // bad entry never kills the batch or the connection (batch clients asked
+  // for independent sub-request status, so they get it).
   constexpr std::uint32_t kBadSlot = 0xffffffffu;
   slot.assign(batch.size(), kBadSlot);
   treqs.clear();
@@ -721,33 +675,43 @@ std::string PredictServer::conn_handle_batch(
     treqs.push_back(to_trace_request(batch[i]));
   }
 
-  // One shard lock per shard per batch, one snapshot load, one flat
-  // prediction pool — see ModelServer::query_batch.
+  // One shard lock per touched shard, one snapshot load, one flat
+  // prediction pool — see ModelServer::query_batch. The snapshot it loaded
+  // labels every answer; version() read now could name a later publish.
   model_.query_batch(treqs, scratch);
   const std::uint64_t s2 = stage ? obs::now_ns() : 0;
   if (stage) ins_->stage_predict->record(s2 - q0);
 
   // Serialize exactly once, straight into the connection's write ring: no
-  // per-query WireResponse, no staging buffer, flushes coalesced by the
-  // ring's scatter/gather sendmsg.
-  BatchResponseWriter writer(c.out);
-  writer.begin();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (slot[i] == kBadSlot) {
-      writer.add(Status::kBadRequest, scratch.snapshot_version, {});
-      continue;
+  // WireResponse, no staging buffer, flushes coalesced by the ring's
+  // scatter/gather sendmsg. Both framings carry the same sub-responses.
+  const auto status_of = [&](std::size_t i) {
+    return slot[i] == kBadSlot
+               ? Status::kBadRequest
+               : wire_status(scratch.items[slot[i]].result, batch[i].flags,
+                             scratch.snapshot_version);
+  };
+  const auto preds_of = [&](std::size_t i) {
+    return slot[i] == kBadSlot ? std::span<const ppm::Prediction>{}
+                               : scratch.predictions_of(slot[i]);
+  };
+  std::size_t dropped = 0;
+  if (v1) {
+    dropped = encode_response(status_of(0), scratch.snapshot_version,
+                              preds_of(0), c.out);
+  } else {
+    BatchResponseWriter writer(c.out);
+    writer.begin();
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      writer.add(status_of(i), scratch.snapshot_version, preds_of(i));
     }
-    const auto& item = scratch.items[slot[i]];
-    writer.add(
-        wire_status(item.result, batch[i].flags, scratch.snapshot_version),
-        scratch.snapshot_version, scratch.predictions_of(slot[i]));
+    dropped = writer.finish();
   }
-  const std::size_t dropped = writer.finish();
 
   const auto nsub = static_cast<std::uint64_t>(batch.size());
   count(&Instruments::requests, requests_, nsub);
   count(&Instruments::responses, responses_, nsub);
-  count(&Instruments::batches, batches_);
+  if (!v1) count(&Instruments::batches, batches_);
   if (bad_entries != 0) {
     count(&Instruments::batch_entry_errors, batch_entry_errors_, bad_entries);
   }
@@ -756,8 +720,8 @@ std::string PredictServer::conn_handle_batch(
   }
   if (ins_ != nullptr) {
     const std::uint64_t s3 = obs::now_ns();
-    // Mean per-sub-request latency, so the histogram stays comparable with
-    // the per-query samples the v1 path records.
+    // Mean per-sub-request latency, so batched and single frames land in
+    // one comparable histogram.
     ins_->request_latency->record((s3 - q0) / nsub);
     if (stage) {
       ins_->stage_serialize->record(s3 - s2);

@@ -88,9 +88,9 @@ struct NetServerConfig {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-/// Wire status for one query outcome — the shared core of the server's v1
-/// and v2 response paths and make_wire_response, so a v2 sub-response and
-/// a v1 single frame for the same query can never disagree:
+/// Wire status for one query outcome — what the server writes for every
+/// query, in a v1 frame or a v2 sub-response alike, and what
+/// make_wire_response uses, so the two can never disagree:
 /// predicted → kOk (kDegraded when the fallback answered); otherwise
 /// kNoModel before the first publish, kOk-with-empty-list for a skipped
 /// error request, kError for a refusal (e.g. an injected serve.query
@@ -98,12 +98,12 @@ struct NetServerConfig {
 Status wire_status(const serve::QueryResult& qr, std::uint8_t flags,
                    std::uint64_t snapshot_version);
 
-/// The v1 request→response mapping for anything reproducing server answers
+/// The request→response mapping for anything reproducing server answers
 /// in-process (the net_throughput byte-identity gate): given what
 /// ModelServer said about a query, build the wire response — wire_status,
-/// plus the predictions when a pass ran, the bytes the server's v1 path
-/// writes for the same query. Pass qr.snapshot_version as the version to
-/// label the answer with the snapshot that produced it.
+/// plus the predictions when a pass ran. Encoded as a v1 frame, it is the
+/// bytes the server writes for the same query. Pass qr.snapshot_version as
+/// the version to label the answer with the snapshot that produced it.
 WireResponse make_wire_response(const serve::QueryResult& qr,
                                 const WireRequest& req,
                                 std::uint64_t snapshot_version,
@@ -188,10 +188,11 @@ class PredictServer {
   bool conn_flush(Connection& c);  ///< false = fatal write error
   bool conn_flush_impl(Connection& c);  ///< conn_flush sans stage timing
   void conn_process_frames(Connection& c);
-  /// Serves one v2 batch frame: decode, query_batch, serialize straight
-  /// into the connection's write ring. Returns a reject reason when the
-  /// frame itself is malformed (empty string = served).
-  std::string conn_handle_batch(Connection& c,
+  /// Serves one query frame — a v2 batch, or a v1 frame as a batch of
+  /// one: decode, one query_batch call, serialize straight into the
+  /// connection's write ring in the frame's own version. Returns a reject
+  /// reason when the frame itself is malformed (empty string = served).
+  std::string conn_handle_query(Connection& c,
                                 std::span<const std::uint8_t> body);
   /// Serves one v3 observe frame: decode and feed every entry into
   /// ModelServer::observe. One-way — nothing is written back. Returns a

@@ -43,8 +43,8 @@ std::uint64_t get_u64(const std::uint8_t* p) {
 DecodeError fail(std::string reason) { return DecodeError{std::move(reason)}; }
 
 /// Byte-sink adapter so the response encoders emit identical bytes whether
-/// the target is a staging vector (clients, tests) or a connection's
-/// WriteRing (the server's zero-copy path).
+/// the target is a staging vector (clients, tests, the router) or a
+/// connection's WriteRing (the server's zero-copy path).
 struct VecSink {
   std::vector<std::uint8_t>& v;
   void push_u8(std::uint8_t b) { v.push_back(b); }
@@ -53,29 +53,49 @@ struct VecSink {
   void push_u64(std::uint64_t x) { put_u64(x, v); }
 };
 
+/// How many of `n` entries a u16 count field can frame: the encoders keep
+/// that prefix and report the rest as dropped.
+std::size_t framed_count(std::size_t n) {
+  return std::min<std::size_t>(n, std::numeric_limits<std::uint16_t>::max());
+}
+
+/// The one sub-response encoder: status, u16 count, snapshot version, then
+/// the predictions. It is a v2 batch entry as is, and the v1 response body
+/// behind a version byte — which is why a decoded sub-response re-encodes
+/// as the exact v1 frame of the same query. Declared inline so it stays
+/// inlined into each encoder: as a call it cost a v1 encode ~20%.
+///
+/// A prediction list longer than u16 cannot be framed; the serving layer
+/// never produces one (lists are threshold-filtered), but truncate
+/// deterministically anyway — the list is sorted best-first, so the kept
+/// prefix is the top 65535 — and return the dropped count so the caller
+/// can account it (webppm_net_response_truncated_total) instead of the
+/// encoder ever emitting a body that contradicts its count field.
 template <typename Sink>
-std::size_t encode_response_impl(const WireResponse& resp, Sink&& sink) {
-  // A prediction list longer than u16 cannot be framed; the serving layer
-  // never produces one (lists are threshold-filtered), but truncate
-  // deterministically anyway — the list is sorted best-first, so the kept
-  // prefix is the top 65535 — and report the dropped count so the caller
-  // can account it (webppm_net_response_truncated_total) instead of the
-  // encoder ever emitting a body that contradicts its count field.
-  const std::size_t count =
-      std::min<std::size_t>(resp.predictions.size(),
-                            std::numeric_limits<std::uint16_t>::max());
-  const std::size_t body = kResponsePrefixBytes + count * 8;
-  sink.push_u32(static_cast<std::uint32_t>(body));
-  sink.push_u8(kWireVersion);
-  sink.push_u8(static_cast<std::uint8_t>(resp.status));
+inline std::size_t encode_sub_response(Sink& sink, Status status,
+                                       std::uint64_t snapshot_version,
+                                       std::span<const ppm::Prediction> preds) {
+  const std::size_t count = framed_count(preds.size());
+  sink.push_u8(static_cast<std::uint8_t>(status));
   sink.push_u16(static_cast<std::uint16_t>(count));
-  sink.push_u64(resp.snapshot_version);
+  sink.push_u64(snapshot_version);
   for (std::size_t i = 0; i < count; ++i) {
-    sink.push_u32(resp.predictions[i].url);
-    sink.push_u32(
-        std::bit_cast<std::uint32_t>(resp.predictions[i].probability));
+    sink.push_u32(preds[i].url);
+    sink.push_u32(std::bit_cast<std::uint32_t>(preds[i].probability));
   }
-  return resp.predictions.size() - count;
+  return preds.size() - count;
+}
+
+/// One framed v1 response: the frame length, the version byte, the
+/// sub-response.
+template <typename Sink>
+std::size_t encode_response_impl(Sink&& sink, Status status,
+                                 std::uint64_t snapshot_version,
+                                 std::span<const ppm::Prediction> preds) {
+  sink.push_u32(static_cast<std::uint32_t>(
+      kResponsePrefixBytes + framed_count(preds.size()) * 8));
+  sink.push_u8(kWireVersion);
+  return encode_sub_response(sink, status, snapshot_version, preds);
 }
 
 }  // namespace
@@ -103,11 +123,14 @@ void encode_request(const WireRequest& req, std::vector<std::uint8_t>& out) {
 
 std::size_t encode_response(const WireResponse& resp,
                             std::vector<std::uint8_t>& out) {
-  return encode_response_impl(resp, VecSink{out});
+  return encode_response_impl(VecSink{out}, resp.status,
+                              resp.snapshot_version, resp.predictions);
 }
 
-std::size_t encode_response(const WireResponse& resp, WriteRing& out) {
-  return encode_response_impl(resp, out);
+std::size_t encode_response(Status status, std::uint64_t snapshot_version,
+                            std::span<const ppm::Prediction> preds,
+                            WriteRing& out) {
+  return encode_response_impl(out, status, snapshot_version, preds);
 }
 
 namespace {
@@ -117,9 +140,7 @@ namespace {
 std::size_t encode_request_list(std::uint8_t version,
                                 std::span<const WireRequest> reqs,
                                 std::vector<std::uint8_t>& out) {
-  const std::size_t count =
-      std::min<std::size_t>(reqs.size(),
-                            std::numeric_limits<std::uint16_t>::max());
+  const std::size_t count = framed_count(reqs.size());
   const std::size_t body =
       kBatchPrefixBytes + count * kBatchRequestEntryBytes;
   put_u32(static_cast<std::uint32_t>(body), out);
@@ -188,29 +209,18 @@ std::size_t encode_observe_frame(std::span<const WireRequest> reqs,
 
 std::size_t encode_batch_response(std::span<const WireResponse> resps,
                                   std::vector<std::uint8_t>& out) {
-  const std::size_t count =
-      std::min<std::size_t>(resps.size(),
-                            std::numeric_limits<std::uint16_t>::max());
+  const std::size_t count = framed_count(resps.size());
   const std::size_t len_mark = out.size();
   put_u32(0, out);  // frame length, patched below
   out.push_back(kWireVersionBatch);
   out.push_back(0);  // reserved
   put_u16(static_cast<std::uint16_t>(count), out);
   std::size_t dropped = resps.size() - count;
+  VecSink sink{out};
   for (std::size_t i = 0; i < count; ++i) {
-    const auto& r = resps[i];
-    const std::size_t n =
-        std::min<std::size_t>(r.predictions.size(),
-                              std::numeric_limits<std::uint16_t>::max());
-    out.push_back(static_cast<std::uint8_t>(r.status));
-    put_u16(static_cast<std::uint16_t>(n), out);
-    put_u64(r.snapshot_version, out);
-    for (std::size_t j = 0; j < n; ++j) {
-      put_u32(r.predictions[j].url, out);
-      put_u32(std::bit_cast<std::uint32_t>(r.predictions[j].probability),
-              out);
-    }
-    dropped += r.predictions.size() - n;
+    dropped += encode_sub_response(sink, resps[i].status,
+                                   resps[i].snapshot_version,
+                                   resps[i].predictions);
   }
   const std::uint32_t body = static_cast<std::uint32_t>(
       out.size() - len_mark - kFrameHeaderBytes);
@@ -372,19 +382,11 @@ void BatchResponseWriter::begin() {
 std::size_t BatchResponseWriter::add(Status status,
                                      std::uint64_t snapshot_version,
                                      std::span<const ppm::Prediction> preds) {
-  const std::size_t n =
-      std::min<std::size_t>(preds.size(),
-                            std::numeric_limits<std::uint16_t>::max());
-  ring_.push_u8(static_cast<std::uint8_t>(status));
-  ring_.push_u16(static_cast<std::uint16_t>(n));
-  ring_.push_u64(snapshot_version);
-  for (std::size_t i = 0; i < n; ++i) {
-    ring_.push_u32(preds[i].url);
-    ring_.push_u32(std::bit_cast<std::uint32_t>(preds[i].probability));
-  }
-  dropped_ += preds.size() - n;
+  const std::size_t dropped =
+      encode_sub_response(ring_, status, snapshot_version, preds);
+  dropped_ += dropped;
   ++count_;
-  return preds.size() - n;
+  return dropped;
 }
 
 std::size_t BatchResponseWriter::finish() {

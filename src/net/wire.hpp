@@ -175,9 +175,12 @@ std::size_t encode_batch_request(std::span<const WireRequest> reqs,
 std::size_t encode_observe_frame(std::span<const WireRequest> reqs,
                                  std::vector<std::uint8_t>& out);
 
-/// encode_response straight into a connection's write ring (the v1 path of
-/// the zero-copy server; same bytes, same truncation rule and return).
-std::size_t encode_response(const WireResponse& resp, WriteRing& out);
+/// encode_response straight into a connection's write ring, from the
+/// answer's parts rather than a materialized WireResponse (the server's v1
+/// answer; same bytes, same truncation rule and return).
+std::size_t encode_response(Status status, std::uint64_t snapshot_version,
+                            std::span<const ppm::Prediction> preds,
+                            WriteRing& out);
 
 /// Appends one framed v2 batch response carrying `resps` in order — the
 /// staging-vector twin of BatchResponseWriter, emitting the exact bytes the

@@ -1,5 +1,6 @@
 #include "serve/model_server.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -230,89 +231,12 @@ bool ModelServer::degraded() const {
 
 QueryResult ModelServer::query_ex(const trace::Request& r,
                                   std::vector<ppm::Prediction>& out) {
-  out.clear();
-  QueryResult result;
-  // The training tap sees the raw stream, before any admission filtering
-  // (see RequestObserver — error and fault-refused requests are part of
-  // the log the offline oracle trains on).
-  notify_observer(r);
-  // One snapshot load per call: it answers the query and labels the
-  // result, refused or not, so the label can never name a later publish.
-  const auto snap = snapshot();
-  result.snapshot_version = snap ? snap->version : 0;
-  // The prefetching server does not predict on failed requests (the
-  // simulator's piggyback path skips them the same way).
-  if (config_.session.skip_errors && r.status >= 400) return result;
-
-  // Chaos hook: a scripted plan can refuse queries outright (overload
-  // shedding at the front door) or inject latency. Disarmed this is one
-  // relaxed load; WEBPPM_FAULT_DISABLED compiles it out entirely.
-  if (WEBPPM_FAULT_INJECT("serve.query")) {
-    fault_rejected_.fetch_add(1, std::memory_order_relaxed);
-    if (ins_ != nullptr) ins_->fault_rejected->add();
-    return result;
-  }
-
-  // Latency is sampled (default 1-in-64) so the common path pays no clock
-  // reads; counters stay exact via the existing queries_ atomic, exported
-  // on refresh_gauges().
-  const bool sample = ins_ != nullptr && sample_latency_now();
-  const std::uint64_t q0 = sample ? obs::now_ns() : 0;
-
-  // Copy the context out under the shard lock (it is at most
-  // context_window ids), then predict lock-free on the snapshot.
-  thread_local std::vector<UrlId> ctx;
-  bool shed = false;
-  {
-    Shard& sh = shard_of(r.client);
-    lock_shard(sh);
-    std::lock_guard lock(sh.mu, std::adopt_lock);
-    const auto view = sh.contexts.observe(r, &shed);
-    ctx.assign(view.begin(), view.end());
-  }
-  if (shed) {
-    result.shed = true;
-    shed_.fetch_add(1, std::memory_order_relaxed);
-    if (ins_ != nullptr) ins_->shed->add();
-  }
-
-  // Full service needs both the model and an admitted context; a shed
-  // client or a degraded (fallback-only) snapshot falls back to the
-  // popularity push set — prefetching degrades, it does not stop.
-  const ppm::Predictor* predictor =
-      snap != nullptr ? ((!shed && snap->model != nullptr)
-                             ? snap->model.get()
-                             : snap->fallback.get())
-                      : nullptr;
-  if (predictor != nullptr) {
-    predictor->predict(ctx, out);
-    result.predicted = true;
-    result.served = predictor == snap->model.get() ? ServedBy::kModel
-                                                   : ServedBy::kFallback;
-    if (result.served == ServedBy::kFallback) {
-      degraded_queries_.fetch_add(1, std::memory_order_relaxed);
-      if (ins_ != nullptr) ins_->degraded_queries->add();
-    }
-    queries_.fetch_add(1, std::memory_order_relaxed);
-    if (sample) ins_->query_latency->record(obs::now_ns() - q0);
-  }
-
-  // Scoreboard pass, re-taking the shard lock after the lock-free predict:
-  // score this request against the client's outstanding ring, then record
-  // the predictions just issued. Ordering matters — a prediction can never
-  // hit on the request that issued it.
-  if (sb_ != nullptr && sb_->scoring()) {
-    Shard& sh = shard_of(r.client);
-    lock_shard(sh);
-    std::lock_guard lock(sh.mu, std::adopt_lock);
-    sb_->observe(sh.sb, r.client, r.url, r.timestamp,
-                 snap != nullptr ? &snap->popularity : nullptr);
-    if (result.predicted) {
-      sb_->record(sh.sb, r.client, out, r.timestamp, snap->version,
-                  result.served == ServedBy::kFallback, snap->popularity);
-    }
-  }
-  return result;
+  thread_local BatchQueryScratch scratch;
+  query_batch(std::span(&r, 1), scratch);
+  // A batch of one: the pool holds exactly this request's predictions, so
+  // a buffer swap hands them over without a copy.
+  out.swap(scratch.predictions);
+  return scratch.items[0].result;
 }
 
 void ModelServer::query_batch(std::span<const trace::Request> reqs,
@@ -320,16 +244,16 @@ void ModelServer::query_batch(std::span<const trace::Request> reqs,
   constexpr std::uint32_t kSkip = 0xffffffffu;
   const std::size_t n = reqs.size();
 
-  // Training tap first, the whole batch in one call and in request order —
-  // exactly the stream a sequential query_ex loop would hand it (before
-  // admission filtering).
-  if (RequestObserver* obs = observer_.load(std::memory_order_acquire);
-      obs != nullptr && n != 0) {
+  // The training tap sees the raw stream first, the whole batch in one
+  // call and in request order, before any admission filtering (see
+  // RequestObserver — error and fault-refused requests are part of the log
+  // the offline oracle trains on).
+  if (RequestObserver* obs = observer(); obs != nullptr && n != 0) {
     obs->on_requests(reqs);
   }
 
-  // The snapshot pointer is loaded once — every sub-result in the batch
-  // answers from (and reports) the same model version.
+  // One snapshot load per batch: it answers every request and labels every
+  // result, refused or not, so no label can name a later publish.
   const auto snap = snapshot();
   scratch.snapshot_version = snap ? snap->version : 0;
   scratch.items.assign(
@@ -337,18 +261,27 @@ void ModelServer::query_batch(std::span<const trace::Request> reqs,
                                         scratch.snapshot_version}});
   scratch.predictions.clear();
 
-  // Pre-pass in request order: the skip-errors rule and the serve.query
-  // chaos hook fire in exactly the sequence a per-query loop would (fault
+  // Pre-pass in request order: the skip-errors rule (the prefetching
+  // server does not predict on failed requests) and the serve.query chaos
+  // hook fire in exactly the sequence a per-request replay would (fault
   // plans like fail_nth count site evaluations, so evaluation order is the
   // determinism contract); everything admitted is assigned its context
-  // shard.
+  // shard. [lo, hi) is the range of shards the batch touches — every
+  // per-shard loop below walks only that range, so a batch of one pays for
+  // one shard, not all of them.
   auto& shard_index = scratch.shard_index;
   auto& shard_count = scratch.shard_count;
-  shard_index.assign(n, kSkip);
+  shard_index.resize(n);
   shard_count.assign(shards_.size(), 0);
+  auto lo = static_cast<std::uint32_t>(shards_.size());
+  std::uint32_t hi = 0;
   std::uint64_t fault_rejected = 0;
   for (std::size_t i = 0; i < n; ++i) {
+    shard_index[i] = kSkip;
     if (config_.session.skip_errors && reqs[i].status >= 400) continue;
+    // Chaos hook: a scripted plan can refuse queries outright (overload
+    // shedding at the front door) or inject latency. Disarmed this is one
+    // relaxed load; WEBPPM_FAULT_DISABLED compiles it out entirely.
     if (WEBPPM_FAULT_INJECT("serve.query")) {
       ++fault_rejected;
       continue;
@@ -357,6 +290,8 @@ void ModelServer::query_batch(std::span<const trace::Request> reqs,
         static_cast<std::uint32_t>(shard_index_of(reqs[i].client));
     shard_index[i] = s;
     ++shard_count[s];
+    lo = std::min(lo, s);
+    hi = std::max(hi, s + 1);
   }
   if (fault_rejected != 0) {
     fault_rejected_.fetch_add(fault_rejected, std::memory_order_relaxed);
@@ -369,21 +304,18 @@ void ModelServer::query_batch(std::span<const trace::Request> reqs,
   // observes them in exactly the sequence a sequential replay would.
   auto& order = scratch.order;
   auto& starts = scratch.shard_start;
-  starts.assign(shards_.size() + 1, 0);
+  starts.resize(shards_.size() + 1);
   std::uint32_t total = 0;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
+  for (std::uint32_t s = lo; s < hi; ++s) {
     starts[s] = total;
     total += shard_count[s];
+    shard_count[s] = starts[s];  // from here on: the shard's write cursor
   }
-  starts[shards_.size()] = total;
+  starts[hi] = total;
   order.resize(total);
-  {
-    auto& cursor = shard_count;  // reuse as per-shard write cursors
-    for (std::size_t s = 0; s < shards_.size(); ++s) cursor[s] = starts[s];
-    for (std::size_t i = 0; i < n; ++i) {
-      if (shard_index[i] != kSkip) {
-        order[cursor[shard_index[i]]++] = static_cast<std::uint32_t>(i);
-      }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (shard_index[i] != kSkip) {
+      order[shard_count[shard_index[i]]++] = static_cast<std::uint32_t>(i);
     }
   }
 
@@ -394,10 +326,10 @@ void ModelServer::query_batch(std::span<const trace::Request> reqs,
   auto& ctx_begin = scratch.ctx_begin;
   auto& ctx_len = scratch.ctx_len;
   ctx_flat.clear();
-  ctx_begin.assign(n, 0);
-  ctx_len.assign(n, 0);
+  ctx_begin.resize(n);
+  ctx_len.resize(n);
   std::uint64_t shed_total = 0;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
+  for (std::uint32_t s = lo; s < hi; ++s) {
     if (starts[s] == starts[s + 1]) continue;
     Shard& sh = *shards_[s];
     lock_shard(sh);
@@ -420,14 +352,19 @@ void ModelServer::query_batch(std::span<const trace::Request> reqs,
     if (ins_ != nullptr) ins_->shed->add(shed_total);
   }
 
+  // Full service needs both the model and an admitted context; a shed
+  // client or a degraded (fallback-only) snapshot falls back to the
+  // popularity push set — prefetching degrades, it does not stop.
   std::uint64_t predicted = 0;
   std::uint64_t degraded = 0;
   auto& preds_tmp = scratch.preds_tmp;
   for (std::size_t i = 0; i < n; ++i) {
     if (shard_index[i] == kSkip) continue;
-    // The sampling cadence advances once per admitted entry — exactly
-    // where a sequential query_ex stream would advance it — so batch and
-    // sequential replays sample the same queries.
+    // Latency is sampled (default 1-in-64) so the common path pays no
+    // clock reads; counters stay exact via the queries_ atomic, exported on
+    // refresh_gauges(). The cadence advances once per admitted entry,
+    // however the requests are batched, so every batching samples the same
+    // queries.
     const bool sample = ins_ != nullptr && sample_latency_now();
     if (snap == nullptr) continue;
     auto& item = scratch.items[i];
@@ -440,14 +377,19 @@ void ModelServer::query_batch(std::span<const trace::Request> reqs,
     // True per-entry predict time, clocked only when the sample fires (a
     // per-batch mean would flatten the tail out of the histogram).
     const std::uint64_t p0 = sample ? obs::now_ns() : 0;
-    // Predictors clear their output vector, so predict into the tmp and
-    // append — the flat pool accumulates across the batch.
-    predictor->predict(ctx, preds_tmp);
+    // Predictors clear their output vector: while the flat pool is empty
+    // the answer lands in it directly (a batch of one copies nothing);
+    // after that, predict into the tmp and append.
+    auto& pool = scratch.predictions;
+    item.first = static_cast<std::uint32_t>(pool.size());
+    if (pool.empty()) {
+      predictor->predict(ctx, pool);
+    } else {
+      predictor->predict(ctx, preds_tmp);
+      pool.insert(pool.end(), preds_tmp.begin(), preds_tmp.end());
+    }
     if (sample) ins_->query_latency->record(obs::now_ns() - p0);
-    item.first = static_cast<std::uint32_t>(scratch.predictions.size());
-    item.count = static_cast<std::uint32_t>(preds_tmp.size());
-    scratch.predictions.insert(scratch.predictions.end(), preds_tmp.begin(),
-                               preds_tmp.end());
+    item.count = static_cast<std::uint32_t>(pool.size()) - item.first;
     item.result.predicted = true;
     item.result.served = predictor == snap->model.get() ? ServedBy::kModel
                                                         : ServedBy::kFallback;
@@ -460,14 +402,17 @@ void ModelServer::query_batch(std::span<const trace::Request> reqs,
     if (ins_ != nullptr) ins_->degraded_queries->add(degraded);
   }
 
-  // Scoreboard pass: the same per-shard grouping, one more lock per
-  // touched shard. Requests are walked in request order inside each group
-  // and clients never span shards, so score-then-record per request sees
-  // exactly the sequence a sequential query_ex stream would.
+  // Scoreboard pass, re-taking each touched shard's lock after the
+  // lock-free predict: score each request against its client's
+  // outstanding ring, then record the predictions just issued. Ordering
+  // matters — a prediction can never hit on the request that issued it.
+  // Requests are walked in request order inside each group and clients
+  // never span shards, so every client sees the sequence a per-request
+  // replay would.
   if (sb_ != nullptr && sb_->scoring()) {
     const popularity::PopularityTable* pop =
         snap != nullptr ? &snap->popularity : nullptr;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
+    for (std::uint32_t s = lo; s < hi; ++s) {
       if (starts[s] == starts[s + 1]) continue;
       Shard& sh = *shards_[s];
       lock_shard(sh);
@@ -544,16 +489,16 @@ std::uint64_t ModelServer::drift_alert_epoch() const {
 }
 
 void ModelServer::observe(const trace::Request& r) {
-  notify_observer(r);
+  if (RequestObserver* obs = observer(); obs != nullptr) obs->on_request(r);
   observes_.fetch_add(1, std::memory_order_relaxed);
   // Error requests reach the observer (the log includes them) but never
-  // touch session state — the same admission rule query_ex applies.
+  // touch session state — the same admission rule query_batch applies.
   if (config_.session.skip_errors && r.status >= 400) return;
 
   const auto snap = sb_ != nullptr ? snapshot() : nullptr;
   bool shed = false;
   {
-    Shard& sh = shard_of(r.client);
+    Shard& sh = *shards_[shard_index_of(r.client)];
     lock_shard(sh);
     std::lock_guard lock(sh.mu, std::adopt_lock);
     sh.contexts.observe(r, &shed);

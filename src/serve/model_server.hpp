@@ -135,10 +135,11 @@ std::shared_ptr<const Snapshot> load_snapshot(
 /// predictions.
 ///
 /// query_batch hands over its whole batch in one on_requests call (request
-/// order, same admission rule); query_ex and observe call on_request. The
-/// default on_requests forwards one request at a time, so an observer that
-/// only overrides on_request sees the same stream either way; overriding
-/// it lets a queue take a batch under one lock and wake its consumer once.
+/// order, same admission rule) — so query_ex, a batch of one, passes a
+/// one-request span; observe calls on_request. The default on_requests
+/// forwards one request at a time, so an observer that only overrides
+/// on_request sees the same stream either way; overriding it lets a queue
+/// take a batch under one lock and wake its consumer once.
 class RequestObserver {
  public:
   virtual ~RequestObserver() = default;
@@ -197,7 +198,8 @@ enum class ServedBy : std::uint8_t {
   kFallback,  ///< the popularity-only fallback (degraded service)
 };
 
-/// Outcome of one query_ex() call.
+/// Outcome of one query: what query_ex() returns, and what each
+/// BatchQueryItem of a query_batch() carries.
 struct QueryResult {
   bool predicted = false;        ///< a prediction pass ran (out is valid)
   ServedBy served = ServedBy::kNone;
@@ -208,9 +210,8 @@ struct QueryResult {
   std::uint64_t snapshot_version = 0;
 };
 
-/// Per-request outcome of a query_batch() call: the same QueryResult a
-/// query_ex() on that request would produce, plus the slice of
-/// BatchQueryScratch::predictions holding its prefetch candidates
+/// Per-request outcome of a query_batch() call: its QueryResult plus the
+/// slice of BatchQueryScratch::predictions holding its prefetch candidates
 /// ([first, first + count); empty unless result.predicted).
 struct BatchQueryItem {
   QueryResult result;
@@ -268,10 +269,10 @@ class ModelServer {
   bool degraded() const;
 
   /// Feeds one client click and fills `out` with prefetch candidates for
-  /// that client's updated context. Thread-safe against concurrent
-  /// query_ex() and publish() calls. The result says whether a prediction
-  /// pass ran, which predictor answered, and whether the client was shed
-  /// by the per-shard cap.
+  /// that client's updated context: query_batch over a one-request span
+  /// (with a thread-local scratch), so it has no semantics of its own. The
+  /// result says whether a prediction pass ran, which predictor answered,
+  /// and whether the client was shed by the per-shard cap.
   QueryResult query_ex(const trace::Request& r,
                        std::vector<ppm::Prediction>& out);
 
@@ -282,19 +283,22 @@ class ModelServer {
     return query_ex(r, out).predicted;
   }
 
-  /// Batched query_ex: feeds every request and fills `scratch` with one
+  /// The query path: feeds every request and fills `scratch` with one
   /// item per request (request order preserved). Per-request semantics —
   /// error skipping, the serve.query fault site, shed admission, fallback
-  /// selection, every counter — match a sequential query_ex() stream over
-  /// the same requests; the batch differs only in cost: requests are
-  /// grouped by context shard and each shard's lock is taken *once per
-  /// batch* (contexts copied out under it), the snapshot pointer is loaded
-  /// once, and predictions go into one flat caller-owned pool. Because the
-  /// client→shard map is a pure hash, one client's clicks stay in one
-  /// group in arrival order, so its sessionizer sees the exact sequence a
-  /// per-query loop would. The attached observer gets the batch in one
-  /// on_requests call. Thread-safe against concurrent query_ex /
-  /// query_batch / publish; every sub-result reports the same
+  /// selection, every counter — do not depend on how requests are
+  /// batched: a batch answers exactly as replaying its requests one at a
+  /// time (each a batch of one, as query_ex runs them) would. Batching
+  /// changes only the cost: requests are grouped by context shard and each
+  /// touched shard's lock is taken *once per batch* (contexts copied out
+  /// under it), the snapshot pointer is loaded once, and predictions go
+  /// into one flat caller-owned pool. The per-shard loops walk only the
+  /// range of shards the batch touched, so a batch of one costs one shard.
+  /// Because the client→shard map is a pure hash, one client's clicks stay
+  /// in one group in arrival order, so its sessionizer sees the exact
+  /// sequence a per-request replay would. The attached observer gets the
+  /// batch in one on_requests call. Thread-safe against concurrent
+  /// query_batch / query_ex / publish; every sub-result reports the same
   /// snapshot_version.
   void query_batch(std::span<const trace::Request> reqs,
                    BatchQueryScratch& scratch);
@@ -420,12 +424,8 @@ class ModelServer {
     return (h >> 32) % shards_.size();
   }
 
-  Shard& shard_of(ClientId client) {
-    return *shards_[shard_index_of(client)];
-  }
-
   /// Locks `sh.mu` (caller adopts), recording the wait when contended —
-  /// the shared slow path of query_ex and query_batch. The uncontended
+  /// the shared slow path of query_batch and observe. The uncontended
   /// fast path records nothing: try_lock success costs the same as a
   /// plain lock.
   void lock_shard(Shard& sh) {
@@ -496,15 +496,6 @@ class ModelServer {
   }
 
   void update_generation_metrics();
-
-  /// Forwards `r` to the attached observer, if any. The detached fast path
-  /// is one relaxed-ish load and an untaken branch.
-  void notify_observer(const trace::Request& r) {
-    if (RequestObserver* obs = observer_.load(std::memory_order_acquire);
-        obs != nullptr) {
-      obs->on_request(r);
-    }
-  }
 
   ModelServerConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;

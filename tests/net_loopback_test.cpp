@@ -389,6 +389,50 @@ TEST(NetLoopback, GarbageFrameGetsBadRequestThenClose) {
       [&] { return server.closed() == server.accepted(); }));
 }
 
+TEST(NetLoopback, V1FrameWithUnknownFlagBitGetsBadRequestThenClose) {
+  serve::ModelServer model;
+  model.publish(tiny_snapshot(5));
+  PredictServer server(model, {});
+  ASSERT_TRUE(server.start());
+
+  RawConn conn;
+  ASSERT_TRUE(conn.connect_to(server.port()));
+  const timeval five_s{5, 0};  // a server that never closes fails, not hangs
+  ::setsockopt(conn.fd, SOL_SOCKET, SO_RCVTIMEO, &five_s, sizeof five_s);
+  // A v1 frame with an undefined flag bit, then a valid v1 frame in the
+  // same write. Unlike a v2 batch entry (BadSubEntryDegradesItsSlotOnly),
+  // the bad v1 frame rejects the whole connection: one kBadRequest, then
+  // close — the valid frame behind it is never answered.
+  std::vector<std::uint8_t> frames;
+  WireRequest bad = LoadClient::to_wire(click(1, 1, 0));
+  bad.flags = 0x80;
+  encode_request(bad, frames);
+  encode_request(LoadClient::to_wire(click(1, 2, 1)), frames);
+  ASSERT_TRUE(conn.send_all(frames));
+
+  std::vector<std::uint8_t> got;  // everything written before the close
+  std::uint8_t buf[256];
+  for (ssize_t n; (n = ::read(conn.fd, buf, sizeof buf)) != 0;) {
+    if (n < 0 && errno == EINTR) continue;
+    ASSERT_GT(n, 0) << "no close within 5 s";
+    got.insert(got.end(), buf, buf + n);
+  }
+  WireResponse bad_request;
+  bad_request.status = Status::kBadRequest;
+  bad_request.snapshot_version = 5;
+  std::vector<std::uint8_t> want;
+  encode_response(bad_request, want);
+  EXPECT_EQ(got, want);
+
+  EXPECT_TRUE(eventually([&] { return server.protocol_errors() == 1; }));
+  EXPECT_TRUE(eventually(
+      [&] { return server.closed() == server.accepted(); }));
+  EXPECT_EQ(server.requests(), 0u);
+  EXPECT_EQ(server.responses(), 0u);
+  EXPECT_EQ(server.batch_entry_errors(), 0u);
+  EXPECT_EQ(model.query_count(), 0u);
+}
+
 TEST(NetLoopback, OversizedClaimIsRejectedWithoutReadingABody) {
   serve::ModelServer model;
   model.publish(tiny_snapshot());
