@@ -163,12 +163,12 @@ void BM_TrainMoreLrs(benchmark::State& state) {
 BENCHMARK(BM_TrainMoreLrs)->Unit(benchmark::kMillisecond);
 
 void BM_SpaceOptimization(benchmark::State& state) {
+  // The space optimisation is applied by the emit walk over the unpruned
+  // base: it visits only the surviving nodes and their children.
+  ppm::PbBase base(ppm::PopularityPpmConfig{}, &grades());
+  base.insert(training_sessions());
   for (auto _ : state) {
-    state.PauseTiming();
-    ppm::PopularityPpm m(ppm::PopularityPpmConfig{}, &grades());
-    m.train_without_optimization(training_sessions());
-    state.ResumeTiming();
-    m.optimize_space();
+    const ppm::PopularityPpm m = base.emit();
     benchmark::DoNotOptimize(m.node_count());
   }
 }

@@ -104,9 +104,9 @@ int main() {
   std::printf("%-28s %10.3f\n", "  simulation", t.simulate_seconds);
   std::printf("\n");
   std::printf("cells: %zu  baseline runs: %zu (memo hits: %zu)  "
-              "pb rebuilds: %zu  pool threads: %zu\n",
+              "pb regraded sessions: %zu  pool threads: %zu\n",
               t.cells, t.baseline_runs, t.baseline_memo_hits,
-              t.pb_base_rebuilds, threads);
+              t.pb_regraded_sessions, threads);
   std::printf("speedup: %.2fx  (%s, %zu/%zu rows identical)\n", speedup,
               mismatches == 0 ? "results verified identical"
                               : "RESULTS DIFFER",
@@ -128,13 +128,13 @@ int main() {
         "  \"cells\": %zu,\n"
         "  \"baseline_runs\": %zu,\n"
         "  \"baseline_memo_hits\": %zu,\n"
-        "  \"pb_base_rebuilds\": %zu,\n"
+        "  \"pb_regraded_sessions\": %zu,\n"
         "  \"pool_threads\": %zu,\n"
         "  \"results_identical\": %s\n"
         "}\n",
         naive_seconds, engine_seconds, speedup, t.prepare_seconds,
         t.train_seconds, t.simulate_seconds, t.cells, t.baseline_runs,
-        t.baseline_memo_hits, t.pb_base_rebuilds, threads,
+        t.baseline_memo_hits, t.pb_regraded_sessions, threads,
         mismatches == 0 ? "true" : "false");
     std::fclose(f);
     std::printf("wrote BENCH_sweep.json\n");

@@ -3,10 +3,12 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <string>
 #include <utility>
 
 #include "obs/trace_event.hpp"
+#include "ppm/pb_base.hpp"
 
 namespace webppm::core {
 namespace {
@@ -32,7 +34,8 @@ void record_seconds(obs::LogHistogram* h, double seconds) {
 // advance(k) appends the closed sessions of the newly covered days;
 // eval_predictor/snapshot produce the exact window-k model by applying the
 // open tails — on the base itself when there are none (the common case:
-// the synthetic workloads never span midnight), on a copy otherwise.
+// the synthetic workloads never span midnight), on a copy otherwise (PB
+// inserts them into its base for the emit and retracts them after).
 
 class ModelTrainer {
  public:
@@ -60,13 +63,15 @@ class ModelTrainer {
   virtual std::shared_ptr<const ppm::Predictor> snapshot(std::uint32_t k,
                                                          bool last) = 0;
 
-  std::size_t pb_rebuilds() const { return pb_rebuilds_; }
+  /// PB sessions that held a URL whose grade moved, summed over regrades
+  /// (0 for other models).
+  std::size_t pb_regraded() const { return pb_regraded_; }
 
  protected:
   const SweepEngine& eng_;
   ModelSpec spec_;
   std::uint32_t trained_ = 0;  ///< window the base currently covers
-  std::size_t pb_rebuilds_ = 0;
+  std::size_t pb_regraded_ = 0;
 };
 
 /// Standard PPM, LRS PPM and Top-N all expose an exact train_more() append
@@ -114,13 +119,12 @@ class AppendTrainer final : public ModelTrainer {
   std::unique_ptr<Model> holder_;
 };
 
-/// PB-PPM: the base stays unpruned (optimize_space is lossy, so pruning it
-/// would corrupt later appends) and reads popularity grades from the
-/// current window's table. Appending a day is exact only while no URL's
-/// grade moved between windows — branch admission, height caps and special
-/// links all key off grades — so on drift the base is rebuilt from the
-/// cached closed sessions. Every sweep point prunes a copy; PB trees are
-/// small by design (that is the paper's point), so the copies are cheap.
+/// PB-PPM: one PbBase over the window's closed sessions, reading the
+/// current window's popularity table. Advancing a day regrades the base to
+/// the new table (only branches next to a URL whose grade moved are
+/// re-walked) and inserts the day's closed sessions. Each sweep point
+/// emits the pruned model with the open tails inserted for the emit and
+/// retracted after it.
 class PbTrainer final : public ModelTrainer {
  public:
   PbTrainer(const SweepEngine& eng, const ModelSpec& spec)
@@ -129,47 +133,38 @@ class PbTrainer final : public ModelTrainer {
   void advance(std::uint32_t k) override {
     assert(k >= trained_);
     const auto& pop = eng_.window_popularity(k);
-    if (base_ && grades_match(pop)) {
-      base_->rebind_grades(&pop);
-      base_->train_without_optimization(eng_.closed_delta(trained_, k));
+    if (!base_) {
+      base_.emplace(spec_.pb, &pop);
+      base_->insert(eng_.closed_through(k));
     } else {
-      if (base_) ++pb_rebuilds_;
-      base_ = std::make_unique<ppm::PopularityPpm>(spec_.pb, &pop);
-      base_->train_without_optimization(eng_.closed_through(k));
+      pb_regraded_ += base_->regrade(&pop, eng_.closed_through(trained_));
+      base_->insert(eng_.closed_delta(trained_, k));
     }
-    pop_ = &pop;
     trained_ = k;
   }
 
   const ppm::Predictor& eval_predictor(std::uint32_t k) override {
-    holder_ = make_pruned_copy(k);
+    holder_ = emit(k);
     return *holder_;
   }
 
   std::shared_ptr<const ppm::Predictor> snapshot(std::uint32_t k,
                                                  bool /*last*/) override {
-    return make_pruned_copy(k);
+    return emit(k);
   }
 
  private:
-  std::shared_ptr<ppm::PopularityPpm> make_pruned_copy(std::uint32_t k) {
+  std::shared_ptr<ppm::PopularityPpm> emit(std::uint32_t k) {
     assert(k == trained_);
-    auto copy = std::make_shared<ppm::PopularityPpm>(*base_);
-    copy->train_without_optimization(eng_.open_tails(k));
-    copy->optimize_space();
-    return copy;
+    const auto tails = eng_.open_tails(k);
+    base_->insert(tails);
+    auto model = std::make_shared<ppm::PopularityPpm>(base_->emit());
+    base_->retract(tails);
+    return model;
   }
 
-  bool grades_match(const popularity::PopularityTable& pop) const {
-    for (UrlId u = 0; u < eng_.trace().urls.size(); ++u) {
-      if (pop_->grade(u) != pop.grade(u)) return false;
-    }
-    return true;
-  }
-
-  std::unique_ptr<ppm::PopularityPpm> base_;  ///< unpruned
+  std::optional<ppm::PbBase> base_;
   std::shared_ptr<ppm::PopularityPpm> holder_;
-  const popularity::PopularityTable* pop_ = nullptr;
 };
 
 std::unique_ptr<ModelTrainer> make_trainer(const SweepEngine& eng,
@@ -205,7 +200,7 @@ SweepEngine::SweepEngine(const trace::Trace& trace,
         &metrics->counter("webppm_sweep_cells_total"),
         &metrics->counter("webppm_sweep_baseline_runs_total"),
         &metrics->counter("webppm_sweep_baseline_memo_hits_total"),
-        &metrics->counter("webppm_sweep_pb_rebuilds_total"),
+        &metrics->counter("webppm_sweep_pb_regraded_sessions_total"),
         &metrics->gauge("webppm_sweep_pool_queue_depth"),
         &metrics->histogram("webppm_sweep_train_cell_ns"),
         &metrics->histogram("webppm_sweep_eval_cell_ns"),
@@ -405,11 +400,11 @@ std::vector<std::vector<DayEvalResult>> SweepEngine::sweep_models(
         });
   }
 
-  std::size_t rebuilds = 0;
-  for (const auto& t : trainers) rebuilds += t->pb_rebuilds();
-  if (ins_ && rebuilds != 0) ins_->pb_rebuilds->add(rebuilds);
+  std::size_t regraded = 0;
+  for (const auto& t : trainers) regraded += t->pb_regraded();
+  if (ins_ && regraded != 0) ins_->pb_regraded->add(regraded);
   std::lock_guard lock(mu_);
-  timings_.pb_base_rebuilds += rebuilds;
+  timings_.pb_regraded_sessions += regraded;
   return results;
 }
 
@@ -421,35 +416,38 @@ DayEvalResult SweepEngine::evaluate(const ModelSpec& spec,
   trainer->advance(train_days);
   auto& model = trainer->eval_predictor(train_days);
   const double dt = seconds_since(t0);
-  if (ins_) {
-    record_seconds(ins_->train_cell, dt);
-    if (trainer->pb_rebuilds() != 0) {
-      ins_->pb_rebuilds->add(trainer->pb_rebuilds());
-    }
-  }
+  if (ins_) record_seconds(ins_->train_cell, dt);
   {
     std::lock_guard lock(mu_);
     timings_.train_seconds += dt;
-    timings_.pb_base_rebuilds += trainer->pb_rebuilds();
   }
   return evaluate_cell(spec, model, train_days);
 }
 
 std::vector<std::size_t> SweepEngine::node_count_sweep(
     const ModelSpec& spec, std::uint32_t max_train_days) {
+  std::vector<std::size_t> out;
+  visit_models(spec, max_train_days,
+               [&out](std::uint32_t, const ppm::Predictor& model) {
+                 out.push_back(model.node_count());
+               });
+  return out;
+}
+
+void SweepEngine::visit_models(
+    const ModelSpec& spec, std::uint32_t max_train_days,
+    const std::function<void(std::uint32_t, const ppm::Predictor&)>& visit) {
   assert(max_train_days >= 1 && max_train_days <= days_.size());
   auto trainer = make_trainer(*this, spec);
-  std::vector<std::size_t> out(max_train_days);
   const auto t0 = Clock::now();
   for (std::uint32_t k = 1; k <= max_train_days; ++k) {
     trainer->advance(k);
-    out[k - 1] = trainer->eval_predictor(k).node_count();
+    visit(k, trainer->eval_predictor(k));
   }
   const double dt = seconds_since(t0);
   std::lock_guard lock(mu_);
   timings_.train_seconds += dt;
-  timings_.pb_base_rebuilds += trainer->pb_rebuilds();
-  return out;
+  timings_.pb_regraded_sessions += trainer->pb_regraded();
 }
 
 TrainedModel SweepEngine::train(const ModelSpec& spec,
@@ -480,11 +478,10 @@ TrainedModel SweepEngine::train(const ModelSpec& spec,
       break;
     }
     case ModelKind::kPopularity: {
-      auto m = std::make_unique<ppm::PopularityPpm>(spec.pb, &out.popularity);
-      m->train_without_optimization(closed);
-      m->train_without_optimization(tails);
-      m->optimize_space();
-      out.predictor = std::move(m);
+      ppm::PbBase base(spec.pb, &out.popularity);
+      base.insert(closed);
+      base.insert(tails);
+      out.predictor = std::make_unique<ppm::PopularityPpm>(base.emit());
       break;
     }
     case ModelKind::kTopN: {

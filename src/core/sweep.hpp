@@ -14,9 +14,11 @@
 //   * incremental training     — each model keeps one growing base trained
 //     on the closed sessions of the window; advancing a sweep point appends
 //     one day (train_more) instead of retraining the window. Sessions still
-//     open at the window edge are applied to a throwaway copy, and PB-PPM
-//     keeps its base unpruned, pruning a copy per sweep point. A PB base is
-//     rebuilt only when the window's popularity grades drift;
+//     open at the window edge are applied to a throwaway copy. PB-PPM keeps
+//     an unpruned ppm::PbBase: when the window's popularity grades drift it
+//     re-walks only the branches next to a URL whose grade moved, and each
+//     sweep point emits the pruned model from it (open tails inserted for
+//     the emit and retracted after);
 //   * baseline memoisation     — the prefetch-disabled run never consults
 //     the predictor or popularity table, so it is cached per eval day and
 //     shared across all models of a multi-model sweep;
@@ -28,6 +30,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -48,10 +51,10 @@ struct SweepTimings {
   double prepare_seconds = 0.0;   ///< ctor: sessions + popularity prefixes
   double train_seconds = 0.0;     ///< incremental training + snapshots
   double simulate_seconds = 0.0;  ///< with-prefetch + baseline simulations
-  std::size_t baseline_runs = 0;       ///< prefetch-disabled sims executed
-  std::size_t baseline_memo_hits = 0;  ///< ... served from the memo instead
-  std::size_t pb_base_rebuilds = 0;    ///< PB bases rebuilt on grade drift
-  std::size_t cells = 0;               ///< (model × day) evaluations done
+  std::size_t baseline_runs = 0;         ///< prefetch-disabled sims executed
+  std::size_t baseline_memo_hits = 0;    ///< ... served from the memo instead
+  std::size_t pb_regraded_sessions = 0;  ///< PB sessions regraded on drift
+  std::size_t cells = 0;                 ///< (model × day) evaluations done
 };
 
 class SweepEngine {
@@ -64,8 +67,9 @@ class SweepEngine {
   /// serially and in place, which avoids model snapshots entirely.
   /// `metrics`, when non-null, attaches webppm_sweep_* instrumentation:
   /// per-cell train/eval latency histograms, baseline-memo hit/miss and
-  /// PB-rebuild counters, and a thread-pool queue-depth gauge sampled at
-  /// cell granularity. SweepTimings stays authoritative either way.
+  /// PB regraded-session counters, and a thread-pool queue-depth gauge
+  /// sampled at cell granularity. SweepTimings stays authoritative either
+  /// way.
   explicit SweepEngine(const trace::Trace& trace,
                        const sim::SimulationConfig& sim_config = {},
                        util::ThreadPool* pool = nullptr,
@@ -88,6 +92,13 @@ class SweepEngine {
   /// trained on days 1..k, for k = 1..max_train_days. No simulations.
   std::vector<std::size_t> node_count_sweep(const ModelSpec& spec,
                                             std::uint32_t max_train_days);
+
+  /// Calls `visit(k, model)` with the incrementally trained window-k model
+  /// for k = 1..max_train_days, in order: the models sweep() evaluates.
+  /// `model` is valid only during the call.
+  void visit_models(
+      const ModelSpec& spec, std::uint32_t max_train_days,
+      const std::function<void(std::uint32_t, const ppm::Predictor&)>& visit);
 
   /// train_model(spec, trace, 0, train_days - 1) equivalent built from the
   /// engine's cached sessions and popularity prefixes. The returned model
@@ -144,7 +155,7 @@ class SweepEngine {
     obs::Counter* cells;
     obs::Counter* baseline_runs;
     obs::Counter* baseline_memo_hits;
-    obs::Counter* pb_rebuilds;
+    obs::Counter* pb_regraded;
     obs::Gauge* pool_queue_depth;
     obs::LogHistogram* train_cell;
     obs::LogHistogram* eval_cell;

@@ -21,6 +21,7 @@
 #include "popularity/popularity.hpp"  // IWYU pragma: export
 #include "popularity/sliding.hpp"     // IWYU pragma: export
 #include "ppm/lrs_ppm.hpp"            // IWYU pragma: export
+#include "ppm/pb_base.hpp"            // IWYU pragma: export
 #include "ppm/popularity_ppm.hpp"     // IWYU pragma: export
 #include "ppm/predictor.hpp"          // IWYU pragma: export
 #include "ppm/serialize.hpp"          // IWYU pragma: export

@@ -75,7 +75,7 @@ std::string build_payload(const BuildSpec& spec) {
   }
 
   // --- PB special links: rows sorted by frozen root id; each row's targets
-  // keep the arena's pre-ranked order (rank_links()), so "take the first
+  // keep the arena's pre-ranked order (from_parts()), so "take the first
   // link_top_k" reads the same targets the arena predict() reads. The
   // counts that induced the ranking are not re-stored as ordering keys —
   // the order *is* the rank.

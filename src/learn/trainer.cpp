@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 #include <utility>
 
 #include "fault/fault.hpp"
 #include "obs/trace_event.hpp"
 #include "ppm/lrs_ppm.hpp"
-#include "ppm/popularity_ppm.hpp"
+#include "ppm/pb_base.hpp"
 #include "ppm/standard_ppm.hpp"
 #include "ppm/top_n.hpp"
 #include "serve/frozen_snapshot.hpp"
@@ -26,32 +27,39 @@ std::size_t session_bytes(const session::Session& s) {
 // ---------------------------------------------------------------------------
 // Shadow models: the trainer-private growing base, mirroring the sweep
 // engine's incremental trainers (core/sweep.cpp) over the trainer's
-// retained-session window instead of the engine's per-day caches. Keeping
-// the two recipes in lockstep is what makes the convergence gate's
-// byte-identity hold.
+// retained-session window instead of the engine's per-day caches. Both
+// build every model the same way, which is what makes the convergence
+// gate's byte-identity hold.
 
 class ShadowModel {
  public:
   virtual ~ShadowModel() = default;
 
+  /// What absorb() did besides appending.
+  struct Absorbed {
+    bool rebuilt = false;      ///< the base was rebuilt from the window
+    std::size_t regraded = 0;  ///< sessions a PB regrade re-derived
+  };
+
   /// Extends the base to cover `all_closed` (the retained window), of
   /// which [0, absorbed) is already trained in. `pop` is the current
-  /// cumulative popularity table. Returns true when the base had to be
-  /// rebuilt from the whole window (PB grade drift).
-  virtual bool absorb(std::span<const session::Session> all_closed,
-                      std::size_t absorbed,
-                      const popularity::PopularityTable& pop) = 0;
+  /// cumulative popularity table. `holds_evicted` says the base also holds
+  /// sessions since evicted from the window.
+  virtual Absorbed absorb(std::span<const session::Session> all_closed,
+                          std::size_t absorbed,
+                          const popularity::PopularityTable& pop,
+                          bool holds_evicted) = 0;
 
   /// Rebuilds the base from `all_closed` alone — the decay path: history
   /// evicted from the retained window is forgotten.
   virtual void rebuild(std::span<const session::Session> all_closed,
                        const popularity::PopularityTable& pop) = 0;
 
-  /// Self-contained window model for publishing: the base plus the open
-  /// `tails` applied to a copy (and, for PB, the lossy pruning pass the
-  /// base must never receive).
+  /// Self-contained window model for publishing: the base with the open
+  /// `tails` applied (and, for PB, the lossy pruning pass the base must
+  /// never receive). The base itself ends as it began.
   virtual std::unique_ptr<ppm::Predictor> published_model(
-      std::span<const session::Session> tails) const = 0;
+      std::span<const session::Session> tails) = 0;
 
   virtual std::size_t storage_bytes() const = 0;
 };
@@ -65,11 +73,12 @@ class AppendShadow final : public ShadowModel {
  public:
   explicit AppendShadow(Model base) : base_(std::move(base)), empty_(base_) {}
 
-  bool absorb(std::span<const session::Session> all_closed,
-              std::size_t absorbed,
-              const popularity::PopularityTable& /*pop*/) override {
+  Absorbed absorb(std::span<const session::Session> all_closed,
+                  std::size_t absorbed,
+                  const popularity::PopularityTable& /*pop*/,
+                  bool /*holds_evicted*/) override {
     base_.train_more(all_closed.subspan(absorbed));
-    return false;
+    return {};
   }
 
   void rebuild(std::span<const session::Session> all_closed,
@@ -79,7 +88,7 @@ class AppendShadow final : public ShadowModel {
   }
 
   std::unique_ptr<ppm::Predictor> published_model(
-      std::span<const session::Session> tails) const override {
+      std::span<const session::Session> tails) override {
     auto copy = std::make_unique<Model>(base_);
     copy->train_more(tails);
     return copy;
@@ -92,63 +101,64 @@ class AppendShadow final : public ShadowModel {
   const Model empty_;  ///< untrained copy holding the config, for rebuilds
 };
 
-/// PB-PPM: unpruned base reading grades from the trainer-owned table
-/// (optimize_space is lossy, so pruning happens on a per-publish copy).
-/// Appending is exact only while no URL's grade moved; on drift the base
-/// is rebuilt from the retained window — core/sweep.cpp's PbTrainer logic.
+/// PB-PPM: a ppm::PbBase over the retained window, reading grades from a
+/// trainer-owned copy of the popularity table — the same recipe as the
+/// sweep engine's PB trainer (core/sweep.cpp). On grade drift the base is
+/// regraded in place. A base that still holds sessions evicted from the
+/// window cannot re-walk them, so on drift it is rebuilt from the window.
 class PbShadow final : public ShadowModel {
  public:
   explicit PbShadow(const ppm::PopularityPpmConfig& config)
       : config_(config) {}
 
-  bool absorb(std::span<const session::Session> all_closed,
-              std::size_t absorbed,
-              const popularity::PopularityTable& pop) override {
-    if (base_ != nullptr && grades_match(pop)) {
-      pop_ = pop;
-      base_->rebind_grades(&pop_);
-      base_->train_without_optimization(all_closed.subspan(absorbed));
-      return false;
+  Absorbed absorb(std::span<const session::Session> all_closed,
+                  std::size_t absorbed,
+                  const popularity::PopularityTable& pop,
+                  bool holds_evicted) override {
+    if (!base_ || (holds_evicted && base_->drifted(pop))) {
+      const bool rebuilt = base_.has_value();
+      rebuild(all_closed, pop);
+      return {rebuilt, 0};
     }
-    const bool rebuilt = base_ != nullptr;
-    rebuild(all_closed, pop);
-    return rebuilt;
+    // The new table moves to owned storage first; the old one stays alive
+    // until the regrade, which reads both, is done. A base holding evicted
+    // sessions reaches here only when no grade moved, so it has nothing to
+    // re-walk.
+    auto next = std::make_unique<popularity::PopularityTable>(pop);
+    const std::size_t regraded = base_->regrade(
+        next.get(), holds_evicted ? std::span<const session::Session>()
+                                  : all_closed.first(absorbed));
+    pop_ = std::move(next);
+    base_->insert(all_closed.subspan(absorbed));
+    return {false, regraded};
   }
 
   void rebuild(std::span<const session::Session> all_closed,
                const popularity::PopularityTable& pop) override {
-    pop_ = pop;
-    base_ = std::make_unique<ppm::PopularityPpm>(config_, &pop_);
-    base_->train_without_optimization(all_closed);
+    pop_ = std::make_unique<popularity::PopularityTable>(pop);
+    base_.emplace(config_, pop_.get());
+    base_->insert(all_closed);
   }
 
   std::unique_ptr<ppm::Predictor> published_model(
-      std::span<const session::Session> tails) const override {
-    auto copy = base_ != nullptr
-                    ? std::make_unique<ppm::PopularityPpm>(*base_)
-                    : std::make_unique<ppm::PopularityPpm>(config_, &pop_);
-    copy->train_without_optimization(tails);
-    copy->optimize_space();
-    return copy;
+      std::span<const session::Session> tails) override {
+    assert(base_ && "absorb() runs before every publish");
+    base_->insert(tails);
+    auto model = std::make_unique<ppm::PopularityPpm>(base_->emit());
+    base_->retract(tails);
+    return model;
   }
 
   std::size_t storage_bytes() const override {
-    return (base_ != nullptr ? base_->storage_bytes() : 0) +
-           pop_.memory_bytes();
+    return (base_ ? base_->tree().memory_bytes() : 0) +
+           (pop_ ? pop_->memory_bytes() : 0);
   }
 
  private:
-  bool grades_match(const popularity::PopularityTable& pop) const {
-    const std::size_t n = std::max(pop_.url_count(), pop.url_count());
-    for (UrlId u = 0; u < n; ++u) {
-      if (pop_.grade(u) != pop.grade(u)) return false;
-    }
-    return true;
-  }
-
   ppm::PopularityPpmConfig config_;
-  popularity::PopularityTable pop_;  ///< stable address; base_ reads grades
-  std::unique_ptr<ppm::PopularityPpm> base_;  ///< unpruned
+  /// Heap-held so its address survives the swap a regrade makes.
+  std::unique_ptr<popularity::PopularityTable> pop_;
+  std::optional<ppm::PbBase> base_;  ///< unpruned; reads *pop_
 };
 
 std::unique_ptr<ShadowModel> make_shadow(
@@ -181,6 +191,8 @@ struct OnlineTrainer::Instruments {
   obs::Counter* publish_failures;
   obs::Counter* store_failures;
   obs::Counter* rebuilds;
+  obs::Counter* regraded_sessions;
+  obs::Counter* rejected;
   obs::Counter* drift_republishes;
   obs::Gauge* retained;
   obs::Gauge* storage_bytes;
@@ -211,6 +223,8 @@ OnlineTrainer::OnlineTrainer(serve::ModelServer& target,
         &reg.counter("webppm_learn_publish_failures_total"),
         &reg.counter("webppm_learn_store_failures_total"),
         &reg.counter("webppm_learn_rebuilds_total"),
+        &reg.counter("webppm_learn_regraded_sessions_total"),
+        &reg.counter("webppm_learn_rejected_total"),
         &reg.counter("webppm_learn_drift_republishes_total"),
         &reg.gauge("webppm_learn_retained_sessions"),
         &reg.gauge("webppm_learn_storage_bytes"),
@@ -294,6 +308,16 @@ void OnlineTrainer::absorb_locked(std::vector<Observation>& batch) {
       ins_->dropped->add(d - dropped_reported_);
       dropped_reported_ = d;
     }
+  }
+  // A URL id indexes the popularity counts, so an unbounded id would let
+  // any client size that table (and 2^32 - 1 wraps the size to zero): drop
+  // such observations before they touch the counts, the clock or the
+  // sessionizer.
+  const std::size_t rejected = std::erase_if(
+      batch, [](const Observation& o) { return o.url > kMaxTrainedUrl; });
+  if (rejected != 0) {
+    rejected_.fetch_add(rejected, std::memory_order_relaxed);
+    if (ins_ != nullptr) ins_->rejected->add(rejected);
   }
   if (batch.empty()) return;
 
@@ -416,9 +440,17 @@ bool OnlineTrainer::publish_locked(TimeSec settle_ts, PublishTrigger why) {
   }
 
   auto pop = popularity::PopularityTable::from_counts(counts_);
-  if (shadow_->absorb(retained_, absorbed_, pop)) {
+  const auto absorbed =
+      shadow_->absorb(retained_, absorbed_, pop, base_holds_evicted_);
+  if (absorbed.rebuilt) {
+    base_holds_evicted_ = false;
     rebuilds_.fetch_add(1, std::memory_order_relaxed);
     if (ins_ != nullptr) ins_->rebuilds->add();
+  }
+  if (absorbed.regraded != 0) {
+    regraded_sessions_.fetch_add(absorbed.regraded,
+                                 std::memory_order_relaxed);
+    if (ins_ != nullptr) ins_->regraded_sessions->add(absorbed.regraded);
   }
   absorbed_ = retained_.size();
 
@@ -432,6 +464,7 @@ bool OnlineTrainer::publish_locked(TimeSec settle_ts, PublishTrigger why) {
     retained_.erase(retained_.begin(),
                     retained_.begin() + static_cast<std::ptrdiff_t>(excess));
     absorbed_ -= excess;
+    base_holds_evicted_ = true;
   }
 
   if (config_.policy.rebuild_every_publishes != 0) {
@@ -439,6 +472,7 @@ bool OnlineTrainer::publish_locked(TimeSec settle_ts, PublishTrigger why) {
       publishes_since_rebuild_ = 0;
       shadow_->rebuild(retained_, pop);
       absorbed_ = retained_.size();
+      base_holds_evicted_ = false;
       rebuilds_.fetch_add(1, std::memory_order_relaxed);
       if (ins_ != nullptr) ins_->rebuilds->add();
     }

@@ -15,12 +15,13 @@
 // The *shadow model* is the trainer's private growing base — the serving
 // snapshot is never mutated. It is extended with exactly the machinery the
 // offline SweepEngine uses: closed sessions append via train_more (exact
-// for Standard/LRS/Top-N), and PB-PPM keeps an unpruned base reading the
-// current popularity grades, rebuilt when grades drift and pruned on a
-// copy per publish. Publishing settles the sessionizer, applies the open
-// tails to a copy, wraps it with the cumulative popularity table via
-// make_snapshot, optionally freezes it, optionally persists it through a
-// SnapshotStore, and RCU-publishes into the target server.
+// for Standard/LRS/Top-N), and PB-PPM keeps an unpruned ppm::PbBase
+// reading the current popularity grades, regraded in place when grades
+// drift. Publishing settles the sessionizer, applies the open tails (to a
+// copy, or for PB inserted into the base for the pruned emit and
+// retracted after it), wraps the model with the cumulative popularity
+// table via make_snapshot, optionally freezes it, optionally persists it
+// through a SnapshotStore, and RCU-publishes into the target server.
 //
 // Determinism contract (the convergence gate in bench/online_training):
 // fed the same request stream the offline oracle trained on — errors
@@ -37,9 +38,15 @@
 //
 // Old-window decay: retention is bounded by max_retained_sessions and
 // policy.rebuild_every_publishes periodically rebuilds the shadow from the
-// retained window only, forgetting evicted history. Popularity counts stay
-// cumulative (they are cheap and error-inclusive; a rotating head
-// re-grades itself by accumulation).
+// retained window only, forgetting evicted history. Until then a PB base
+// still holds evicted sessions it cannot re-walk, so grade drift rebuilds
+// it from the window too. Popularity counts stay cumulative (they are
+// cheap and error-inclusive; a rotating head re-grades itself by
+// accumulation).
+//
+// Observations whose URL id exceeds kMaxTrainedUrl are dropped and counted
+// (rejected()): URL ids size the popularity count table, and the serve tap
+// passes on whatever a client sent.
 //
 // Fault site (chaos suite): learn.publish — a firing rule aborts the
 // publish *before* any state is absorbed: the sessionizer, retained
@@ -66,6 +73,11 @@
 #include "util/types.hpp"
 
 namespace webppm::learn {
+
+/// Largest URL id the trainer learns from. The popularity counts are a
+/// table indexed by URL id at 4 bytes per id, so this bound (2^24 ids)
+/// caps that table at 64 MiB.
+inline constexpr UrlId kMaxTrainedUrl = (UrlId{1} << 24) - 1;
 
 /// When the trainer freezes-and-publishes its shadow. Time here is *trace
 /// time* (observation timestamps), not wall clock: the trainer serves
@@ -198,7 +210,15 @@ class OnlineTrainer {
   std::uint64_t publishes() const { return publishes_.load(std::memory_order_relaxed); }
   std::uint64_t publish_failures() const { return publish_failures_.load(std::memory_order_relaxed); }
   std::uint64_t store_failures() const { return store_failures_.load(std::memory_order_relaxed); }
+  /// Full rebuilds of the shadow from the retained window: decay
+  /// (rebuild_every_publishes) and PB drift on a base holding evicted
+  /// sessions. The first publish's cold build is not one.
   std::uint64_t rebuilds() const { return rebuilds_.load(std::memory_order_relaxed); }
+  /// Sessions whose branches PB regrades re-derived (grade drift applied
+  /// in place).
+  std::uint64_t regraded_sessions() const { return regraded_sessions_.load(std::memory_order_relaxed); }
+  /// Observations dropped for a URL id past kMaxTrainedUrl.
+  std::uint64_t rejected() const { return rejected_.load(std::memory_order_relaxed); }
   std::uint64_t drift_republishes() const { return drift_republishes_.load(std::memory_order_relaxed); }
   std::uint64_t last_published_version() const { return published_version_.load(std::memory_order_relaxed); }
   PublishTrigger last_trigger() const { return last_trigger_.load(std::memory_order_relaxed); }
@@ -244,6 +264,7 @@ class OnlineTrainer {
   std::uint64_t since_publish_ = 0;  ///< observations since last publish
   std::uint64_t drift_epoch_handled_ = 0;
   std::uint32_t publishes_since_rebuild_ = 0;
+  bool base_holds_evicted_ = false;  ///< shadow holds sessions not in retained_
   std::uint64_t version_counter_ = 0;
   std::vector<trace::Request> req_buf_;  ///< feed_locked scratch
 
@@ -252,6 +273,8 @@ class OnlineTrainer {
   std::atomic<std::uint64_t> publish_failures_{0};
   std::atomic<std::uint64_t> store_failures_{0};
   std::atomic<std::uint64_t> rebuilds_{0};
+  std::atomic<std::uint64_t> regraded_sessions_{0};
+  std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::uint64_t> drift_republishes_{0};
   std::atomic<std::uint64_t> published_version_{0};
   std::atomic<PublishTrigger> last_trigger_{PublishTrigger::kNone};

@@ -16,6 +16,11 @@
 //   4. Post-build space optimisation: (a) cut subtrees whose relative access
 //      probability (count / parent count) is below a threshold; (b)
 //      optionally drop nodes with absolute count <= 1.
+//
+// Rules 1-3 build an unpruned tree, and rule 4 is lossy, so training keeps
+// the unpruned tree in a ppm::PbBase (pb_base.hpp) and a PopularityPpm is
+// what PbBase::emit() hands out: the tree that survives rule 4, with its
+// rule-3 links ranked. A PopularityPpm is never trained further.
 #pragma once
 
 #include <array>
@@ -66,11 +71,9 @@ class PopularityPpm final : public Predictor {
   PopularityPpm(const PopularityPpmConfig& config,
                 const popularity::PopularityTable* grades);
 
+  /// Replaces the model with one trained on `sessions` alone: a PbBase
+  /// over them, emitted (rules 1-4).
   void train(std::span<const session::Session> sessions);
-
-  /// Runs the configured space-optimisation passes (idempotent). Called
-  /// automatically by train(); exposed separately for ablation benches.
-  void optimize_space();
 
   void predict(std::span<const UrlId> context, std::vector<Prediction>& out,
                UsageScratch* usage = nullptr) const override;
@@ -100,59 +103,36 @@ class PopularityPpm final : public Predictor {
   const PredictionTree& tree() const { return tree_; }
   const PopularityPpmConfig& config() const { return config_; }
 
-  /// Special links per root (for tests/inspection): root node -> targets.
+  /// Special links per root (for tests/inspection): root node -> targets,
+  /// ranked by (traversal count desc, root-to-node URL path asc).
   const std::unordered_map<NodeId, std::vector<NodeId>>& links() const {
     return links_;
   }
 
-  /// Trains without running the space optimisation (ablation support; also
-  /// the append path the sweep engine uses to grow its unpruned base tree).
-  void train_without_optimization(std::span<const session::Session> sessions);
-
   /// Repoints the model at a different popularity table (same lifetime
-  /// contract as the constructor). The sweep engine uses this when copying
-  /// a model: the copy must read grades from storage owned by the engine,
-  /// not from a table the originating sweep point is about to replace.
+  /// contract as the constructor). make_snapshot uses this so a published
+  /// model reads grades from the snapshot's own table, not from a table
+  /// its trainer is about to replace.
   void rebind_grades(const popularity::PopularityTable* grades) {
     assert(grades != nullptr);
     grades_ = grades;
   }
 
-  /// Deserialisation hook (ppm/serialize.hpp).
+  /// Assembles a model from a tree and its special links, and ranks every
+  /// link list by (traversal count desc, root-to-node URL path asc) — the
+  /// canonical order predict() and the frozen layout read the top k from.
+  /// PbBase::emit() and the deserialiser (ppm/serialize.hpp) build models
+  /// this way.
   static PopularityPpm from_parts(
       const PopularityPpmConfig& config,
       const popularity::PopularityTable* grades, PredictionTree tree,
       std::unordered_map<NodeId, std::vector<NodeId>> links);
 
  private:
-  /// A branch the current session is extending.
-  struct OpenBranch {
-    NodeId tip;
-    NodeId root;
-    int head_grade;
-  };
-
-  /// `open` and `next_open` are scratch the caller reuses across sessions.
-  void insert_session(const session::Session& s, std::vector<OpenBranch>& open,
-                      std::vector<OpenBranch>& next_open);
-
-  /// Sorts the link-target list of every stale root by (traversal count
-  /// desc, root-to-node URL path asc) — the canonical emission order
-  /// predict() uses. A list's order can only change when insert_session
-  /// extends that root's branch (targets lie in their root's subtree), so
-  /// insert_session marks the root stale and only stale roots are
-  /// re-sorted. Every entry point that adds counts (train,
-  /// train_without_optimization, from_parts) ranks before returning;
-  /// optimize_space only drops targets, which keeps each list ranked.
-  /// predict() is const and relies on the links-are-ranked invariant.
-  void rank_links();
-
   PopularityPpmConfig config_;
   const popularity::PopularityTable* grades_;
   PredictionTree tree_;
   std::unordered_map<NodeId, std::vector<NodeId>> links_;
-  /// Roots marked stale since the last rank_links() (empty between calls).
-  std::vector<NodeId> stale_roots_;
 };
 
 }  // namespace webppm::ppm

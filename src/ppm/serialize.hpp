@@ -22,10 +22,11 @@
 
 namespace webppm::ppm {
 
-/// Writes a tree (which must be compact: no tombstones). Nodes are written
-/// in arena order; a child is always created after its parent, and
-/// compact() preserves relative order, so parents always precede children
-/// and the loader reconstructs in one pass.
+/// Writes a tree (which must be compact: no free slots). Nodes are written
+/// in arena order; in a tree that never released a node, a child is always
+/// created after its parent, so parents precede children and the loader
+/// reconstructs in one pass. Every model a trainer hands out is such a
+/// tree (PB models are built top-down by PbBase::emit()).
 void save_tree(std::ostream& out, const PredictionTree& tree);
 
 /// Reads a tree written by save_tree. Returns nullopt on malformed input;

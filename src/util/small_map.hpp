@@ -82,7 +82,7 @@ class SmallChildMap {
   }
 
   /// Removes entries for which `pred(key, value)` is true; returns the
-  /// number removed. Used by the PB-PPM space optimisation pass.
+  /// number removed. PredictionTree::release() detaches a subtree with it.
   template <typename Pred>
   std::size_t erase_if(Pred&& pred) {
     if (!spill_.empty()) {

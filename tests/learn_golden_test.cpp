@@ -1,5 +1,6 @@
 // Golden payload digests ("learn" label): the frozen bytes of PB-PPM models
-// published by offline training and by the online trainer.
+// published by offline training, by the online trainer and by the sweep
+// engine.
 //
 // A frozen PB payload stores each root's special links in rank order —
 // (traversal count desc, root-to-node URL path asc) — with no ordering key
@@ -11,12 +12,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "core/sweep.hpp"
 #include "learn/trainer.hpp"
 #include "serve/frozen_snapshot.hpp"
 #include "serve/model_server.hpp"
@@ -88,6 +91,50 @@ TEST(PbGolden, OnlineTrainerUcbMidDayAndBoundary) {
       0x1bfa7803581054daull,
       0x51dcc4b8e4d5adf9ull,
       0x083ba96b57534225ull,
+  };
+  EXPECT_EQ(digests, expected);
+}
+
+TEST(PbGolden, SweepEngineUcbEveryWindow) {
+  // The engine grows one PB base across the sweep. On this trace some
+  // grade moves at every day boundary, so each window after the first is
+  // reached through grade drift.
+  const trace::Trace trace =
+      workload::generate_page_trace(workload::ucb_like(4, 0.5));
+  core::SweepEngine engine(trace);
+  const std::uint32_t days = trace.day_count();
+  for (std::uint32_t k = 2; k <= days; ++k) {
+    const auto& before = engine.window_popularity(k - 1);
+    const auto& after = engine.window_popularity(k);
+    bool drifted = false;
+    for (UrlId u = 0; u < trace.urls.size(); ++u) {
+      drifted = drifted || before.grade(u) != after.grade(u);
+    }
+    EXPECT_TRUE(drifted) << "window " << k;
+  }
+
+  std::vector<std::uint64_t> digests;
+  for (const auto& spec : {core::ModelSpec::pb_model(),
+                           core::ModelSpec::pb_model_aggressive()}) {
+    engine.visit_models(
+        spec, days, [&](std::uint32_t k, const ppm::Predictor& model) {
+          const auto& pb = dynamic_cast<const ppm::PopularityPpm&>(model);
+          const auto snap = serve::make_snapshot(
+              std::make_unique<ppm::PopularityPpm>(pb),
+              engine.window_popularity(k), k);
+          digests.push_back(payload_digest(*snap));
+        });
+  }
+  // pb_model at windows 1..4, then pb_model_aggressive at windows 1..4.
+  const std::vector<std::uint64_t> expected = {
+      0x5abe24efcf6256a5ull,
+      0x0b9a163326584e0full,
+      0x4add5abc9345b033ull,
+      0x2134fa02fe37125bull,
+      0x37dd7cd81d8a4d0bull,
+      0x702ca8e2d5f89f5eull,
+      0x8e785b4c3b28bf28ull,
+      0xcefe1b80481fe51eull,
   };
   EXPECT_EQ(digests, expected);
 }

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "fault/fault.hpp"
+#include "learn/trainer.hpp"
 #include "net/load_client.hpp"
 #include "obs/metrics.hpp"
 #include "ppm/standard_ppm.hpp"
@@ -351,6 +352,39 @@ TEST(NetLoopback, V1AnswerIsLabelledWithTheSnapshotThatAnswered) {
   stop.store(true);
   publisher.join();
   EXPECT_EQ(mislabelled, 0) << "of " << kQueries << " answers";
+}
+
+TEST(NetLoopback, RunningTrainerSurvivesUrlIdsPastItsBound) {
+  // The serve tap hands the trainer whatever URL id a client sent; ids the
+  // trainer cannot count are dropped there, and serving never notices.
+  serve::ModelServer model;
+  model.publish(tiny_snapshot(1));
+  learn::OnlineTrainerConfig tc;
+  tc.policy.day_boundaries = false;
+  tc.poll_interval_ms = 1;
+  learn::OnlineTrainer trainer(model, tc);
+  trainer.attach();
+  ASSERT_TRUE(trainer.start());
+  PredictServer server(model, {});
+  ASSERT_TRUE(server.start());
+
+  RawConn conn;
+  ASSERT_TRUE(conn.connect_to(server.port()));
+  const auto ask = [&conn](UrlId url, TimeSec t) {
+    std::vector<std::uint8_t> frame;
+    encode_request(LoadClient::to_wire(click(1, url, t)), frame);
+    WireResponse resp;
+    return conn.send_all(frame) && conn.read_response(resp) &&
+           resp.status == Status::kOk;
+  };
+  EXPECT_TRUE(ask(0xFFFFFFFFu, 10));
+  EXPECT_TRUE(eventually([&] { return trainer.rejected() == 1u; }));
+  EXPECT_TRUE(ask(1, 11));
+  EXPECT_TRUE(ask(2, 12));
+  EXPECT_TRUE(eventually([&] { return trainer.observations() == 2u; }));
+  EXPECT_TRUE(trainer.publish_now());
+  EXPECT_TRUE(ask(3, 13));
+  EXPECT_EQ(trainer.rejected(), 1u);
 }
 
 TEST(NetLoopback, NoModelAnswersNoModelStatus) {

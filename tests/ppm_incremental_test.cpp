@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "ppm/lrs_ppm.hpp"
+#include "ppm/pb_base.hpp"
 #include "ppm/popularity_ppm.hpp"
 #include "ppm/standard_ppm.hpp"
 #include "util/rng.hpp"
@@ -56,7 +57,7 @@ TEST(IncrementalTraining, StandardBatchEqualsIncremental) {
 TEST(IncrementalTraining, PopularityBatchEqualsIncrementalWithoutOpt) {
   // The tree-building rules are per-session, so incremental insertion with
   // fixed grades is exactly equivalent — as long as the space optimisation
-  // runs only once at the end (it is a destructive batch pass).
+  // runs only at emit time (it is a destructive batch pass).
   const auto day1 = random_sessions(4, 40);
   const auto day2 = random_sessions(5, 40);
   auto all = day1;
@@ -69,13 +70,16 @@ TEST(IncrementalTraining, PopularityBatchEqualsIncrementalWithoutOpt) {
   const auto pop = popularity::PopularityTable::from_counts(counts);
 
   PopularityPpmConfig cfg;
-  cfg.min_relative_probability = 0.0;  // defer optimisation
-  PopularityPpm batch(cfg, &pop), incremental(cfg, &pop);
-  batch.train_without_optimization(all);
-  incremental.train_without_optimization(day1);
-  incremental.train_without_optimization(day2);
+  cfg.min_relative_probability = 0.0;  // emit everything
+  PbBase batch_base(cfg, &pop), inc_base(cfg, &pop);
+  batch_base.insert(all);
+  inc_base.insert(day1);
+  inc_base.insert(day2);
+  const PopularityPpm batch = batch_base.emit();
+  const PopularityPpm incremental = inc_base.emit();
 
   EXPECT_EQ(batch.node_count(), incremental.node_count());
+  EXPECT_EQ(batch.node_count(), batch_base.tree().node_count());
   EXPECT_EQ(batch.links().size(), incremental.links().size());
   std::vector<Prediction> pa, pb;
   for (const auto& s : random_sessions(6, 10)) {
@@ -85,20 +89,32 @@ TEST(IncrementalTraining, PopularityBatchEqualsIncrementalWithoutOpt) {
   }
 }
 
-TEST(IncrementalTraining, OptimizeSpaceIsIdempotent) {
+TEST(IncrementalTraining, EmitLeavesBaseUntouched) {
+  // emit() is a pure read of the base: emitting twice yields the same
+  // model, and the base keeps every node for later appends.
   const auto data = random_sessions(7, 80);
   std::vector<std::uint32_t> counts(30, 0);
   for (const auto& s : data) {
     for (const auto u : s.urls) ++counts[u];
   }
   const auto pop = popularity::PopularityTable::from_counts(counts);
-  PopularityPpm m(PopularityPpmConfig{}, &pop);
-  m.train(data);
-  const auto after_first = m.node_count();
-  m.optimize_space();
-  EXPECT_EQ(m.node_count(), after_first);
-  m.optimize_space();
-  EXPECT_EQ(m.node_count(), after_first);
+  PopularityPpmConfig cfg;
+  cfg.min_absolute_count = 1;  // so the emit cuts something
+  PbBase base(cfg, &pop);
+  base.insert(data);
+  const auto base_nodes = base.tree().node_count();
+  const PopularityPpm first = base.emit();
+  const PopularityPpm second = base.emit();
+  EXPECT_LT(first.node_count(), base_nodes);
+  EXPECT_EQ(base.tree().node_count(), base_nodes);
+  EXPECT_EQ(first.node_count(), second.node_count());
+  EXPECT_EQ(first.links().size(), second.links().size());
+  std::vector<Prediction> pa, pb;
+  for (const auto& s : random_sessions(15, 10)) {
+    first.predict(s.urls, pa);
+    second.predict(s.urls, pb);
+    EXPECT_EQ(pa, pb);
+  }
 }
 
 TEST(IncrementalTraining, LrsBatchEqualsTrainMore) {
@@ -138,9 +154,8 @@ TEST(IncrementalTraining, LrsBatchEqualsTrainMore) {
 }
 
 TEST(IncrementalTraining, PopularityTrainMoreWithoutOptMatchesBatch) {
-  // What the sweep engine actually does for PB-PPM: keep an unpruned base,
-  // append days with train_without_optimization, prune a copy. Appending to
-  // the unpruned base must equal unpruned batch training.
+  // What every PB trainer does: keep an unpruned base, append days, emit
+  // the pruned model. Appending to the base must equal batch insertion.
   const auto day1 = random_sessions(12, 40);
   const auto day2 = random_sessions(13, 40);
   auto all = day1;
@@ -152,19 +167,18 @@ TEST(IncrementalTraining, PopularityTrainMoreWithoutOptMatchesBatch) {
   }
   const auto pop = popularity::PopularityTable::from_counts(counts);
 
-  PopularityPpm batch(PopularityPpmConfig{}, &pop);
-  batch.train_without_optimization(all);
-  PopularityPpm incremental(PopularityPpmConfig{}, &pop);
-  incremental.train_without_optimization(day1);
-  incremental.train_without_optimization(day2);
-  EXPECT_EQ(batch.node_count(), incremental.node_count());
+  PbBase batch(PopularityPpmConfig{}, &pop);
+  batch.insert(all);
+  PbBase incremental(PopularityPpmConfig{}, &pop);
+  incremental.insert(day1);
+  incremental.insert(day2);
+  EXPECT_EQ(batch.tree().node_count(), incremental.tree().node_count());
 
-  // Pruning copies leaves the bases untouched and produces equal results.
-  PopularityPpm pruned_batch(batch), pruned_inc(incremental);
-  pruned_batch.optimize_space();
-  pruned_inc.optimize_space();
+  // Emitting leaves the bases untouched and produces equal results.
+  const PopularityPpm pruned_batch = batch.emit();
+  const PopularityPpm pruned_inc = incremental.emit();
   EXPECT_EQ(pruned_batch.node_count(), pruned_inc.node_count());
-  EXPECT_EQ(batch.node_count(), incremental.node_count());
+  EXPECT_EQ(batch.tree().node_count(), incremental.tree().node_count());
   std::vector<Prediction> pa, pb;
   for (const auto& s : random_sessions(14, 10)) {
     pruned_batch.predict(s.urls, pa);

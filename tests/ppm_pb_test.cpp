@@ -4,6 +4,8 @@
 
 #include <algorithm>
 
+#include "ppm/pb_base.hpp"
+
 namespace webppm::ppm {
 namespace {
 
@@ -258,15 +260,15 @@ TEST(PopularityPpm, TrainWithoutOptimizationKeepsEverything) {
   const auto grades = grades_for({{1, 3}, {2, 2}, {3, 2}});
   PopularityPpmConfig cfg;
   cfg.min_relative_probability = 0.10;
-  PopularityPpm a(cfg, &grades), b(cfg, &grades);
+  PopularityPpm a(cfg, &grades);
+  PbBase b(cfg, &grades);
   std::vector<session::Session> train;
   for (int i = 0; i < 19; ++i) train.push_back(make_session({1, 2}));
   train.push_back(make_session({1, 3}));
   a.train(train);
-  b.train_without_optimization(train);
-  EXPECT_LT(a.node_count(), b.node_count());
-  b.optimize_space();
-  EXPECT_EQ(a.node_count(), b.node_count());
+  b.insert(train);  // the training base is never optimised
+  EXPECT_LT(a.node_count(), b.tree().node_count());
+  EXPECT_EQ(a.node_count(), b.emit().node_count());
 }
 
 TEST(PopularityPpm, PopularHeadsYieldFewerNodesThanStandardWindows) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "ppm/lrs_ppm.hpp"
+#include "ppm/pb_base.hpp"
 #include "ppm/popularity_ppm.hpp"
 #include "ppm/standard_ppm.hpp"
 #include "util/rng.hpp"
@@ -203,20 +204,20 @@ TEST_P(ModelPropertyTest, OptimizationOnlyShrinks) {
   const auto train = random_sessions(GetParam() ^ 0x9999, 60);
   const auto pop = popularity_of(train);
   PopularityPpmConfig cfg;
-  PopularityPpm raw(cfg, &pop);
-  raw.train_without_optimization(train);
-  const auto before = raw.node_count();
-  raw.optimize_space();
-  EXPECT_LE(raw.node_count(), before);
-  check_tree_invariants(raw.tree());
+  PbBase raw(cfg, &pop);
+  raw.insert(train);
+  const PopularityPpm pruned = raw.emit();
+  EXPECT_LE(pruned.node_count(), raw.tree().node_count());
+  check_tree_invariants(pruned.tree());
 }
 
 TEST_P(ModelPropertyTest, PbLinksStayRankedThroughAppendsAndPruning) {
   // The trainers' recipe: grow an unpruned base in appends, and at each
-  // publish copy it, add the open tails and prune the copy. Sessions are
-  // redrawn from a small pool, so once the pool's paths exist, appends
-  // only raise counts, unevenly, under roots whose lists gain no link —
-  // an order kept up only when a list gains a link goes stale here.
+  // publish insert the open tails, emit the pruned model and retract the
+  // tails. Sessions are redrawn from a small pool, so once the pool's
+  // paths exist, appends only raise counts, unevenly, under roots whose
+  // lists gain no link — an order kept up only when a list gains a link
+  // goes stale here.
   const auto pool = random_sessions(GetParam() ^ 0x1ead, 60);
   const auto pop = popularity_of(pool);
   util::Rng rng(GetParam());
@@ -230,19 +231,28 @@ TEST_P(ModelPropertyTest, PbLinksStayRankedThroughAppendsAndPruning) {
   for (const std::uint32_t min_count : {0u, 1u}) {  // pb_model, aggressive
     PopularityPpmConfig cfg;
     cfg.min_absolute_count = min_count;
-    PopularityPpm base(cfg, &pop);
+    PopularityPpmConfig unpruned = cfg;
+    unpruned.min_relative_probability = 0.0;
+    unpruned.min_absolute_count = 0;
+    PbBase base(cfg, &pop);
+    PbBase whole(unpruned, &pop);
+    bool linked = false;
     for (int chunk = 0; chunk < 12; ++chunk) {
-      base.train_without_optimization(draw(1 + rng.below(40)));
-      check_links_ranked(base);
+      const auto grown = draw(1 + rng.below(40));
+      base.insert(grown);
+      whole.insert(grown);
+      check_links_ranked(whole.emit());
 
-      PopularityPpm copy = base;
-      copy.train_without_optimization(draw(1 + rng.below(8)));
-      check_links_ranked(copy);
-      copy.optimize_space();
-      check_links_ranked(copy);
-      check_tree_invariants(copy.tree());
+      const auto tails = draw(1 + rng.below(8));
+      base.insert(tails);
+      const PopularityPpm m = base.emit();
+      base.retract(tails);
+      check_links_ranked(m);
+      check_tree_invariants(m.tree());
+      linked = linked || !m.links().empty();
+      EXPECT_EQ(base.tree().node_count(), whole.tree().node_count());
     }
-    EXPECT_FALSE(base.links().empty());
+    EXPECT_TRUE(linked);
   }
 }
 
