@@ -21,8 +21,8 @@
 //   * chaos variant — with net.conn.read / net.conn.write short-IO faults
 //     armed, plus a slow client that never reads and a connection flood
 //     past max_connections, the replay stays byte-identical, the shed /
-//     slow-disconnect / short-IO counters account for every injected event
-//     (registry and exact counters agree), and no connection leaks
+//     slow-disconnect / short-IO counters account for every injected
+//     event, and no connection leaks
 //     (accepted == closed, active == 0 after the storm);
 //   * recovery — a clean replay after disarm is byte-identical again.
 //
@@ -451,21 +451,10 @@ int main(int argc, char** argv) {
                                           &chaos_shards)
                  : 1;
 
-  // Accounting: the injected faults show up in the counters, and the
-  // registry's webppm_net_* values agree with the exact atomics.
+  // Accounting: the injected faults show up in the counters (the
+  // accessors read the registry's webppm_net_* counters).
   const bool short_io_seen =
       chaos_server.short_reads() >= 1 && chaos_server.short_writes() >= 1;
-  const bool registry_agrees =
-      registry.counter("webppm_net_short_reads_total").value() ==
-          chaos_server.short_reads() &&
-      registry.counter("webppm_net_short_writes_total").value() ==
-          chaos_server.short_writes() &&
-      registry.counter("webppm_net_shed_total").value() ==
-          chaos_server.shed() &&
-      registry.counter("webppm_net_slow_client_disconnects_total").value() ==
-          chaos_server.slow_client_disconnects() &&
-      registry.counter("webppm_net_connections_closed_total").value() ==
-          chaos_server.closed();
 
   // The CI-uploaded scrape artifact: a real GET /metrics from the chaos
   // server, post-storm — the accounting above, as a scraper would see it.
@@ -481,7 +470,7 @@ int main(int argc, char** argv) {
   const bool chaos_ok = chaos_replay_ok && chaos_mismatches == 0 &&
                         slow_shed && flood_shed && no_leak &&
                         rec_res.ok && rec_mismatches == 0 && short_io_seen &&
-                        registry_agrees && scrape_err.empty();
+                        scrape_err.empty();
   std::printf("chaos variant:\n");
   std::printf("  short-IO replay identical:  %s (%zu mismatches)\n",
               chaos_replay_ok && chaos_mismatches == 0 ? "OK" : "FAIL",
@@ -497,8 +486,6 @@ int main(int argc, char** argv) {
               short_io_seen ? "OK" : "FAIL",
               static_cast<unsigned long long>(chaos_server.short_reads()),
               static_cast<unsigned long long>(chaos_server.short_writes()));
-  std::printf("  registry matches exact:     %s\n",
-              registry_agrees ? "OK" : "FAIL");
   std::printf("  no connection leak:         %s (accepted %llu, "
               "closed %llu, active %zu)\n",
               no_leak ? "OK" : "FAIL",

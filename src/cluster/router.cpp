@@ -1,6 +1,5 @@
 #include "cluster/router.hpp"
 
-#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -10,7 +9,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <thread>
 
 #include "fault/fault.hpp"
@@ -19,64 +17,15 @@ namespace webppm::cluster {
 namespace {
 
 using net::now_ms;
-using net::OwnedFd;
+using net::send_all;
 
 constexpr int kTickMs = 100;  ///< upper bound on stop-flag latency
 constexpr std::size_t kReadChunkBytes = 16 * 1024;
 constexpr std::size_t kAdminRequestCapBytes = 4 * 1024;
-
-std::string errno_string() { return std::strerror(errno); }
-
-/// Blocking listener (the router's connection handling is thread-per-conn;
-/// only accept() needs to poll for the stop flag). port 0 = ephemeral.
-std::string open_listener(const std::string& host, std::uint16_t port,
-                          OwnedFd& out, std::uint16_t* bound_port) {
-  OwnedFd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
-  if (!fd.valid()) return "socket: " + errno_string();
-  const int one = 1;
-  ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    return "inet_pton " + host + ": invalid address";
-  }
-  if (::bind(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
-             sizeof addr) != 0) {
-    return "bind " + host + ":" + std::to_string(port) + ": " +
-           errno_string();
-  }
-  if (::listen(fd.get(), 128) != 0) return "listen: " + errno_string();
-  sockaddr_in bound{};
-  socklen_t len = sizeof bound;
-  if (::getsockname(fd.get(), reinterpret_cast<sockaddr*>(&bound), &len) !=
-      0) {
-    return "getsockname: " + errno_string();
-  }
-  *bound_port = ntohs(bound.sin_port);
-  out = std::move(fd);
-  return {};
-}
-
-void set_recv_timeout(int fd, std::uint64_t ms) {
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(ms / 1000);
-  tv.tv_usec = static_cast<suseconds_t>((ms % 1000) * 1000);
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-}
-
-bool send_all(int fd, const std::uint8_t* data, std::size_t len) {
-  std::size_t done = 0;
-  while (done < len) {
-    const ssize_t n = ::send(fd, data + done, len - done, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  return true;
-}
+/// Budget for one whole admin request: it is read on the acceptor thread,
+/// so a client trickling bytes holds up accepts (and shutdown) this long
+/// at most.
+constexpr std::uint64_t kAdminDeadlineMs = 1000;
 
 /// The router's own degraded answer for one query: kRetryLater with
 /// snapshot version 0 (the router serves no snapshot — version 0 marks
@@ -94,35 +43,42 @@ PredictRouter::PredictRouter(RouterConfig config)
     : config_(std::move(config)),
       ring_(config_.shards.empty() ? 1 : config_.shards.size(),
             config_.ring_replicas),
-      budget_(config_.retry_budget) {
+      metrics_(obs::attached_or_owned(config_.metrics, own_metrics_)),
+      ins_{
+          .requests = &metrics_.counter("webppm_cluster_requests_total"),
+          .responses = &metrics_.counter("webppm_cluster_responses_total"),
+          .batches = &metrics_.counter("webppm_cluster_batches_total"),
+          .accepted =
+              &metrics_.counter("webppm_cluster_connections_accepted_total"),
+          .degraded = &metrics_.counter("webppm_cluster_degraded_total"),
+          .retries = &metrics_.counter("webppm_cluster_retries_total"),
+          .connect_failures =
+              &metrics_.counter("webppm_cluster_connect_failures_total"),
+          .send_failures =
+              &metrics_.counter("webppm_cluster_send_failures_total"),
+          .read_failures =
+              &metrics_.counter("webppm_cluster_read_failures_total"),
+          .retry_later = &metrics_.counter("webppm_cluster_retry_later_total"),
+          .breaker_opens =
+              &metrics_.counter("webppm_cluster_breaker_opens_total"),
+          .breaker_closes =
+              &metrics_.counter("webppm_cluster_breaker_closes_total"),
+          .give_ups = &metrics_.counter("webppm_cluster_give_ups_total"),
+          .quiesces = &metrics_.counter("webppm_cluster_quiesces_total"),
+          .readmits = &metrics_.counter("webppm_cluster_readmits_total"),
+          .probes = &metrics_.counter("webppm_cluster_probes_total"),
+          .probe_failures =
+              &metrics_.counter("webppm_cluster_probe_failures_total"),
+          .protocol_errors =
+              &metrics_.counter("webppm_cluster_protocol_errors_total"),
+          .shed = &metrics_.counter("webppm_cluster_shed_total"),
+          .version_skew = &metrics_.gauge("webppm_cluster_version_skew"),
+          .shards_serving = &metrics_.gauge("webppm_cluster_shards_serving"),
+          .breakers_open = &metrics_.gauge("webppm_cluster_breakers_open"),
+      },
+      budget_(config_.retry_budget, &metrics_) {
   if (config_.max_frame_bytes == 0) {
     config_.max_frame_bytes = net::kDefaultMaxFrameBytes;
-  }
-  if (config_.metrics != nullptr) {
-    auto& reg = *config_.metrics;
-    ins_ = std::make_unique<ClusterInstruments>(ClusterInstruments{
-        &reg.counter("webppm_cluster_requests_total"),
-        &reg.counter("webppm_cluster_responses_total"),
-        &reg.counter("webppm_cluster_batches_total"),
-        &reg.counter("webppm_cluster_retries_total"),
-        &reg.counter("webppm_cluster_connect_failures_total"),
-        &reg.counter("webppm_cluster_send_failures_total"),
-        &reg.counter("webppm_cluster_read_failures_total"),
-        &reg.counter("webppm_cluster_retry_later_total"),
-        &reg.counter("webppm_cluster_breaker_opens_total"),
-        &reg.counter("webppm_cluster_breaker_closes_total"),
-        &reg.counter("webppm_cluster_retry_budget_waits_total"),
-        &reg.counter("webppm_cluster_give_ups_total"),
-        &reg.counter("webppm_cluster_quiesces_total"),
-        &reg.counter("webppm_cluster_readmits_total"),
-        &reg.counter("webppm_cluster_probes_total"),
-        &reg.counter("webppm_cluster_probe_failures_total"),
-        &reg.counter("webppm_cluster_protocol_errors_total"),
-        &reg.counter("webppm_cluster_shed_total"),
-        &reg.gauge("webppm_cluster_version_skew"),
-        &reg.gauge("webppm_cluster_shards_serving"),
-        &reg.gauge("webppm_cluster_breakers_open"),
-    });
   }
   upstreams_.reserve(config_.shards.size());
   for (std::size_t i = 0; i < config_.shards.size(); ++i) {
@@ -130,18 +86,12 @@ PredictRouter::PredictRouter(RouterConfig config)
     ucfg.endpoint = config_.shards[i];
     ucfg.seed = config_.upstream.seed + i;
     upstreams_.push_back(std::make_unique<Upstream>(
-        std::move(ucfg), &budget_, &stopping_, ins_.get()));
+        std::move(ucfg), &budget_, &stopping_, &ins_));
   }
   health_.resize(config_.shards.size());
 }
 
 PredictRouter::~PredictRouter() { shutdown(); }
-
-void PredictRouter::count(std::atomic<std::uint64_t>& exact,
-                          obs::Counter* mirror, std::uint64_t n) {
-  exact.fetch_add(n, std::memory_order_relaxed);
-  if (mirror != nullptr) mirror->add(n);
-}
 
 bool PredictRouter::start(std::string* error) {
   if (started_) {
@@ -153,14 +103,14 @@ bool PredictRouter::start(std::string* error) {
     return false;
   }
   std::string err =
-      open_listener(config_.host, config_.port, listen_fd_, &port_);
+      net::open_listener(config_.host, config_.port, listen_fd_, &port_);
   if (!err.empty()) {
     if (error != nullptr) *error = err;
     return false;
   }
   if (config_.admin) {
-    err = open_listener(config_.host, config_.admin_port, admin_fd_,
-                        &admin_port_);
+    err = net::open_listener(config_.host, config_.admin_port, admin_fd_,
+                             &admin_port_);
     if (!err.empty()) {
       listen_fd_.reset();
       if (error != nullptr) *error = "admin " + err;
@@ -207,12 +157,12 @@ void PredictRouter::acceptor_main() {
       const int fd = ::accept4(listen_fd_.get(), nullptr, nullptr,
                                SOCK_CLOEXEC);
       if (fd >= 0) {
-        count(accepted_, nullptr);
+        ins_.accepted->add();
         if (active_.load(std::memory_order_relaxed) >=
             config_.max_connections) {
           // Mirror PredictServer's shed contract: one kRetryLater frame,
           // then close. The client backs off and retries.
-          count(shed_, ins_ != nullptr ? ins_->shed : nullptr);
+          ins_.shed->add();
           std::vector<std::uint8_t> frame;
           net::encode_response(retry_later_response(), frame);
           send_all(fd, frame.data(), frame.size());
@@ -220,7 +170,7 @@ void PredictRouter::acceptor_main() {
         } else {
           const int one = 1;
           ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-          set_recv_timeout(fd, kTickMs);
+          net::set_socket_timeout(fd, SO_RCVTIMEO, kTickMs);
           auto conn = std::make_unique<DownConn>();
           conn->fd = fd;
           DownConn* raw = conn.get();
@@ -288,8 +238,7 @@ void PredictRouter::conn_main(DownConn* c) {
       if (frame.result == net::FrameParser::Result::kNeedMore) break;
       if (frame.result == net::FrameParser::Result::kBad) {
         // Mirror the server: answer kBadRequest, then close after flush.
-        count(protocol_errors_,
-              ins_ != nullptr ? ins_->protocol_errors : nullptr);
+        ins_.protocol_errors->add();
         net::WireResponse bad;
         bad.status = net::Status::kBadRequest;
         out.clear();
@@ -337,19 +286,16 @@ bool PredictRouter::handle_frame(std::span<const std::uint8_t> frame,
   const auto derr = v1 ? net::decode_request(body, entries[0])
                        : net::decode_batch_request(body, entries);
   if (!derr.ok()) {
-    count(protocol_errors_,
-          ins_ != nullptr ? ins_->protocol_errors : nullptr);
+    ins_.protocol_errors->add();
     net::WireResponse bad;
     bad.status = net::Status::kBadRequest;
     net::encode_response(bad, out);
     return false;
   }
-  if (!v1) count(batches_, ins_ != nullptr ? ins_->batches : nullptr);
-  count(requests_, ins_ != nullptr ? ins_->requests : nullptr,
-        entries.size());
+  if (!v1) ins_.batches->add();
+  ins_.requests->add(entries.size());
   forward(frame, entries, v1, out);
-  count(responses_, ins_ != nullptr ? ins_->responses : nullptr,
-        entries.size());
+  ins_.responses->add(entries.size());
   return true;
 }
 
@@ -382,7 +328,7 @@ void PredictRouter::forward(std::span<const std::uint8_t> frame,
       return;
     }
     // Budget spent: degrade these answers; the connection lives on.
-    count(degraded_, nullptr, entries.size());
+    ins_.degraded->add(entries.size());
     if (v1) {
       net::encode_response(retry_later_response(), out);
     } else {
@@ -436,7 +382,7 @@ void PredictRouter::forward(std::span<const std::uint8_t> frame,
     } else {
       // This shard's slice degrades per-slot; the other shards' answers
       // in the same batch are untouched.
-      count(degraded_, nullptr, sub_slots.size());
+      ins_.degraded->add(sub_slots.size());
       for (const std::size_t slot : sub_slots) {
         slots[slot] = retry_later_response();
       }
@@ -454,7 +400,7 @@ void PredictRouter::prober_main() {
       if (stopping_.load(std::memory_order_acquire)) break;
       const auto& ep = upstreams_[i]->endpoint();
       if (ep.admin_port == 0) continue;
-      count(probes_, ins_ != nullptr ? ins_->probes : nullptr);
+      ins_.probes->add();
       ShardHealth h;
       std::string err;
       std::string body;
@@ -470,8 +416,7 @@ void PredictRouter::prober_main() {
         h.reachable = true;
         upstreams_[i]->note_probe(h.info.serving());
       } else {
-        count(probe_failures_,
-              ins_ != nullptr ? ins_->probe_failures : nullptr);
+        ins_.probe_failures->add();
       }
       {
         std::lock_guard lk(health_mu_);
@@ -519,24 +464,30 @@ void PredictRouter::refresh_gauges() {
   for (const auto& u : upstreams_) {
     if (u->breaker_open()) ++open;
   }
-  if (ins_ != nullptr) {
-    if (ins_->version_skew != nullptr) {
-      ins_->version_skew->set(static_cast<std::int64_t>(version_skew()));
-    }
-    if (ins_->shards_serving != nullptr) ins_->shards_serving->set(serving);
-    if (ins_->breakers_open != nullptr) ins_->breakers_open->set(open);
-  }
+  ins_.version_skew->set(static_cast<std::int64_t>(version_skew()));
+  ins_.shards_serving->set(serving);
+  ins_.breakers_open->set(open);
 }
 
 // ---------------------------------------------------------------------------
 // Admin listener (text): GET /metrics, /healthz, /cluster.
 
 void PredictRouter::handle_admin(int fd) {
-  set_recv_timeout(fd, 1000);
+  // One deadline for the whole request, not per read: a client sending a
+  // byte just inside every read timeout would otherwise hold the acceptor
+  // thread (new accepts, shutdown's join) for as long as it likes.
+  const std::uint64_t deadline = now_ms() + kAdminDeadlineMs;
+  net::set_socket_timeout(fd, SO_SNDTIMEO, kAdminDeadlineMs);  // the reply
   std::string in;
   char buf[1024];
   while (in.find("\r\n\r\n") == std::string::npos &&
          in.size() <= kAdminRequestCapBytes) {
+    const std::uint64_t now = now_ms();
+    if (now >= deadline) break;
+    pollfd p{fd, POLLIN, 0};
+    const int r = ::poll(&p, 1, static_cast<int>(deadline - now));
+    if (r < 0 && errno == EINTR) continue;
+    if (r <= 0) break;
     const ssize_t n = ::read(fd, buf, sizeof buf);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;
@@ -544,8 +495,7 @@ void PredictRouter::handle_admin(int fd) {
   }
   if (in.find("\r\n\r\n") != std::string::npos) {
     const std::string resp = admin_response(in.substr(0, in.find("\r\n")));
-    send_all(fd, reinterpret_cast<const std::uint8_t*>(resp.data()),
-             resp.size());
+    send_all(fd, resp.data(), resp.size());
   }
   ::close(fd);
 }
@@ -553,13 +503,11 @@ void PredictRouter::handle_admin(int fd) {
 std::string PredictRouter::admin_response(const std::string& request_line) {
   std::string body;
   std::string status = "200 OK";
-  const bool get = request_line.rfind("GET ", 0) == 0;
-  const std::string path =
-      get ? request_line.substr(4, request_line.find(' ', 4) - 4) : "";
-  if (!get) {
+  const auto path = net::admin_get_path(request_line);
+  if (!path) {
     status = "400 Bad Request";
     body = "only GET is supported\n";
-  } else if (path == "/metrics") {
+  } else if (*path == "/metrics") {
     if (config_.metrics == nullptr) {
       status = "503 Service Unavailable";
       body = "no metrics registry attached\n";
@@ -567,7 +515,7 @@ std::string PredictRouter::admin_response(const std::string& request_line) {
       refresh_gauges();
       body = config_.metrics->prometheus_text();
     }
-  } else if (path == "/healthz") {
+  } else if (*path == "/healthz") {
     // The router serves no snapshot itself; its health is "can it route".
     std::size_t reachable = 0;
     {
@@ -592,7 +540,7 @@ std::string PredictRouter::admin_response(const std::string& request_line) {
     body.append("\nserving ").append(std::to_string(reachable));
     body.append("\nversion_skew ").append(std::to_string(version_skew()));
     body.append("\n");
-  } else if (path == "/cluster") {
+  } else if (*path == "/cluster") {
     // One line per shard: state the supervisor and a human both read.
     // Skew first — version_skew() takes health_mu_ itself.
     const std::uint64_t skew = version_skew();
@@ -623,14 +571,9 @@ std::string PredictRouter::admin_response(const std::string& request_line) {
     body.append("\n");
   } else {
     status = "404 Not Found";
-    body = "unknown path " + path + "\n";
+    body = "unknown path " + *path + "\n";
   }
-  std::string resp = "HTTP/1.0 " + status +
-                     "\r\nContent-Type: text/plain; version=0.0.4\r\n"
-                     "Content-Length: " +
-                     std::to_string(body.size()) + "\r\nConnection: close\r\n\r\n";
-  resp += body;
-  return resp;
+  return net::admin_reply(status, body);
 }
 
 }  // namespace webppm::cluster

@@ -68,6 +68,9 @@ struct RouterConfig {
   /// /healthz probe cadence; 0 disables the prober (breakers then rely on
   /// half-open trials alone, and version_skew() reads as unknown).
   std::uint64_t probe_interval_ms = 100;
+  /// The registry the webppm_cluster_* counters live in (null: a private
+  /// one, so the accessors count either way); attached, it also serves
+  /// GET /metrics.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -110,18 +113,18 @@ class PredictRouter {
   /// (0 when fewer than two are reachable — skew needs a pair to exist).
   std::uint64_t version_skew() const;
 
-  // Exact counters, maintained whether or not a registry is attached (the
-  // webppm_cluster_* metrics mirror them one-to-one). Per-shard upstream
-  // counters are on upstream(i).counters().
-  std::uint64_t requests() const { return requests_.load(std::memory_order_relaxed); }
-  std::uint64_t responses() const { return responses_.load(std::memory_order_relaxed); }
-  std::uint64_t batches() const { return batches_.load(std::memory_order_relaxed); }
-  std::uint64_t degraded_responses() const { return degraded_.load(std::memory_order_relaxed); }
-  std::uint64_t protocol_errors() const { return protocol_errors_.load(std::memory_order_relaxed); }
-  std::uint64_t shed() const { return shed_.load(std::memory_order_relaxed); }
-  std::uint64_t accepted() const { return accepted_.load(std::memory_order_relaxed); }
-  std::uint64_t probes() const { return probes_.load(std::memory_order_relaxed); }
-  std::uint64_t probe_failures() const { return probe_failures_.load(std::memory_order_relaxed); }
+  // Exact counts, each read back from its one webppm_cluster_* counter (in
+  // the attached registry, or the router's own). The per-shard breakdown
+  // is on upstream(i).counters().
+  std::uint64_t requests() const { return ins_.requests->value(); }
+  std::uint64_t responses() const { return ins_.responses->value(); }
+  std::uint64_t batches() const { return ins_.batches->value(); }
+  std::uint64_t degraded_responses() const { return ins_.degraded->value(); }
+  std::uint64_t protocol_errors() const { return ins_.protocol_errors->value(); }
+  std::uint64_t shed() const { return ins_.shed->value(); }
+  std::uint64_t accepted() const { return ins_.accepted->value(); }
+  std::uint64_t probes() const { return ins_.probes->value(); }
+  std::uint64_t probe_failures() const { return ins_.probe_failures->value(); }
   std::uint64_t retry_budget_waits() const { return budget_.waits(); }
 
   const RouterConfig& config() const { return config_; }
@@ -153,15 +156,14 @@ class PredictRouter {
   void reap_finished(bool all);
   void refresh_gauges();
 
-  void count(std::atomic<std::uint64_t>& exact, obs::Counter* mirror,
-             std::uint64_t n = 1);
-
   RouterConfig config_;
   HashRing ring_;
+  std::unique_ptr<obs::MetricsRegistry> own_metrics_;
+  obs::MetricsRegistry& metrics_;  ///< attached, else own_metrics_
+  ClusterInstruments ins_;
   RetryBudget budget_;
   std::atomic<bool> stopping_{false};
   bool started_ = false;
-  std::unique_ptr<ClusterInstruments> ins_;
   std::vector<std::unique_ptr<Upstream>> upstreams_;
 
   net::OwnedFd listen_fd_;
@@ -177,16 +179,6 @@ class PredictRouter {
 
   mutable std::mutex health_mu_;
   std::vector<ShardHealth> health_;
-
-  std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> responses_{0};
-  std::atomic<std::uint64_t> batches_{0};
-  std::atomic<std::uint64_t> degraded_{0};
-  std::atomic<std::uint64_t> protocol_errors_{0};
-  std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> probes_{0};
-  std::atomic<std::uint64_t> probe_failures_{0};
 };
 
 }  // namespace webppm::cluster

@@ -87,6 +87,7 @@ bool ShardSupervisor::start_server(std::size_t shard, bool pinned,
   Shard& s = shards_[shard];
   net::NetServerConfig nc = config_.net;
   nc.admin = true;  // the router's prober and await_healthy need /healthz
+  nc.metrics = nullptr;  // N shards' webppm_net_* counters would alias
   nc.port = pinned ? s.port : std::uint16_t{0};
   nc.admin_port = pinned ? s.admin_port : std::uint16_t{0};
   const std::uint64_t deadline = now_ms() + config_.bind_retry_ms;

@@ -61,7 +61,8 @@ struct SupervisorConfig {
   /// would alias; attach a registry to the router instead.
   serve::ModelServerConfig model;
   /// Per-shard PredictServer template; host/port/admin_port are
-  /// overridden (ephemeral on first start, pinned across restarts).
+  /// overridden (ephemeral on first start, pinned across restarts) and
+  /// `metrics` is dropped, as for the model.
   net::NetServerConfig net;
   /// Per-shard SnapshotStore template; `dir` is overridden.
   serve::SnapshotStoreConfig store;

@@ -1,17 +1,10 @@
 #include "cluster/upstream.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <thread>
 
 #include "fault/fault.hpp"
+#include "net/load_client.hpp"
 #include "net/wire.hpp"
 
 namespace webppm::cluster {
@@ -19,98 +12,6 @@ namespace {
 
 using net::now_ms;
 using net::OwnedFd;
-
-std::string errno_string() { return std::strerror(errno); }
-
-void set_timeout(int fd, int opt, std::uint64_t ms) {
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(ms / 1000);
-  tv.tv_usec = static_cast<suseconds_t>((ms % 1000) * 1000);
-  ::setsockopt(fd, SOL_SOCKET, opt, &tv, sizeof tv);
-}
-
-OwnedFd connect_to(const ShardEndpoint& ep, std::uint64_t io_timeout_ms,
-                   std::string* error) {
-  OwnedFd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
-  if (!fd.valid()) {
-    *error = "socket: " + errno_string();
-    return {};
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(ep.port);
-  if (::inet_pton(AF_INET, ep.host.c_str(), &addr.sin_addr) != 1) {
-    *error = "inet_pton " + ep.host + ": invalid address";
-    return {};
-  }
-  if (io_timeout_ms != 0) {
-    // SO_SNDTIMEO bounds connect() on Linux as well as send().
-    set_timeout(fd.get(), SO_SNDTIMEO, io_timeout_ms);
-    set_timeout(fd.get(), SO_RCVTIMEO, io_timeout_ms);
-  }
-  if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
-                sizeof addr) != 0) {
-    *error = "connect " + ep.host + ":" + std::to_string(ep.port) + ": " +
-             errno_string();
-    return {};
-  }
-  const int one = 1;
-  ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  return fd;
-}
-
-bool send_all(int fd, const std::uint8_t* data, std::size_t len,
-              std::string* error) {
-  std::size_t done = 0;
-  while (done < len) {
-    const ssize_t n = ::send(fd, data + done, len - done, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      *error = "send: " + errno_string();
-      return false;
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-bool recv_exact(int fd, std::uint8_t* data, std::size_t len,
-                std::string* error) {
-  std::size_t done = 0;
-  while (done < len) {
-    const ssize_t n = ::read(fd, data + done, len - done);
-    if (n == 0) {
-      *error = "connection closed by shard";
-      return false;
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      *error = "read: " + errno_string();
-      return false;
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-bool recv_frame(int fd, std::uint32_t max_frame_bytes,
-                std::vector<std::uint8_t>& frame, std::string* error) {
-  frame.resize(net::kFrameHeaderBytes);
-  if (!recv_exact(fd, frame.data(), net::kFrameHeaderBytes, error)) {
-    return false;
-  }
-  const std::uint32_t len = static_cast<std::uint32_t>(frame[0]) |
-                            (static_cast<std::uint32_t>(frame[1]) << 8) |
-                            (static_cast<std::uint32_t>(frame[2]) << 16) |
-                            (static_cast<std::uint32_t>(frame[3]) << 24);
-  if (len == 0 || len > max_frame_bytes) {
-    *error = "response frame length " + std::to_string(len) +
-             " outside (0, " + std::to_string(max_frame_bytes) + "]";
-    return false;
-  }
-  frame.resize(net::kFrameHeaderBytes + len);
-  return recv_exact(fd, frame.data() + net::kFrameHeaderBytes, len, error);
-}
 
 /// Is this frame the shard's v1 kRetryLater shed answer? (The shed path
 /// refuses a frame *before* processing any query in it, so it is the one
@@ -126,6 +27,11 @@ bool is_shed_frame(const std::vector<std::uint8_t>& frame) {
 
 }  // namespace
 
+RetryBudget::RetryBudget(std::size_t slots, obs::MetricsRegistry* metrics)
+    : free_(slots == 0 ? 1 : slots),
+      waits_(obs::attached_or_owned(metrics, own_metrics_)
+                 .counter("webppm_cluster_retry_budget_waits_total")) {}
+
 bool RetryBudget::acquire(const std::atomic<bool>& abort, bool* waited) {
   if (waited != nullptr) *waited = false;
   std::unique_lock lk(mu_);
@@ -133,7 +39,7 @@ bool RetryBudget::acquire(const std::atomic<bool>& abort, bool* waited) {
   while (free_ == 0) {
     if (!counted) {
       counted = true;
-      waits_.fetch_add(1, std::memory_order_relaxed);
+      waits_.add();
       if (waited != nullptr) *waited = true;
     }
     if (abort.load(std::memory_order_acquire)) return false;
@@ -243,7 +149,8 @@ Upstream::AttemptOutcome Upstream::attempt(
            ins_ != nullptr ? ins_->connect_failures : nullptr);
       return AttemptOutcome::kConnectFailed;
     }
-    fd = connect_to(config_.endpoint, config_.io_timeout_ms, error);
+    fd = net::connect_to(config_.endpoint.host, config_.endpoint.port,
+                         config_.io_timeout_ms, error);
     if (!fd.valid()) {
       bump(counters_.connect_failures,
            ins_ != nullptr ? ins_->connect_failures : nullptr);
@@ -260,14 +167,14 @@ Upstream::AttemptOutcome Upstream::attempt(
          ins_ != nullptr ? ins_->send_failures : nullptr);
     return AttemptOutcome::kSendFailed;
   }
-  if (!send_all(fd.get(), frame.data(), frame.size(), error)) {
+  if (!net::send_all(fd.get(), frame.data(), frame.size(), error)) {
     // A pooled socket the shard closed while idle surfaces here (EPIPE);
     // the frame never reached the application, so this too retries clean.
     bump(counters_.send_failures,
          ins_ != nullptr ? ins_->send_failures : nullptr);
     return AttemptOutcome::kSendFailed;
   }
-  if (!recv_frame(fd.get(), max_resp_frame_bytes, resp, error)) {
+  if (!net::read_frame(fd.get(), max_resp_frame_bytes, resp, error)) {
     bump(counters_.read_failures,
          ins_ != nullptr ? ins_->read_failures : nullptr);
     return AttemptOutcome::kReadFailed;
@@ -322,15 +229,9 @@ bool Upstream::round_trip(std::span<const std::uint8_t> frame,
     }
     // Retry phase: bounded by the shared budget so a shard outage queues
     // instead of storming, then the backoff sleep.
-    if (budget_ != nullptr) {
-      bool waited = false;
-      if (!budget_->acquire(abort, &waited)) {
-        err = "router stopping";
-        break;
-      }
-      if (waited && ins_ != nullptr && ins_->retry_budget_waits != nullptr) {
-        ins_->retry_budget_waits->add(1);
-      }
+    if (budget_ != nullptr && !budget_->acquire(abort)) {
+      err = "router stopping";
+      break;
     }
     std::this_thread::sleep_for(
         std::chrono::milliseconds(backoff.next_delay_ms()));

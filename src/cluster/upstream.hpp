@@ -42,6 +42,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <string>
@@ -65,7 +66,10 @@ struct ShardEndpoint {
 /// costs it exactly the capacity it needs to recover.
 class RetryBudget {
  public:
-  explicit RetryBudget(std::size_t slots) : free_(slots == 0 ? 1 : slots) {}
+  /// Contended acquisitions count into `metrics`'
+  /// webppm_cluster_retry_budget_waits_total (null: a private registry).
+  explicit RetryBudget(std::size_t slots,
+                       obs::MetricsRegistry* metrics = nullptr);
 
   /// Blocks until a slot frees or `abort` goes true (returns false; no
   /// slot held). Counts the contended acquisitions; `*waited` reports
@@ -74,15 +78,14 @@ class RetryBudget {
   void release();
 
   /// Acquisitions that had to wait for a slot.
-  std::uint64_t waits() const {
-    return waits_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t waits() const { return waits_.value(); }
 
  private:
   std::mutex mu_;
   std::condition_variable cv_;
   std::size_t free_;
-  std::atomic<std::uint64_t> waits_{0};
+  std::unique_ptr<obs::MetricsRegistry> own_metrics_;
+  obs::Counter& waits_;
 };
 
 struct UpstreamConfig {
@@ -108,8 +111,8 @@ struct UpstreamConfig {
   std::uint64_t seed = 1;
 };
 
-/// Exact per-shard counters, maintained whether or not a registry is
-/// attached; the webppm_cluster_* metrics mirror their sums one-to-one.
+/// Exact per-shard counters: a breakdown of the router's webppm_cluster_*
+/// totals, which /cluster prints per shard.
 struct UpstreamCounters {
   std::atomic<std::uint64_t> round_trips{0};   ///< successful round trips
   std::atomic<std::uint64_t> retries{0};       ///< re-attempts taken
@@ -123,11 +126,14 @@ struct UpstreamCounters {
   std::atomic<std::uint64_t> give_ups{0};      ///< round trips abandoned
 };
 
-/// Shared obs mirrors (one set for the whole cluster tier; nullable).
+/// The cluster tier's webppm_cluster_* metrics, shared by the router and
+/// its upstreams (nullable for a standalone Upstream).
 struct ClusterInstruments {
   obs::Counter* requests = nullptr;
   obs::Counter* responses = nullptr;
   obs::Counter* batches = nullptr;
+  obs::Counter* accepted = nullptr;
+  obs::Counter* degraded = nullptr;
   obs::Counter* retries = nullptr;
   obs::Counter* connect_failures = nullptr;
   obs::Counter* send_failures = nullptr;
@@ -135,7 +141,6 @@ struct ClusterInstruments {
   obs::Counter* retry_later = nullptr;
   obs::Counter* breaker_opens = nullptr;
   obs::Counter* breaker_closes = nullptr;
-  obs::Counter* retry_budget_waits = nullptr;
   obs::Counter* give_ups = nullptr;
   obs::Counter* quiesces = nullptr;
   obs::Counter* readmits = nullptr;
@@ -151,7 +156,7 @@ struct ClusterInstruments {
 class Upstream {
  public:
   /// `budget` and `abort` are shared router-level objects (both may be
-  /// null for standalone use); `ins` the shared obs mirrors (nullable).
+  /// null for standalone use); `ins` the router's totals (nullable).
   Upstream(UpstreamConfig config, RetryBudget* budget,
            const std::atomic<bool>* abort, ClusterInstruments* ins);
   ~Upstream();

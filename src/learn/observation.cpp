@@ -19,14 +19,19 @@ bool injected_drop() noexcept {
 
 }  // namespace
 
-ObservationQueue::ObservationQueue(std::size_t capacity)
-    : capacity_(std::max<std::size_t>(1, capacity)) {
+ObservationQueue::ObservationQueue(std::size_t capacity,
+                                   obs::MetricsRegistry* metrics)
+    : capacity_(std::max<std::size_t>(1, capacity)),
+      pushed_(obs::attached_or_owned(metrics, own_metrics_)
+                  .counter("webppm_learn_queue_pushed_total")),
+      dropped_(obs::attached_or_owned(metrics, own_metrics_)
+                   .counter("webppm_learn_dropped_total")) {
   ring_.resize(capacity_);
 }
 
 bool ObservationQueue::push(const Observation& o) noexcept {
   if (injected_drop()) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
+    dropped_.add();
     return false;
   }
   return append(std::span(&o, 1)) == 1;
@@ -45,10 +50,10 @@ void ObservationQueue::on_requests(
     }
   } catch (...) {
     // Staging ran out of memory: the whole batch drops.
-    dropped_.fetch_add(reqs.size(), std::memory_order_relaxed);
+    dropped_.add(reqs.size());
     return;
   }
-  dropped_.fetch_add(reqs.size() - staged.size(), std::memory_order_relaxed);
+  dropped_.add(reqs.size() - staged.size());
   append(staged);
 }
 
@@ -75,8 +80,8 @@ std::size_t ObservationQueue::append(
   } catch (...) {
     // The lock failed: nothing was accepted, everything drops below.
   }
-  pushed_.fetch_add(accepted, std::memory_order_relaxed);
-  dropped_.fetch_add(obs.size() - accepted, std::memory_order_relaxed);
+  pushed_.add(accepted);
+  dropped_.add(obs.size() - accepted);
   // At most one wake per append, and only when it made the ring non-empty:
   // a non-empty ring already has its consumer's wake outstanding.
   if (notify) cv_.notify_one();

@@ -31,10 +31,12 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "serve/model_server.hpp"
 #include "trace/record.hpp"
 #include "util/types.hpp"
@@ -70,7 +72,12 @@ struct Observation {
 class ObservationQueue final : public serve::RequestObserver {
  public:
   /// `capacity` bounds buffered observations (>= 1); pushes beyond it drop.
-  explicit ObservationQueue(std::size_t capacity = 1 << 16);
+  /// Accepted and dropped observations count into `metrics`'
+  /// webppm_learn_queue_pushed_total / webppm_learn_dropped_total (null: a
+  /// private registry) — the trainer passes its own, so a drop shows in
+  /// its registry the moment it happens.
+  explicit ObservationQueue(std::size_t capacity = 1 << 16,
+                            obs::MetricsRegistry* metrics = nullptr);
 
   /// Non-blocking bounded push. False when the observation was dropped
   /// (ring full, queue closed, or an injected learn.queue.push fault).
@@ -107,12 +114,8 @@ class ObservationQueue final : public serve::RequestObserver {
   std::size_t size() const;
 
   /// Observations accepted / dropped since construction (exact).
-  std::uint64_t pushed() const {
-    return pushed_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t pushed() const { return pushed_.value(); }
+  std::uint64_t dropped() const { return dropped_.value(); }
 
   /// Resident bytes of the ring (storage accounting).
   std::size_t memory_bytes() const {
@@ -132,8 +135,9 @@ class ObservationQueue final : public serve::RequestObserver {
   std::size_t head_ = 0;           ///< next slot to pop
   std::size_t count_ = 0;          ///< buffered observations
   bool closed_ = false;
-  std::atomic<std::uint64_t> pushed_{0};
-  std::atomic<std::uint64_t> dropped_{0};
+  std::unique_ptr<obs::MetricsRegistry> own_metrics_;
+  obs::Counter& pushed_;
+  obs::Counter& dropped_;
 };
 
 }  // namespace webppm::learn

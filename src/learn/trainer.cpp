@@ -184,31 +184,36 @@ std::unique_ptr<ShadowModel> make_shadow(
 // ---------------------------------------------------------------------------
 // Trainer.
 
-struct OnlineTrainer::Instruments {
-  obs::Counter* observations;
-  obs::Counter* dropped;
-  obs::Counter* publishes;
-  obs::Counter* publish_failures;
-  obs::Counter* store_failures;
-  obs::Counter* rebuilds;
-  obs::Counter* regraded_sessions;
-  obs::Counter* rejected;
-  obs::Counter* drift_republishes;
-  obs::Gauge* retained;
-  obs::Gauge* storage_bytes;
-  obs::Gauge* version;
-  // Publish stages, one histogram each.
-  obs::LogHistogram* publish_model;
-  obs::LogHistogram* publish_freeze;
-  obs::LogHistogram* publish_store;
-  obs::LogHistogram* publish_swap;
+struct OnlineTrainer::Timing {
+  obs::LogHistogram &publish_model, &publish_freeze, &publish_store,
+      &publish_swap;
 };
+
+OnlineTrainer::Counters OnlineTrainer::register_counters(
+    obs::MetricsRegistry& reg) {
+  return Counters{
+      reg.counter("webppm_learn_observations_total"),
+      reg.counter("webppm_learn_publishes_total"),
+      reg.counter("webppm_learn_publish_failures_total"),
+      reg.counter("webppm_learn_store_failures_total"),
+      reg.counter("webppm_learn_rebuilds_total"),
+      reg.counter("webppm_learn_regraded_sessions_total"),
+      reg.counter("webppm_learn_rejected_total"),
+      reg.counter("webppm_learn_drift_republishes_total"),
+      reg.gauge("webppm_learn_retained_sessions"),
+      reg.gauge("webppm_learn_storage_bytes"),
+      reg.gauge("webppm_learn_published_version"),
+  };
+}
 
 OnlineTrainer::OnlineTrainer(serve::ModelServer& target,
                              OnlineTrainerConfig config)
     : target_(target),
       config_(std::move(config)),
-      queue_(config_.queue_capacity),
+      c_(register_counters(
+          obs::attached_or_owned(config_.metrics, own_metrics_))),
+      queue_(config_.queue_capacity,
+             &obs::attached_or_owned(config_.metrics, own_metrics_)),
       sessionizer_(config_.session),
       shadow_(make_shadow(config_.spec)) {
   counts_.resize(config_.url_count_hint, 0);
@@ -216,23 +221,11 @@ OnlineTrainer::OnlineTrainer(serve::ModelServer& target,
   drift_epoch_handled_ = target_.drift_alert_epoch();
   if (config_.metrics != nullptr) {
     auto& reg = *config_.metrics;
-    ins_ = std::make_unique<Instruments>(Instruments{
-        &reg.counter("webppm_learn_observations_total"),
-        &reg.counter("webppm_learn_dropped_total"),
-        &reg.counter("webppm_learn_publishes_total"),
-        &reg.counter("webppm_learn_publish_failures_total"),
-        &reg.counter("webppm_learn_store_failures_total"),
-        &reg.counter("webppm_learn_rebuilds_total"),
-        &reg.counter("webppm_learn_regraded_sessions_total"),
-        &reg.counter("webppm_learn_rejected_total"),
-        &reg.counter("webppm_learn_drift_republishes_total"),
-        &reg.gauge("webppm_learn_retained_sessions"),
-        &reg.gauge("webppm_learn_storage_bytes"),
-        &reg.gauge("webppm_learn_published_version"),
-        &reg.histogram("webppm_learn_publish_model_ns"),
-        &reg.histogram("webppm_learn_publish_freeze_ns"),
-        &reg.histogram("webppm_learn_publish_store_ns"),
-        &reg.histogram("webppm_learn_publish_swap_ns"),
+    timing_ = std::make_unique<Timing>(Timing{
+        reg.histogram("webppm_learn_publish_model_ns"),
+        reg.histogram("webppm_learn_publish_freeze_ns"),
+        reg.histogram("webppm_learn_publish_store_ns"),
+        reg.histogram("webppm_learn_publish_swap_ns"),
     });
   }
 }
@@ -302,23 +295,13 @@ void OnlineTrainer::trainer_main() {
 }
 
 void OnlineTrainer::absorb_locked(std::vector<Observation>& batch) {
-  if (ins_ != nullptr) {
-    const std::uint64_t d = queue_.dropped();
-    if (d != dropped_reported_) {
-      ins_->dropped->add(d - dropped_reported_);
-      dropped_reported_ = d;
-    }
-  }
   // A URL id indexes the popularity counts, so an unbounded id would let
   // any client size that table (and 2^32 - 1 wraps the size to zero): drop
   // such observations before they touch the counts, the clock or the
   // sessionizer.
   const std::size_t rejected = std::erase_if(
       batch, [](const Observation& o) { return o.url > kMaxTrainedUrl; });
-  if (rejected != 0) {
-    rejected_.fetch_add(rejected, std::memory_order_relaxed);
-    if (ins_ != nullptr) ins_->rejected->add(rejected);
-  }
+  if (rejected != 0) c_.rejected.add(rejected);
   if (batch.empty()) return;
 
   // Concurrent query threads interleave their pushes, so a drained batch
@@ -382,8 +365,7 @@ void OnlineTrainer::feed_locked(std::span<const Observation> batch) {
   }
   sessionizer_.feed(req_buf_);
   since_publish_ += batch.size();
-  observations_.fetch_add(batch.size(), std::memory_order_relaxed);
-  if (ins_ != nullptr) ins_->observations->add(batch.size());
+  c_.observations.add(batch.size());
 }
 
 void OnlineTrainer::policy_after_batch_locked() {
@@ -402,8 +384,7 @@ void OnlineTrainer::policy_after_batch_locked() {
     if (epoch > drift_epoch_handled_) {
       drift_epoch_handled_ = epoch;
       if (publish_locked(max_seen_ts_, PublishTrigger::kDriftAlert)) {
-        drift_republishes_.fetch_add(1, std::memory_order_relaxed);
-        if (ins_ != nullptr) ins_->drift_republishes->add();
+        c_.drift_republishes.add();
       }
     }
   }
@@ -415,8 +396,7 @@ bool OnlineTrainer::publish_locked(TimeSec settle_ts, PublishTrigger why) {
   // so the next publish (covering a superset of this window) heals the
   // gap — a failed publish can never corrupt serving.
   if (WEBPPM_FAULT_INJECT("learn.publish")) {
-    publish_failures_.fetch_add(1, std::memory_order_relaxed);
-    if (ins_ != nullptr) ins_->publish_failures->add();
+    c_.publish_failures.add();
     obs::log_event(obs::Severity::kWarn, "learn.publish_failed",
                    "injected fault aborted publish at ts " +
                        std::to_string(settle_ts));
@@ -424,11 +404,11 @@ bool OnlineTrainer::publish_locked(TimeSec settle_ts, PublishTrigger why) {
   }
 
   // Stage timing for the publish histograms, with metrics attached only.
-  const bool timed = ins_ != nullptr;
+  const bool timed = timing_ != nullptr;
   std::uint64_t lap = timed ? obs::now_ns() : 0;
-  const auto record_lap = [&lap](obs::LogHistogram* stage) {
+  const auto record_lap = [&lap](obs::LogHistogram& stage) {
     const std::uint64_t now = obs::now_ns();
-    stage->record(now - lap);
+    stage.record(now - lap);
     lap = now;
   };
 
@@ -444,14 +424,9 @@ bool OnlineTrainer::publish_locked(TimeSec settle_ts, PublishTrigger why) {
       shadow_->absorb(retained_, absorbed_, pop, base_holds_evicted_);
   if (absorbed.rebuilt) {
     base_holds_evicted_ = false;
-    rebuilds_.fetch_add(1, std::memory_order_relaxed);
-    if (ins_ != nullptr) ins_->rebuilds->add();
+    c_.rebuilds.add();
   }
-  if (absorbed.regraded != 0) {
-    regraded_sessions_.fetch_add(absorbed.regraded,
-                                 std::memory_order_relaxed);
-    if (ins_ != nullptr) ins_->regraded_sessions->add(absorbed.regraded);
-  }
+  if (absorbed.regraded != 0) c_.regraded_sessions.add(absorbed.regraded);
   absorbed_ = retained_.size();
 
   if (config_.max_retained_sessions != 0 &&
@@ -473,8 +448,7 @@ bool OnlineTrainer::publish_locked(TimeSec settle_ts, PublishTrigger why) {
       shadow_->rebuild(retained_, pop);
       absorbed_ = retained_.size();
       base_holds_evicted_ = false;
-      rebuilds_.fetch_add(1, std::memory_order_relaxed);
-      if (ins_ != nullptr) ins_->rebuilds->add();
+      c_.rebuilds.add();
     }
   }
 
@@ -484,11 +458,11 @@ bool OnlineTrainer::publish_locked(TimeSec settle_ts, PublishTrigger why) {
   version_counter_ = std::max(version_counter_, target_.version()) + 1;
   auto snap = serve::make_snapshot(std::move(model), std::move(pop),
                                    version_counter_, config_.fallback_top_n);
-  if (timed) record_lap(ins_->publish_model);
+  if (timed) record_lap(timing_->publish_model);
   if (config_.freeze_published &&
       config_.spec.kind != core::ModelKind::kTopN) {
     snap = serve::freeze_snapshot(*snap, config_.fallback_top_n);
-    if (timed) record_lap(ins_->publish_freeze);
+    if (timed) record_lap(timing_->publish_freeze);
   }
 
   if (config_.store != nullptr) {
@@ -496,26 +470,25 @@ bool OnlineTrainer::publish_locked(TimeSec settle_ts, PublishTrigger why) {
     if (!pr.ok) {
       // Durability lost, freshness kept: the in-memory publish proceeds
       // and the next successful store publish persists a newer window.
-      store_failures_.fetch_add(1, std::memory_order_relaxed);
-      if (ins_ != nullptr) ins_->store_failures->add();
+      c_.store_failures.add();
       obs::log_event(obs::Severity::kWarn, "learn.store_failed", pr.error);
     }
-    if (timed) record_lap(ins_->publish_store);
+    if (timed) record_lap(timing_->publish_store);
   }
   target_.publish(snap);
-  if (timed) record_lap(ins_->publish_swap);
+  if (timed) record_lap(timing_->publish_swap);
 
-  publishes_.fetch_add(1, std::memory_order_relaxed);
-  published_version_.store(version_counter_, std::memory_order_relaxed);
+  c_.version.set(static_cast<std::int64_t>(version_counter_));
+  if (config_.metrics != nullptr) {
+    // Scrape-only summaries (the accessors compute their own); the byte
+    // count walks the whole shadow base.
+    c_.retained.set(static_cast<std::int64_t>(retained_.size()));
+    c_.storage_bytes.set(static_cast<std::int64_t>(storage_bytes_locked()));
+  }
   last_trigger_.store(why, std::memory_order_relaxed);
+  c_.publishes.add();
   last_publish_ts_ = settle_ts;
   since_publish_ = 0;
-  if (ins_ != nullptr) {
-    ins_->publishes->add();
-    ins_->retained->set(static_cast<std::int64_t>(retained_.size()));
-    ins_->storage_bytes->set(static_cast<std::int64_t>(storage_bytes_locked()));
-    ins_->version->set(static_cast<std::int64_t>(version_counter_));
-  }
   return true;
 }
 

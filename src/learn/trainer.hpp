@@ -147,11 +147,13 @@ struct OnlineTrainerConfig {
   serve::SnapshotStore* store = nullptr;
   /// Trainer-thread wakeup cadence when the queue is idle.
   std::uint64_t poll_interval_ms = 50;
-  /// Non-null attaches webppm_learn_* metrics, among them one histogram
-  /// per publish stage: webppm_learn_publish_model_ns (settle until the
-  /// snapshot is built), _freeze_ns (sampled by freezing publishes only),
-  /// _store_ns (sampled with a store only) and _swap_ns. A publish that
-  /// the learn.publish fault aborts records none of them.
+  /// The registry the webppm_learn_* counters and gauges live in, the
+  /// queue's drop count included (null: a private one, so the accessors
+  /// count either way). Only an attached registry gets the publish-stage
+  /// histograms: webppm_learn_publish_model_ns (settle until the snapshot
+  /// is built), _freeze_ns (sampled by freezing publishes only), _store_ns
+  /// (sampled with a store only) and _swap_ns. A publish that the
+  /// learn.publish fault aborts records none of them.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -203,24 +205,27 @@ class OnlineTrainer {
   void stop();
   bool running() const { return running_.load(std::memory_order_acquire); }
 
-  // --- Introspection (exact; safe from any thread).
+  // --- Introspection (exact; safe from any thread). Each count is read
+  // back from its one webppm_learn_* counter.
 
-  std::uint64_t observations() const { return observations_.load(std::memory_order_relaxed); }
+  std::uint64_t observations() const { return c_.observations.value(); }
   std::uint64_t dropped() const { return queue_.dropped(); }
-  std::uint64_t publishes() const { return publishes_.load(std::memory_order_relaxed); }
-  std::uint64_t publish_failures() const { return publish_failures_.load(std::memory_order_relaxed); }
-  std::uint64_t store_failures() const { return store_failures_.load(std::memory_order_relaxed); }
+  std::uint64_t publishes() const { return c_.publishes.value(); }
+  std::uint64_t publish_failures() const { return c_.publish_failures.value(); }
+  std::uint64_t store_failures() const { return c_.store_failures.value(); }
   /// Full rebuilds of the shadow from the retained window: decay
   /// (rebuild_every_publishes) and PB drift on a base holding evicted
   /// sessions. The first publish's cold build is not one.
-  std::uint64_t rebuilds() const { return rebuilds_.load(std::memory_order_relaxed); }
+  std::uint64_t rebuilds() const { return c_.rebuilds.value(); }
   /// Sessions whose branches PB regrades re-derived (grade drift applied
   /// in place).
-  std::uint64_t regraded_sessions() const { return regraded_sessions_.load(std::memory_order_relaxed); }
+  std::uint64_t regraded_sessions() const { return c_.regraded_sessions.value(); }
   /// Observations dropped for a URL id past kMaxTrainedUrl.
-  std::uint64_t rejected() const { return rejected_.load(std::memory_order_relaxed); }
-  std::uint64_t drift_republishes() const { return drift_republishes_.load(std::memory_order_relaxed); }
-  std::uint64_t last_published_version() const { return published_version_.load(std::memory_order_relaxed); }
+  std::uint64_t rejected() const { return c_.rejected.value(); }
+  std::uint64_t drift_republishes() const { return c_.drift_republishes.value(); }
+  std::uint64_t last_published_version() const {
+    return static_cast<std::uint64_t>(c_.version.value());
+  }
   PublishTrigger last_trigger() const { return last_trigger_.load(std::memory_order_relaxed); }
 
   /// Closed sessions currently retained for rebuilds.
@@ -246,8 +251,21 @@ class OnlineTrainer {
   std::size_t storage_bytes_locked() const;
   void trainer_main();
 
+  /// The webppm_learn_* counters and gauges (the queue registers its own).
+  struct Counters {
+    obs::Counter &observations, &publishes, &publish_failures,
+        &store_failures, &rebuilds, &regraded_sessions, &rejected,
+        &drift_republishes;
+    obs::Gauge &retained, &storage_bytes, &version;
+  };
+  static Counters register_counters(obs::MetricsRegistry& reg);
+  /// Publish-stage histograms; present only with an attached registry.
+  struct Timing;
+
   serve::ModelServer& target_;
   OnlineTrainerConfig config_;
+  std::unique_ptr<obs::MetricsRegistry> own_metrics_;
+  Counters c_;
   ObservationQueue queue_;
 
   mutable std::mutex mu_;  ///< trainer state below
@@ -268,24 +286,13 @@ class OnlineTrainer {
   std::uint64_t version_counter_ = 0;
   std::vector<trace::Request> req_buf_;  ///< feed_locked scratch
 
-  std::atomic<std::uint64_t> observations_{0};
-  std::atomic<std::uint64_t> publishes_{0};
-  std::atomic<std::uint64_t> publish_failures_{0};
-  std::atomic<std::uint64_t> store_failures_{0};
-  std::atomic<std::uint64_t> rebuilds_{0};
-  std::atomic<std::uint64_t> regraded_sessions_{0};
-  std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::uint64_t> drift_republishes_{0};
-  std::atomic<std::uint64_t> published_version_{0};
   std::atomic<PublishTrigger> last_trigger_{PublishTrigger::kNone};
 
   std::thread thread_;
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
 
-  struct Instruments;
-  std::unique_ptr<Instruments> ins_;
-  std::uint64_t dropped_reported_ = 0;  ///< under mu_ (counter delta)
+  std::unique_ptr<Timing> timing_;
 };
 
 }  // namespace webppm::learn

@@ -1,7 +1,10 @@
 #include "net/event_loop.hpp"
 
+#include <arpa/inet.h>
 #include <fcntl.h>
+#include <netinet/in.h>
 #include <sys/eventfd.h>
+#include <sys/socket.h>
 #include <time.h>
 #include <unistd.h>
 
@@ -21,6 +24,77 @@ bool set_nonblocking(int fd) {
   return ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
+std::string errno_string() { return std::strerror(errno); }
+
+void set_socket_timeout(int fd, int opt, std::uint64_t ms) {
+  timeval tv{};
+  tv.tv_sec = static_cast<time_t>(ms / 1000);
+  tv.tv_usec = static_cast<suseconds_t>((ms % 1000) * 1000);
+  ::setsockopt(fd, SOL_SOCKET, opt, &tv, sizeof tv);
+}
+
+std::string open_listener(const std::string& host, std::uint16_t port,
+                          OwnedFd& out, std::uint16_t* bound_port) {
+  OwnedFd fd(::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
+                      0));
+  if (!fd.valid()) return "socket: " + errno_string();
+  const int one = 1;
+  ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+    return "inet_pton " + host + ": invalid address";
+  }
+  if (::bind(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
+             sizeof addr) != 0) {
+    return "bind " + host + ":" + std::to_string(port) + ": " +
+           errno_string();
+  }
+  if (::listen(fd.get(), 128) != 0) return "listen: " + errno_string();
+  sockaddr_in bound{};
+  socklen_t len = sizeof bound;
+  if (::getsockname(fd.get(), reinterpret_cast<sockaddr*>(&bound), &len) !=
+      0) {
+    return "getsockname: " + errno_string();
+  }
+  *bound_port = ntohs(bound.sin_port);
+  out = std::move(fd);
+  return {};
+}
+
+bool send_all(int fd, const void* data, std::size_t len,
+              std::string* error) {
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  std::size_t done = 0;
+  while (done < len) {
+    const ssize_t n = ::send(fd, p + done, len - done, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (error != nullptr) *error = "send: " + errno_string();
+      return false;
+    }
+    done += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+std::optional<std::string> admin_get_path(const std::string& request_line) {
+  if (request_line.rfind("GET ", 0) != 0) return std::nullopt;
+  return request_line.substr(4, request_line.find(' ', 4) - 4);
+}
+
+std::string admin_reply(const std::string& status, const std::string& body) {
+  std::string resp;
+  resp.reserve(body.size() + 128);
+  resp.append("HTTP/1.0 ").append(status).append("\r\n");
+  resp.append("Content-Type: text/plain; charset=utf-8\r\n");
+  resp.append("Content-Length: ").append(std::to_string(body.size()));
+  resp.append("\r\nConnection: close\r\n\r\n");
+  resp.append(body);
+  return resp;
+}
+
 std::uint64_t now_ms() {
   timespec ts{};
   ::clock_gettime(CLOCK_MONOTONIC, &ts);
@@ -31,12 +105,12 @@ std::uint64_t now_ms() {
 EventLoop::EventLoop() {
   epoll_.reset(::epoll_create1(EPOLL_CLOEXEC));
   if (!epoll_.valid()) {
-    error_ = std::string("epoll_create1: ") + std::strerror(errno);
+    error_ = "epoll_create1: " + errno_string();
     return;
   }
   wake_.reset(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK));
   if (!wake_.valid()) {
-    error_ = std::string("eventfd: ") + std::strerror(errno);
+    error_ = "eventfd: " + errno_string();
     return;
   }
   add(wake_.get(), EPOLLIN, wake_tag());

@@ -1,6 +1,7 @@
 // webppm::net event-loop primitives (DESIGN.md §10): a thin epoll wrapper
-// with an eventfd wake channel, an owned-fd RAII handle, and the lazy
-// timing wheel the connection idle timeout rides on.
+// with an eventfd wake channel, an owned-fd RAII handle, the lazy timing
+// wheel the connection idle timeout rides on, and the socket and admin
+// reply helpers the server, router, upstream pool and load client share.
 //
 // Ownership model: every fd is owned by exactly one thread's EventLoop —
 // the acceptor owns the listen and admin fds, each loop worker owns the
@@ -13,6 +14,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,6 +52,32 @@ class OwnedFd {
 
 /// Sets O_NONBLOCK; returns false on fcntl failure.
 bool set_nonblocking(int fd);
+
+/// strerror(errno), for error messages.
+std::string errno_string();
+
+/// Sets a blocking socket's SO_RCVTIMEO or SO_SNDTIMEO (`opt`) to `ms`.
+void set_socket_timeout(int fd, int opt, std::uint64_t ms);
+
+/// Binds a nonblocking listen socket on host:port (port 0 = ephemeral)
+/// into `out` and reports the bound port. Returns an error message, empty
+/// on success. Accepted fds do not inherit O_NONBLOCK.
+std::string open_listener(const std::string& host, std::uint16_t port,
+                          OwnedFd& out, std::uint16_t* bound_port);
+
+/// Sends all `len` bytes, retrying EINTR. MSG_NOSIGNAL: a peer that
+/// closed surfaces as EPIPE, never as a process-killing SIGPIPE. False on
+/// error, with `*error` (when given) saying why.
+bool send_all(int fd, const void* data, std::size_t len,
+              std::string* error = nullptr);
+
+/// The path of an admin request line ("GET /metrics HTTP/1.0" →
+/// "/metrics"); nullopt for any method but GET.
+std::optional<std::string> admin_get_path(const std::string& request_line);
+
+/// One HTTP/1.0 admin reply: status line, plain-text headers, `body`. The
+/// connection closes after it.
+std::string admin_reply(const std::string& status, const std::string& body);
 
 /// Monotonic milliseconds (CLOCK_MONOTONIC), the loop's time base.
 std::uint64_t now_ms();

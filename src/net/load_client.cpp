@@ -10,7 +10,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <thread>
 
@@ -21,58 +20,13 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::string errno_string() { return std::strerror(errno); }
-
-/// Blocking connect to host:port; TCP_NODELAY set (closed-loop ping-pong).
-OwnedFd connect_to(const std::string& host, std::uint16_t port,
-                   std::string* error) {
-  OwnedFd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
-  if (!fd.valid()) {
-    *error = "socket: " + errno_string();
-    return {};
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    *error = "inet_pton " + host + ": invalid address";
-    return {};
-  }
-  if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
-                sizeof addr) != 0) {
-    *error = "connect " + host + ":" + std::to_string(port) + ": " +
-             errno_string();
-    return {};
-  }
-  const int one = 1;
-  ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  return fd;
-}
-
-bool write_all(int fd, const std::uint8_t* data, std::size_t len,
-               std::string* error) {
-  std::size_t done = 0;
-  while (done < len) {
-    // MSG_NOSIGNAL: a server that drops us mid-replay (shed, shutdown)
-    // must surface as EPIPE, not kill the process with SIGPIPE.
-    const ssize_t n = ::send(fd, data + done, len - done, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      *error = "write: " + errno_string();
-      return false;
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 bool read_exact(int fd, std::uint8_t* data, std::size_t len,
                 std::string* error) {
   std::size_t done = 0;
   while (done < len) {
     const ssize_t n = ::read(fd, data + done, len - done);
     if (n == 0) {
-      *error = "connection closed by server";
+      *error = "connection closed by peer";
       return false;
     }
     if (n < 0) {
@@ -83,27 +37,6 @@ bool read_exact(int fd, std::uint8_t* data, std::size_t len,
     done += static_cast<std::size_t>(n);
   }
   return true;
-}
-
-/// Reads one full frame (header + body) into `frame`; validates the
-/// header-claimed length against the cap before reading (or sizing) the
-/// body, same discipline as the server side.
-bool read_frame(int fd, std::uint32_t max_frame_bytes,
-                std::vector<std::uint8_t>& frame, std::string* error) {
-  frame.resize(kFrameHeaderBytes);
-  if (!read_exact(fd, frame.data(), kFrameHeaderBytes, error)) return false;
-  const std::uint32_t len =
-      static_cast<std::uint32_t>(frame[0]) |
-      (static_cast<std::uint32_t>(frame[1]) << 8) |
-      (static_cast<std::uint32_t>(frame[2]) << 16) |
-      (static_cast<std::uint32_t>(frame[3]) << 24);
-  if (len == 0 || len > max_frame_bytes) {
-    *error = "response frame length " + std::to_string(len) +
-             " outside (0, " + std::to_string(max_frame_bytes) + "]";
-    return false;
-  }
-  frame.resize(kFrameHeaderBytes + len);
-  return read_exact(fd, frame.data() + kFrameHeaderBytes, len, error);
 }
 
 struct ConnOutcome {
@@ -139,7 +72,7 @@ bool charge_retry(Backoff& backoff,
 bool ensure_connected(OwnedFd& fd, const LoadClientConfig& config,
                       ConnOutcome& oc, std::string* err) {
   if (fd.valid()) return true;
-  fd = connect_to(config.host, config.port, err);
+  fd = connect_to(config.host, config.port, 0, err);
   if (!fd.valid()) return false;
   ++oc.reconnects;
   return true;
@@ -162,7 +95,7 @@ void run_conn_single(OwnedFd& fd, const LoadClientConfig& config,
     for (;;) {
       std::string err;
       if (!ensure_connected(fd, config, oc, &err) ||
-          !write_all(fd.get(), req_buf.data(), req_buf.size(), &err)) {
+          !send_all(fd.get(), req_buf.data(), req_buf.size(), &err)) {
         fd.reset();
         if (!charge_retry(backoff, attempts_left, oc, err)) return;
         continue;
@@ -233,7 +166,7 @@ void run_conn_batched(OwnedFd& fd, const LoadClientConfig& config,
     for (;;) {
       std::string err;
       if (!ensure_connected(fd, config, oc, &err) ||
-          !write_all(fd.get(), req_buf.data(), req_buf.size(), &err)) {
+          !send_all(fd.get(), req_buf.data(), req_buf.size(), &err)) {
         fd.reset();
         if (!charge_retry(backoff, attempts_left, oc, err)) return;
         continue;
@@ -309,7 +242,7 @@ void run_conn_observe(OwnedFd& fd, const LoadClientConfig& config,
     for (;;) {
       std::string err;
       if (!ensure_connected(fd, config, oc, &err) ||
-          !write_all(fd.get(), req_buf.data(), req_buf.size(), &err)) {
+          !send_all(fd.get(), req_buf.data(), req_buf.size(), &err)) {
         fd.reset();
         if (!charge_retry(backoff, attempts_left, oc, err)) return;
         continue;
@@ -366,7 +299,7 @@ LoadClientResult LoadClient::run_sharded(
   for (std::size_t i = 0; i < shards.size(); ++i) {
     threads.emplace_back([this, &shards, &outcomes, i] {
       ConnOutcome& oc = outcomes[i];
-      OwnedFd fd = connect_to(config_.host, config_.port, &oc.error);
+      OwnedFd fd = connect_to(config_.host, config_.port, 0, &oc.error);
       if (!fd.valid() && config_.max_retries == 0) return;
       if (config_.record_responses) oc.frames.reserve(shards[i].size());
       oc.latencies_us.reserve(shards[i].size());
@@ -414,18 +347,64 @@ LoadClientResult LoadClient::run_sharded(
   return res;
 }
 
+OwnedFd connect_to(const std::string& host, std::uint16_t port,
+                   std::uint64_t io_timeout_ms, std::string* error) {
+  OwnedFd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+  if (!fd.valid()) {
+    *error = "socket: " + errno_string();
+    return {};
+  }
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+    *error = "inet_pton " + host + ": invalid address";
+    return {};
+  }
+  if (io_timeout_ms != 0) {
+    set_socket_timeout(fd.get(), SO_SNDTIMEO, io_timeout_ms);
+    set_socket_timeout(fd.get(), SO_RCVTIMEO, io_timeout_ms);
+  }
+  if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
+                sizeof addr) != 0) {
+    *error = "connect " + host + ":" + std::to_string(port) + ": " +
+             errno_string();
+    return {};
+  }
+  const int one = 1;
+  ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+  return fd;
+}
+
+bool read_frame(int fd, std::uint32_t max_frame_bytes,
+                std::vector<std::uint8_t>& frame, std::string* error) {
+  frame.resize(kFrameHeaderBytes);
+  if (!read_exact(fd, frame.data(), kFrameHeaderBytes, error)) return false;
+  const std::uint32_t len =
+      static_cast<std::uint32_t>(frame[0]) |
+      (static_cast<std::uint32_t>(frame[1]) << 8) |
+      (static_cast<std::uint32_t>(frame[2]) << 16) |
+      (static_cast<std::uint32_t>(frame[3]) << 24);
+  if (len == 0 || len > max_frame_bytes) {
+    *error = "response frame length " + std::to_string(len) +
+             " outside (0, " + std::to_string(max_frame_bytes) + "]";
+    return false;
+  }
+  frame.resize(kFrameHeaderBytes + len);
+  return read_exact(fd, frame.data() + kFrameHeaderBytes, len, error);
+}
+
 std::string fetch_admin(const std::string& host, std::uint16_t port,
                         const std::string& path, std::string* error,
                         std::string* status_line) {
   std::string err;
-  OwnedFd fd = connect_to(host, port, &err);
+  OwnedFd fd = connect_to(host, port, 0, &err);
   if (!fd.valid()) {
     if (error != nullptr) *error = err;
     return {};
   }
   const std::string req = "GET " + path + " HTTP/1.0\r\n\r\n";
-  if (!write_all(fd.get(), reinterpret_cast<const std::uint8_t*>(req.data()),
-                 req.size(), &err)) {
+  if (!send_all(fd.get(), req.data(), req.size(), &err)) {
     if (error != nullptr) *error = err;
     return {};
   }

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "net/backoff.hpp"
+#include "net/event_loop.hpp"
 #include "net/wire.hpp"
 #include "trace/record.hpp"
 
@@ -124,6 +125,19 @@ class LoadClient {
  private:
   LoadClientConfig config_;
 };
+
+/// Blocking TCP connect to host:port with TCP_NODELAY (closed-loop
+/// ping-pong). A nonzero `io_timeout_ms` first sets SO_SNDTIMEO (which
+/// also bounds connect() on Linux) and SO_RCVTIMEO. Invalid fd and
+/// `*error` on failure.
+OwnedFd connect_to(const std::string& host, std::uint16_t port,
+                   std::uint64_t io_timeout_ms, std::string* error);
+
+/// Reads one whole frame (header + body) into `frame`, validating the
+/// header-claimed length against (0, max_frame_bytes] before reading (or
+/// sizing for) the body — the server's discipline on the client side.
+bool read_frame(int fd, std::uint32_t max_frame_bytes,
+                std::vector<std::uint8_t>& frame, std::string* error);
 
 /// One blocking admin-endpoint fetch ("/metrics", "/healthz"): returns the
 /// response body, or empty with `*error` set. Shared by the bench's scrape

@@ -1,13 +1,11 @@
 #include "net/server.hpp"
 
-#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
 #include <mutex>
 
 #include "fault/fault.hpp"
@@ -24,40 +22,6 @@ struct EvTag {
   enum class Kind : std::uint8_t { kListen, kAdminListen, kAdminConn, kConn };
   Kind kind;
 };
-
-std::string errno_string() { return std::strerror(errno); }
-
-/// Binds a nonblocking listen socket on host:port (port 0 = ephemeral).
-/// Returns the bound port via *bound_port; empty error string on success.
-std::string open_listener(const std::string& host, std::uint16_t port,
-                          OwnedFd& out, std::uint16_t* bound_port) {
-  OwnedFd fd(::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
-                      0));
-  if (!fd.valid()) return "socket: " + errno_string();
-  const int one = 1;
-  ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    return "inet_pton " + host + ": invalid address";
-  }
-  if (::bind(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
-             sizeof addr) != 0) {
-    return "bind " + host + ":" + std::to_string(port) + ": " +
-           errno_string();
-  }
-  if (::listen(fd.get(), 128) != 0) return "listen: " + errno_string();
-  sockaddr_in bound{};
-  socklen_t len = sizeof bound;
-  if (::getsockname(fd.get(), reinterpret_cast<sockaddr*>(&bound), &len) !=
-      0) {
-    return "getsockname: " + errno_string();
-  }
-  *bound_port = ntohs(bound.sin_port);
-  out = std::move(fd);
-  return {};
-}
 
 constexpr std::size_t kReadChunkBytes = 16 * 1024;
 constexpr std::size_t kAdminRequestCapBytes = 4 * 1024;
@@ -110,36 +74,11 @@ struct PredictServer::Worker {
               64, now_ms()) {}
 };
 
-struct PredictServer::Instruments {
-  obs::Counter* accepted;
-  obs::Counter* closed;
-  obs::Counter* requests;
-  obs::Counter* responses;
-  obs::Counter* protocol_errors;
-  obs::Counter* shed;
-  obs::Counter* slow_disconnects;
-  obs::Counter* idle_timeouts;
-  obs::Counter* accept_failures;
-  obs::Counter* short_reads;
-  obs::Counter* short_writes;
-  obs::Counter* stalls;
-  obs::Counter* admin_requests;
-  obs::Counter* batches;
-  obs::Counter* batch_entry_errors;
-  obs::Counter* responses_truncated;
-  obs::Counter* observe_frames;
-  obs::Counter* observes;
-  obs::Counter* observe_entry_errors;
-  obs::Counter* bytes_read;
-  obs::Counter* bytes_written;
-  obs::Gauge* active;
-  obs::LogHistogram* request_latency;
+struct PredictServer::Timing {
+  obs::LogHistogram& request_latency;
   // Sampled per-stage latency attribution (see kStageSampleEvery).
-  obs::LogHistogram* stage_queue;
-  obs::LogHistogram* stage_decode;
-  obs::LogHistogram* stage_predict;
-  obs::LogHistogram* stage_serialize;
-  obs::LogHistogram* stage_flush;
+  obs::LogHistogram &stage_queue, &stage_decode, &stage_predict,
+      &stage_serialize, &stage_flush;
 };
 
 Status wire_status(const serve::QueryResult& qr, std::uint8_t flags,
@@ -177,52 +116,55 @@ trace::Request to_trace_request(const WireRequest& w) {
   return r;
 }
 
+PredictServer::Counters PredictServer::register_counters(
+    obs::MetricsRegistry& reg) {
+  return Counters{
+      reg.counter("webppm_net_connections_accepted_total"),
+      reg.counter("webppm_net_connections_closed_total"),
+      reg.counter("webppm_net_requests_total"),
+      reg.counter("webppm_net_responses_total"),
+      reg.counter("webppm_net_protocol_errors_total"),
+      reg.counter("webppm_net_shed_total"),
+      reg.counter("webppm_net_slow_client_disconnects_total"),
+      reg.counter("webppm_net_idle_timeouts_total"),
+      reg.counter("webppm_net_accept_failures_total"),
+      reg.counter("webppm_net_short_reads_total"),
+      reg.counter("webppm_net_short_writes_total"),
+      reg.counter("webppm_net_stalls_total"),
+      reg.counter("webppm_net_admin_requests_total"),
+      reg.counter("webppm_net_batches_total"),
+      reg.counter("webppm_net_batch_entry_errors_total"),
+      reg.counter("webppm_net_response_truncated_total"),
+      reg.counter("webppm_net_observe_frames_total"),
+      reg.counter("webppm_net_observes_total"),
+      reg.counter("webppm_net_observe_entry_errors_total"),
+      reg.counter("webppm_net_bytes_read_total"),
+      reg.counter("webppm_net_bytes_written_total"),
+      reg.gauge("webppm_net_connections_active"),
+  };
+}
+
 PredictServer::PredictServer(serve::ModelServer& model, NetServerConfig config)
-    : model_(model), config_(std::move(config)) {
+    : model_(model),
+      config_(std::move(config)),
+      c_(register_counters(
+          obs::attached_or_owned(config_.metrics, own_metrics_))) {
   if (config_.workers == 0) config_.workers = 1;
   if (config_.max_frame_bytes == 0) config_.max_frame_bytes = kDefaultMaxFrameBytes;
   if (config_.metrics != nullptr) {
     auto& reg = *config_.metrics;
-    ins_ = std::make_unique<Instruments>(Instruments{
-        &reg.counter("webppm_net_connections_accepted_total"),
-        &reg.counter("webppm_net_connections_closed_total"),
-        &reg.counter("webppm_net_requests_total"),
-        &reg.counter("webppm_net_responses_total"),
-        &reg.counter("webppm_net_protocol_errors_total"),
-        &reg.counter("webppm_net_shed_total"),
-        &reg.counter("webppm_net_slow_client_disconnects_total"),
-        &reg.counter("webppm_net_idle_timeouts_total"),
-        &reg.counter("webppm_net_accept_failures_total"),
-        &reg.counter("webppm_net_short_reads_total"),
-        &reg.counter("webppm_net_short_writes_total"),
-        &reg.counter("webppm_net_stalls_total"),
-        &reg.counter("webppm_net_admin_requests_total"),
-        &reg.counter("webppm_net_batches_total"),
-        &reg.counter("webppm_net_batch_entry_errors_total"),
-        &reg.counter("webppm_net_response_truncated_total"),
-        &reg.counter("webppm_net_observe_frames_total"),
-        &reg.counter("webppm_net_observes_total"),
-        &reg.counter("webppm_net_observe_entry_errors_total"),
-        &reg.counter("webppm_net_bytes_read_total"),
-        &reg.counter("webppm_net_bytes_written_total"),
-        &reg.gauge("webppm_net_connections_active"),
-        &reg.histogram("webppm_net_request_latency_ns"),
-        &reg.histogram("webppm_net_stage_queue_ns"),
-        &reg.histogram("webppm_net_stage_decode_ns"),
-        &reg.histogram("webppm_net_stage_predict_ns"),
-        &reg.histogram("webppm_net_stage_serialize_ns"),
-        &reg.histogram("webppm_net_stage_flush_ns"),
+    timing_ = std::make_unique<Timing>(Timing{
+        reg.histogram("webppm_net_request_latency_ns"),
+        reg.histogram("webppm_net_stage_queue_ns"),
+        reg.histogram("webppm_net_stage_decode_ns"),
+        reg.histogram("webppm_net_stage_predict_ns"),
+        reg.histogram("webppm_net_stage_serialize_ns"),
+        reg.histogram("webppm_net_stage_flush_ns"),
     });
   }
 }
 
 PredictServer::~PredictServer() { shutdown(); }
-
-void PredictServer::count(obs::Counter* Instruments::*which,
-                          std::atomic<std::uint64_t>& exact, std::uint64_t n) {
-  exact.fetch_add(n, std::memory_order_relaxed);
-  if (ins_ != nullptr) ((*ins_).*which)->add(n);
-}
 
 bool PredictServer::start(std::string* error) {
   if (started_.exchange(true)) {
@@ -334,14 +276,14 @@ void PredictServer::handle_accept(int listen_fd) {
                              SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
-        count(&Instruments::accept_failures, accept_failures_);
+        c_.accept_failures.add();
       }
       return;
     }
     if (WEBPPM_FAULT_INJECT("net.accept")) {
       // Scripted accept failure: the kernel handed us a connection and the
       // server "fails" it — counted, closed, and visible to chaos gates.
-      count(&Instruments::accept_failures, accept_failures_);
+      c_.accept_failures.add();
       ::close(fd);
       continue;
     }
@@ -353,7 +295,8 @@ void PredictServer::handle_accept(int listen_fd) {
       continue;
     }
     if (config_.max_connections != 0 &&
-        active_.load(std::memory_order_relaxed) >= config_.max_connections) {
+        c_.active.value() >=
+            static_cast<std::int64_t>(config_.max_connections)) {
       shed_connection(fd);
       continue;
     }
@@ -377,7 +320,7 @@ void PredictServer::shed_connection(int fd) {
   [[maybe_unused]] const ssize_t n =
       ::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
   ::close(fd);
-  count(&Instruments::shed, shed_);
+  c_.shed.add();
 }
 
 void PredictServer::dispatch(int fd) {
@@ -389,9 +332,8 @@ void PredictServer::dispatch(int fd) {
     ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &config_.sndbuf_bytes,
                  sizeof config_.sndbuf_bytes);
   }
-  count(&Instruments::accepted, accepted_);
-  active_.fetch_add(1, std::memory_order_relaxed);
-  if (ins_ != nullptr) ins_->active->add(1);
+  c_.accepted.add();
+  c_.active.add(1);
   Worker& w = *workers_[next_worker_];
   next_worker_ = (next_worker_ + 1) % workers_.size();
   {
@@ -463,9 +405,8 @@ void PredictServer::worker_main(Worker& w) {
     for (const int fd : adopted) {
       if (stopping_.load(std::memory_order_acquire)) {
         ::close(fd);
-        count(&Instruments::closed, closed_);
-        active_.fetch_sub(1, std::memory_order_relaxed);
-        if (ins_ != nullptr) ins_->active->sub(1);
+        c_.closed.add();
+        c_.active.sub(1);
         continue;
       }
       auto c = std::make_unique<Connection>();
@@ -486,7 +427,7 @@ void PredictServer::worker_main(Worker& w) {
         if (it == w.conns.end()) return;  // closed since scheduling
         Connection& c = *it->second;
         if (now >= c.last_activity_ms + config_.idle_timeout_ms) {
-          count(&Instruments::idle_timeouts, idle_timeouts_);
+          c_.idle_timeouts.add();
           obs::log_event(obs::Severity::kInfo, "net.idle_timeout",
                          "connection idle past " +
                              std::to_string(config_.idle_timeout_ms) +
@@ -517,9 +458,8 @@ void PredictServer::close_conn(Worker& w, int fd) {
   w.loop.del(fd);
   ::close(fd);
   w.conns.erase(it);
-  count(&Instruments::closed, closed_);
-  active_.fetch_sub(1, std::memory_order_relaxed);
-  if (ins_ != nullptr) ins_->active->sub(1);
+  c_.closed.add();
+  c_.active.sub(1);
 }
 
 void PredictServer::conn_update_interest(Worker& w, Connection& c) {
@@ -536,7 +476,7 @@ void PredictServer::conn_readable(Worker& w, Connection& c) {
   if (WEBPPM_FAULT_INJECT("net.conn.stall")) {
     // Injected stall: skip this readiness event (a delay-mode rule already
     // slept inside the site). Level-triggered epoll re-delivers it.
-    count(&Instruments::stalls, stalls_);
+    c_.stalls.add();
     return;
   }
   std::size_t chunk = kReadChunkBytes;
@@ -545,7 +485,7 @@ void PredictServer::conn_readable(Worker& w, Connection& c) {
     // the remainder stays queued in the socket — so chaos runs stay
     // byte-identical while every partial-frame path gets exercised.
     chunk = 1;
-    count(&Instruments::short_reads, short_reads_);
+    c_.short_reads.add();
   }
   const std::size_t old = c.in.size();
   c.in.resize(old + chunk);
@@ -562,12 +502,10 @@ void PredictServer::conn_readable(Worker& w, Connection& c) {
   c.in.resize(old + static_cast<std::size_t>(n));
   c.last_activity_ms = now_ms();
   if (config_.idle_timeout_ms != 0) arm_idle(w, c);
-  if (ins_ != nullptr) {
-    ins_->bytes_read->add(static_cast<std::uint64_t>(n));
-    // Queue-stage anchor: frames parsed below queued from this instant
-    // (later frames in the same buffer queue behind the earlier ones).
-    c.read_done_ns = obs::now_ns();
-  }
+  c_.bytes_read.add(static_cast<std::uint64_t>(n));
+  // Queue-stage anchor: frames parsed below queued from this instant
+  // (later frames in the same buffer queue behind the earlier ones).
+  if (timing_ != nullptr) c.read_done_ns = obs::now_ns();
 
   conn_process_frames(c);
 
@@ -579,7 +517,7 @@ void PredictServer::conn_readable(Worker& w, Connection& c) {
       config_.max_write_queue_bytes != 0) {
     // Slow client: it keeps sending queries but is not draining responses.
     // Unbounded buffering is how servers fall over; disconnect instead.
-    count(&Instruments::slow_disconnects, slow_disconnects_);
+    c_.slow_disconnects.add();
     obs::log_event(obs::Severity::kWarn, "net.slow_client_disconnect",
                    std::to_string(c.pending_out()) +
                        " bytes queued exceeds cap " +
@@ -618,7 +556,7 @@ void PredictServer::conn_process_frames(Connection& c) {
       // Malformed input never crashes and never passes silently: one
       // structured kBadRequest answer, then drain-and-close (after a
       // framing error the byte stream has no trustworthy resync point).
-      count(&Instruments::protocol_errors, protocol_errors_);
+      c_.protocol_errors.add();
       obs::log_event(obs::Severity::kWarn, "net.protocol_error", reject);
       encode_response(Status::kBadRequest, model_.version(), {}, c.out);
       c.close_after_flush = true;
@@ -641,7 +579,7 @@ std::string PredictServer::conn_handle_query(
   // response is timed too. Its predict stage covers entry validation plus
   // the whole query_batch call. Unsampled frames pay two clock reads.
   const bool stage =
-      ins_ != nullptr && (c.stage_tick++ % kStageSampleEvery) == 0;
+      timing_ != nullptr && (c.stage_tick++ % kStageSampleEvery) == 0;
   const std::uint64_t s0 = stage ? obs::now_ns() : 0;
   // A v1 frame is a batch of one. Its decoder checks the flag bits, so an
   // unknown bit rejects the whole frame (and closes the connection) — the
@@ -652,10 +590,10 @@ std::string PredictServer::conn_handle_query(
                       : decode_batch_request(body, batch);
   if (!err.ok()) return err.reason;
 
-  const std::uint64_t q0 = ins_ != nullptr ? obs::now_ns() : 0;
+  const std::uint64_t q0 = timing_ != nullptr ? obs::now_ns() : 0;
   if (stage) {
-    if (c.read_done_ns != 0) ins_->stage_queue->record(s0 - c.read_done_ns);
-    ins_->stage_decode->record(q0 - s0);
+    if (c.read_done_ns != 0) timing_->stage_queue.record(s0 - c.read_done_ns);
+    timing_->stage_decode.record(q0 - s0);
   }
 
   // Per-entry validation the batch decoder deliberately leaves to us: an
@@ -680,7 +618,7 @@ std::string PredictServer::conn_handle_query(
   // labels every answer; version() read now could name a later publish.
   model_.query_batch(treqs, scratch);
   const std::uint64_t s2 = stage ? obs::now_ns() : 0;
-  if (stage) ins_->stage_predict->record(s2 - q0);
+  if (stage) timing_->stage_predict.record(s2 - q0);
 
   // Serialize exactly once, straight into the connection's write ring: no
   // WireResponse, no staging buffer, flushes coalesced by the ring's
@@ -709,22 +647,18 @@ std::string PredictServer::conn_handle_query(
   }
 
   const auto nsub = static_cast<std::uint64_t>(batch.size());
-  count(&Instruments::requests, requests_, nsub);
-  count(&Instruments::responses, responses_, nsub);
-  if (!v1) count(&Instruments::batches, batches_);
-  if (bad_entries != 0) {
-    count(&Instruments::batch_entry_errors, batch_entry_errors_, bad_entries);
-  }
-  if (dropped != 0) {
-    count(&Instruments::responses_truncated, responses_truncated_, dropped);
-  }
-  if (ins_ != nullptr) {
+  c_.requests.add(nsub);
+  c_.responses.add(nsub);
+  if (!v1) c_.batches.add();
+  if (bad_entries != 0) c_.batch_entry_errors.add(bad_entries);
+  if (dropped != 0) c_.responses_truncated.add(dropped);
+  if (timing_ != nullptr) {
     const std::uint64_t s3 = obs::now_ns();
     // Mean per-sub-request latency, so batched and single frames land in
     // one comparable histogram.
-    ins_->request_latency->record((s3 - q0) / nsub);
+    timing_->request_latency.record((s3 - q0) / nsub);
     if (stage) {
-      ins_->stage_serialize->record(s3 - s2);
+      timing_->stage_serialize.record(s3 - s2);
       c.stage_flush_sample = true;
     }
   }
@@ -750,13 +684,10 @@ std::string PredictServer::conn_handle_observe(
     }
     model_.observe(to_trace_request(entry));
   }
-  count(&Instruments::observe_frames, observe_frames_);
+  c_.observe_frames.add();
   const auto fed = static_cast<std::uint64_t>(obs_batch.size()) - bad_entries;
-  if (fed != 0) count(&Instruments::observes, observes_, fed);
-  if (bad_entries != 0) {
-    count(&Instruments::observe_entry_errors, observe_entry_errors_,
-          bad_entries);
-  }
+  if (fed != 0) c_.observes.add(fed);
+  if (bad_entries != 0) c_.observe_entry_errors.add(bad_entries);
   return {};
 }
 
@@ -764,11 +695,11 @@ bool PredictServer::conn_flush(Connection& c) {
   // Flush-stage attribution rides the sampled frame: the frame that timed
   // decode/predict/serialize marked the connection, and the flush pushing
   // its response out is timed here.
-  if (!c.stage_flush_sample || ins_ == nullptr) return conn_flush_impl(c);
+  if (!c.stage_flush_sample) return conn_flush_impl(c);
   c.stage_flush_sample = false;
   const std::uint64_t f0 = obs::now_ns();
   const bool ok = conn_flush_impl(c);
-  ins_->stage_flush->record(obs::now_ns() - f0);
+  timing_->stage_flush.record(obs::now_ns() - f0);
   return ok;
 }
 
@@ -781,7 +712,7 @@ bool PredictServer::conn_flush_impl(Connection& c) {
       // partial-write path runs for real, the byte stream stays intact.
       limit = 1;
       injected_short = true;
-      count(&Instruments::short_writes, short_writes_);
+      c_.short_writes.add();
     }
     // The ring hands the kernel both physical segments of the pending range
     // in one sendmsg (writev-style), so responses accumulated across many
@@ -793,9 +724,7 @@ bool PredictServer::conn_flush_impl(Connection& c) {
       }
       return false;  // broken pipe etc.
     }
-    if (ins_ != nullptr) {
-      ins_->bytes_written->add(static_cast<std::uint64_t>(n));
-    }
+    c_.bytes_written.add(static_cast<std::uint64_t>(n));
     if (injected_short) break;  // leave the remainder for EPOLLOUT
   }
   return true;
@@ -820,26 +749,20 @@ void PredictServer::conn_writable(Worker& w, Connection& c) {
 std::string PredictServer::admin_response(const std::string& request_line) {
   std::string body;
   std::string status = "200 OK";
-  const bool get = request_line.rfind("GET ", 0) == 0;
-  const std::string path =
-      get ? request_line.substr(4, request_line.find(' ', 4) - 4) : "";
-  if (!get) {
+  const auto path = admin_get_path(request_line);
+  if (!path) {
     status = "400 Bad Request";
     body = "only GET is supported\n";
-  } else if (path == "/metrics") {
+  } else if (*path == "/metrics") {
     if (config_.metrics == nullptr) {
       status = "503 Service Unavailable";
       body = "no metrics registry attached\n";
     } else {
-      if (ins_ != nullptr) {
-        ins_->active->set(
-            static_cast<std::int64_t>(active_.load(std::memory_order_relaxed)));
-      }
       // The exact same render the file reporter uses — shared code path,
       // asserted byte-identical by the exposition golden test.
       body = serve::render_metrics_exposition(model_, *config_.metrics);
     }
-  } else if (path == "/healthz") {
+  } else if (*path == "/healthz") {
     // First line: the overall state word (what a human or a `grep -q ok`
     // liveness check reads). The lines after it are the machine-parseable
     // fields the cluster prober and ShardSupervisor need — serving snapshot
@@ -872,14 +795,14 @@ std::string PredictServer::admin_response(const std::string& request_line) {
     body.append("\ndrift ").append(model_.drift_alert() ? "1" : "0");
     body.append("\ndraining ").append(draining ? "1" : "0");
     body.append("\n");
-  } else if (path == "/scoreboard") {
+  } else if (*path == "/scoreboard") {
     if (model_.scoreboard() == nullptr) {
       status = "503 Service Unavailable";
       body = "no scoreboard\n";
     } else {
       body = model_.scoreboard_json();
     }
-  } else if (path == "/snapshot") {
+  } else if (*path == "/snapshot") {
     // What is this box serving, and how big is it? One line per field so
     // `curl :port/snapshot | grep bytes` works without a JSON parser.
     const auto snap = model_.snapshot();
@@ -902,14 +825,7 @@ std::string PredictServer::admin_response(const std::string& request_line) {
     status = "404 Not Found";
     body = "unknown path\n";
   }
-  std::string resp;
-  resp.reserve(body.size() + 128);
-  resp.append("HTTP/1.0 ").append(status).append("\r\n");
-  resp.append("Content-Type: text/plain; charset=utf-8\r\n");
-  resp.append("Content-Length: ").append(std::to_string(body.size()));
-  resp.append("\r\nConnection: close\r\n\r\n");
-  resp.append(body);
-  return resp;
+  return admin_reply(status, body);
 }
 
 void PredictServer::admin_readable(AdminConn& a) {
@@ -936,7 +852,7 @@ void PredictServer::admin_readable(AdminConn& a) {
   // RST that can eat the response.
   if (a.in.find("\r\n\r\n") == std::string::npos) return;
   const auto eol = a.in.find("\r\n");
-  count(&Instruments::admin_requests, admin_requests_);
+  c_.admin_requests.add();
   a.out = admin_response(a.in.substr(0, eol));
   a.out_pos = 0;
   admin_writable(a);

@@ -33,7 +33,8 @@
 // GET /scoreboard returns the prediction-quality scoreboard JSON
 // (serve::ModelServer::scoreboard_json; 503 when not armed).
 //
-// Stage attribution: 1 in kStageSampleEvery frames per connection times
+// Stage attribution (attached registry only; a detached server reads no
+// clock): 1 in kStageSampleEvery frames per connection times
 // each hot-path stage — queue (read() return → frame pickup), decode,
 // predict (the model_ call; its shard-lock wait is already broken out as
 // webppm_serve_shard_lock_wait_ns), serialize, and the following flush —
@@ -83,8 +84,9 @@ struct NetServerConfig {
   int sndbuf_bytes = 0;
   /// Flush budget of the drain-then-stop shutdown.
   std::uint64_t drain_timeout_ms = 1'000;
-  /// Non-null attaches webppm_net_* metrics (counters mirror the exact
-  /// atomic accessors below; plus the request-latency histogram).
+  /// The registry the webppm_net_* counters live in (null: a private one,
+  /// so the accessors below count either way). Attached, it also gets the
+  /// request-latency and stage histograms and serves GET /metrics.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -138,37 +140,38 @@ class PredictServer {
 
   const NetServerConfig& config() const { return config_; }
 
-  // Exact counters, maintained whether or not a registry is attached (the
-  // attached webppm_net_* metrics mirror them one-to-one).
-  std::uint64_t accepted() const { return accepted_.load(std::memory_order_relaxed); }
-  std::uint64_t closed() const { return closed_.load(std::memory_order_relaxed); }
-  std::size_t active_connections() const { return active_.load(std::memory_order_relaxed); }
-  std::uint64_t requests() const { return requests_.load(std::memory_order_relaxed); }
-  std::uint64_t responses() const { return responses_.load(std::memory_order_relaxed); }
-  std::uint64_t protocol_errors() const { return protocol_errors_.load(std::memory_order_relaxed); }
-  std::uint64_t shed() const { return shed_.load(std::memory_order_relaxed); }
-  std::uint64_t slow_client_disconnects() const { return slow_disconnects_.load(std::memory_order_relaxed); }
-  std::uint64_t idle_timeouts() const { return idle_timeouts_.load(std::memory_order_relaxed); }
-  std::uint64_t accept_failures() const { return accept_failures_.load(std::memory_order_relaxed); }
-  std::uint64_t short_reads() const { return short_reads_.load(std::memory_order_relaxed); }
-  std::uint64_t short_writes() const { return short_writes_.load(std::memory_order_relaxed); }
-  std::uint64_t stalls() const { return stalls_.load(std::memory_order_relaxed); }
-  std::uint64_t admin_requests() const { return admin_requests_.load(std::memory_order_relaxed); }
+  // Exact counts, each read back from its one webppm_net_* counter.
+  std::uint64_t accepted() const { return c_.accepted.value(); }
+  std::uint64_t closed() const { return c_.closed.value(); }
+  std::size_t active_connections() const {
+    return static_cast<std::size_t>(c_.active.value());
+  }
+  std::uint64_t requests() const { return c_.requests.value(); }
+  std::uint64_t responses() const { return c_.responses.value(); }
+  std::uint64_t protocol_errors() const { return c_.protocol_errors.value(); }
+  std::uint64_t shed() const { return c_.shed.value(); }
+  std::uint64_t slow_client_disconnects() const { return c_.slow_disconnects.value(); }
+  std::uint64_t idle_timeouts() const { return c_.idle_timeouts.value(); }
+  std::uint64_t accept_failures() const { return c_.accept_failures.value(); }
+  std::uint64_t short_reads() const { return c_.short_reads.value(); }
+  std::uint64_t short_writes() const { return c_.short_writes.value(); }
+  std::uint64_t stalls() const { return c_.stalls.value(); }
+  std::uint64_t admin_requests() const { return c_.admin_requests.value(); }
   /// v2 batch frames served (each counts its sub-requests in requests()).
-  std::uint64_t batches() const { return batches_.load(std::memory_order_relaxed); }
+  std::uint64_t batches() const { return c_.batches.value(); }
   /// Batch sub-entries answered kBadRequest in their slot (unknown flag
   /// bits) — the batch and connection survive.
-  std::uint64_t batch_entry_errors() const { return batch_entry_errors_.load(std::memory_order_relaxed); }
+  std::uint64_t batch_entry_errors() const { return c_.batch_entry_errors.value(); }
   /// Predictions dropped by the u16 per-response count clamp.
-  std::uint64_t responses_truncated() const { return responses_truncated_.load(std::memory_order_relaxed); }
+  std::uint64_t responses_truncated() const { return c_.responses_truncated.value(); }
   /// v3 observe frames served (no response is written for them).
-  std::uint64_t observe_frames() const { return observe_frames_.load(std::memory_order_relaxed); }
+  std::uint64_t observe_frames() const { return c_.observe_frames.value(); }
   /// Observe-frame entries fed into ModelServer::observe.
-  std::uint64_t observes() const { return observes_.load(std::memory_order_relaxed); }
+  std::uint64_t observes() const { return c_.observes.value(); }
   /// Observe-frame entries skipped for unknown flag bits (the frame and
   /// connection survive, like a bad batch slot — but with no response to
   /// degrade, the entry is counted and dropped).
-  std::uint64_t observe_entry_errors() const { return observe_entry_errors_.load(std::memory_order_relaxed); }
+  std::uint64_t observe_entry_errors() const { return c_.observe_entry_errors.value(); }
 
  private:
   struct Worker;
@@ -209,12 +212,24 @@ class PredictServer {
   std::string admin_response(const std::string& request_line);
   void close_admin(int fd);
 
-  struct Instruments;
-  void count(obs::Counter* Instruments::*which,
-             std::atomic<std::uint64_t>& exact, std::uint64_t n = 1);
+  /// The webppm_net_* counters and the live-connection gauge.
+  struct Counters {
+    obs::Counter &accepted, &closed, &requests, &responses, &protocol_errors,
+        &shed, &slow_disconnects, &idle_timeouts, &accept_failures,
+        &short_reads, &short_writes, &stalls, &admin_requests, &batches,
+        &batch_entry_errors, &responses_truncated, &observe_frames,
+        &observes, &observe_entry_errors, &bytes_read, &bytes_written;
+    obs::Gauge& active;
+  };
+  static Counters register_counters(obs::MetricsRegistry& reg);
+  /// Latency histograms; present only with an attached registry.
+  struct Timing;
 
   serve::ModelServer& model_;
   NetServerConfig config_;
+  std::unique_ptr<obs::MetricsRegistry> own_metrics_;
+  Counters c_;
+  std::unique_ptr<Timing> timing_;
 
   OwnedFd listen_fd_{};
   OwnedFd admin_fd_{};
@@ -232,16 +247,6 @@ class PredictServer {
   std::atomic<bool> started_{false};
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
-
-  std::atomic<std::uint64_t> accepted_{0}, closed_{0}, requests_{0},
-      responses_{0}, protocol_errors_{0}, shed_{0}, slow_disconnects_{0},
-      idle_timeouts_{0}, accept_failures_{0}, short_reads_{0},
-      short_writes_{0}, stalls_{0}, admin_requests_{0}, batches_{0},
-      batch_entry_errors_{0}, responses_truncated_{0}, observe_frames_{0},
-      observes_{0}, observe_entry_errors_{0};
-  std::atomic<std::size_t> active_{0};
-
-  std::unique_ptr<Instruments> ins_;
 };
 
 }  // namespace webppm::net

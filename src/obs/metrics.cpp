@@ -206,6 +206,13 @@ std::string MetricsRegistry::json_text() const {
   return ss.str();
 }
 
+MetricsRegistry& attached_or_owned(MetricsRegistry* attached,
+                                   std::unique_ptr<MetricsRegistry>& owned) {
+  if (attached != nullptr) return *attached;
+  if (owned == nullptr) owned = std::make_unique<MetricsRegistry>();
+  return *owned;
+}
+
 MetricsRegistry& registry() {
   static MetricsRegistry reg;
   return reg;

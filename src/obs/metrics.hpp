@@ -15,10 +15,13 @@
 //     relaxed per-cell snapshot (monitoring-grade consistency, no locks on
 //     the recording side).
 //
-// Disabling: metrics are off at runtime by not attaching a registry — every
-// instrumented path gates on a null pointer test. The WEBPPM_TRACE span
-// macro (trace_event.hpp) additionally compiles to nothing under
-// -DWEBPPM_OBS_DISABLED.
+// One source per count: an object whose accessors report counts keeps
+// each count once, as a Counter in a registry — the attached one, or a
+// private one it owns when none is attached (attached_or_owned below) —
+// and its accessors read that counter back. Only sampled timing
+// (histograms, stage clocks, lock-contention probes) needs an attached
+// registry, so a detached object reads no clock. The WEBPPM_TRACE span
+// macro (trace_event.hpp) compiles to nothing under -DWEBPPM_OBS_DISABLED.
 #pragma once
 
 #include <array>
@@ -210,6 +213,12 @@ class MetricsRegistry {
   // unique_ptr so references never move.
   std::map<std::string, Entry, std::less<>> metrics_;
 };
+
+/// The registry an object with count accessors counts into: `attached`
+/// when non-null, else the private registry in `owned` (created on the
+/// first call).
+MetricsRegistry& attached_or_owned(MetricsRegistry* attached,
+                                   std::unique_ptr<MetricsRegistry>& owned);
 
 /// Process-wide default registry (created on first use). Modules accept an
 /// explicit registry pointer; this is the conventional one for tools that

@@ -17,12 +17,14 @@ std::string render_metrics_exposition(ModelServer& server,
 MetricsReporter::MetricsReporter(ModelServer& server,
                                  obs::MetricsRegistry& registry,
                                  Options options)
-    : server_(server), registry_(registry), options_(std::move(options)) {
+    : server_(server),
+      registry_(registry),
+      options_(std::move(options)),
+      ticks_(registry_.counter("webppm_serve_report_ticks_total")),
+      failures_(registry_.counter("webppm_serve_report_failures_total")) {
   if (options_.interval.count() < 1) {
     options_.interval = std::chrono::milliseconds(1);
   }
-  failures_counter_ =
-      &registry_.counter("webppm_serve_report_failures_total");
   thread_ = std::thread([this] { run(); });
 }
 
@@ -74,16 +76,16 @@ void MetricsReporter::report() {
     // .tmp so a recovering disk isn't left with half-written litter.
     if (!ok) {
       std::remove(tmp.c_str());
-      if (report_failures_.fetch_add(1, std::memory_order_relaxed) == 0) {
+      if (failures_.value() == 0) {
         obs::log_event(obs::Severity::kWarn, "serve.report_write_failed",
                        "cannot rewrite " + options_.path +
                            "; keeping last-good exposition");
       }
-      failures_counter_->add();
+      failures_.add();
     }
   }
   if (options_.sink) options_.sink(text);
-  ticks_.fetch_add(1, std::memory_order_relaxed);
+  ticks_.add();
 }
 
 }  // namespace webppm::serve

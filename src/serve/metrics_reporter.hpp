@@ -58,17 +58,15 @@ class MetricsReporter {
   /// Runs one report synchronously on the caller's thread.
   void tick_now();
 
-  std::uint64_t ticks() const {
-    return ticks_.load(std::memory_order_relaxed);
-  }
+  /// Reports emitted (webppm_serve_report_ticks_total; a report shows the
+  /// count before its own tick).
+  std::uint64_t ticks() const { return ticks_.value(); }
 
   /// Report ticks that failed to rewrite the target file (write error or
-  /// rename failure). The last successfully written exposition stays in
-  /// place — a scraper keeps seeing the last-good text, never a torn file.
-  /// Also counted as webppm_serve_report_failures_total in the registry.
-  std::uint64_t report_failures() const {
-    return report_failures_.load(std::memory_order_relaxed);
-  }
+  /// rename failure; webppm_serve_report_failures_total). The last
+  /// successfully written exposition stays in place — a scraper keeps
+  /// seeing the last-good text, never a torn file.
+  std::uint64_t report_failures() const { return failures_.value(); }
 
  private:
   void run();
@@ -81,9 +79,8 @@ class MetricsReporter {
   std::mutex mu_;
   std::condition_variable cv_;
   bool stop_ = false;
-  std::atomic<std::uint64_t> ticks_{0};
-  std::atomic<std::uint64_t> report_failures_{0};
-  obs::Counter* failures_counter_ = nullptr;  ///< resolved in the ctor
+  obs::Counter& ticks_;
+  obs::Counter& failures_;
   std::thread thread_;
 };
 

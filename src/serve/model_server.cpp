@@ -101,7 +101,30 @@ std::shared_ptr<const Snapshot> load_snapshot(
   return load_snapshot_ex(in, std::move(popularity), version).snapshot;
 }
 
-ModelServer::ModelServer(const ModelServerConfig& config) : config_(config) {
+ModelServer::Counters ModelServer::register_counters(
+    obs::MetricsRegistry& reg) {
+  return Counters{
+      reg.counter("webppm_serve_queries_total"),
+      reg.counter("webppm_serve_publish_total"),
+      reg.counter("webppm_serve_sessionizer_evictions_total"),
+      reg.counter("webppm_serve_degraded_queries_total"),
+      reg.counter("webppm_serve_degraded_shed_total"),
+      reg.counter("webppm_serve_fault_query_rejected_total"),
+      reg.counter("webppm_serve_degraded_transitions_total"),
+      reg.counter("webppm_serve_observes_total"),
+      reg.gauge("webppm_serve_snapshot_version"),
+      reg.gauge("webppm_serve_snapshot_generations_live"),
+      reg.gauge("webppm_serve_retired_snapshot_refs"),
+      reg.gauge("webppm_serve_clients"),
+      reg.gauge("webppm_serve_degraded_mode"),
+      reg.gauge("webppm_serve_snapshot_bytes"),
+  };
+}
+
+ModelServer::ModelServer(const ModelServerConfig& config)
+    : config_(config),
+      metrics_(obs::attached_or_owned(config_.metrics, own_metrics_)),
+      c_(register_counters(metrics_)) {
   if (config_.shards == 0) config_.shards = 1;
   if (config_.latency_sample_every == 0) config_.latency_sample_every = 1;
   shards_.reserve(config_.shards);
@@ -109,7 +132,7 @@ ModelServer::ModelServer(const ModelServerConfig& config) : config_(config) {
     shards_.push_back(std::make_unique<Shard>(config_));
   }
   if (config_.scoreboard.enabled) {
-    sb_ = std::make_unique<Scoreboard>(config_.scoreboard, config_.metrics);
+    sb_ = std::make_unique<Scoreboard>(config_.scoreboard, &metrics_);
     // Rings idle past the sessionizer's eviction horizon go with it; the
     // sweep itself clamps to >= the validity window, so sweep timing never
     // changes outcome counts (see Scoreboard::sweep).
@@ -122,23 +145,10 @@ ModelServer::ModelServer(const ModelServerConfig& config) : config_(config) {
   }
   if (config_.metrics != nullptr) {
     auto& reg = *config_.metrics;
-    ins_ = std::make_unique<Instruments>(Instruments{
-        &reg.counter("webppm_serve_queries_total"),
-        &reg.counter("webppm_serve_publish_total"),
-        &reg.counter("webppm_serve_sessionizer_evictions_total"),
-        &reg.counter("webppm_serve_shard_lock_contended_total"),
-        &reg.counter("webppm_serve_degraded_queries_total"),
-        &reg.counter("webppm_serve_degraded_shed_total"),
-        &reg.counter("webppm_serve_fault_query_rejected_total"),
-        &reg.counter("webppm_serve_degraded_transitions_total"),
-        &reg.gauge("webppm_serve_snapshot_version"),
-        &reg.gauge("webppm_serve_snapshot_generations_live"),
-        &reg.gauge("webppm_serve_retired_snapshot_refs"),
-        &reg.gauge("webppm_serve_clients"),
-        &reg.gauge("webppm_serve_degraded_mode"),
-        &reg.gauge("webppm_serve_snapshot_bytes"),
-        &reg.histogram("webppm_serve_query_latency_ns"),
-        &reg.histogram("webppm_serve_shard_lock_wait_ns"),
+    timing_ = std::make_unique<Timing>(Timing{
+        reg.counter("webppm_serve_shard_lock_contended_total"),
+        reg.histogram("webppm_serve_query_latency_ns"),
+        reg.histogram("webppm_serve_shard_lock_wait_ns"),
     });
   }
 }
@@ -171,23 +181,18 @@ void ModelServer::publish(std::shared_ptr<const Snapshot> snap) {
                          "fallback (published snapshot has no full model)"
                        : "exited degraded mode: full model restored");
   }
-  if (ins_ != nullptr) {
-    ins_->publishes->add();
-    ins_->snapshot_version->set(static_cast<std::int64_t>(version));
-    ins_->degraded_mode->set(degraded_now ? 1 : 0);
-    if (transitioned) ins_->degraded_transitions->add();
-  }
+  c_.publishes.add();
+  c_.snapshot_version.set(static_cast<std::int64_t>(version));
+  c_.degraded_mode.set(degraded_now ? 1 : 0);
+  if (transitioned) c_.degraded_transitions.add();
   update_generation_metrics();
   // `old` destroyed here — a whole model, intentionally outside every lock.
 }
 
 void ModelServer::update_generation_metrics() {
   const std::size_t live = snapshot_generations_live();
-  if (ins_ != nullptr) {
-    ins_->generations_live->set(static_cast<std::int64_t>(live));
-    ins_->retired_refs->set(
-        static_cast<std::int64_t>(retired_snapshot_refs()));
-  }
+  c_.generations_live.set(static_cast<std::int64_t>(live));
+  c_.retired_refs.set(static_cast<std::int64_t>(retired_snapshot_refs()));
   if (live > 2) {
     obs::log_event(obs::Severity::kWarn, "serve.snapshot_generations_live",
                    std::to_string(live) +
@@ -293,10 +298,7 @@ void ModelServer::query_batch(std::span<const trace::Request> reqs,
     lo = std::min(lo, s);
     hi = std::max(hi, s + 1);
   }
-  if (fault_rejected != 0) {
-    fault_rejected_.fetch_add(fault_rejected, std::memory_order_relaxed);
-    if (ins_ != nullptr) ins_->fault_rejected->add(fault_rejected);
-  }
+  if (fault_rejected != 0) c_.fault_rejected.add(fault_rejected);
 
   // Stable counting sort by shard: `order` lists the admitted request
   // indices grouped by shard with request order preserved inside each
@@ -347,10 +349,7 @@ void ModelServer::query_batch(std::span<const trace::Request> reqs,
       }
     }
   }
-  if (shed_total != 0) {
-    shed_.fetch_add(shed_total, std::memory_order_relaxed);
-    if (ins_ != nullptr) ins_->shed->add(shed_total);
-  }
+  if (shed_total != 0) c_.shed.add(shed_total);
 
   // Full service needs both the model and an admitted context; a shed
   // client or a degraded (fallback-only) snapshot falls back to the
@@ -360,12 +359,11 @@ void ModelServer::query_batch(std::span<const trace::Request> reqs,
   auto& preds_tmp = scratch.preds_tmp;
   for (std::size_t i = 0; i < n; ++i) {
     if (shard_index[i] == kSkip) continue;
-    // Latency is sampled (default 1-in-64) so the common path pays no
-    // clock reads; counters stay exact via the queries_ atomic, exported on
-    // refresh_gauges(). The cadence advances once per admitted entry,
-    // however the requests are batched, so every batching samples the same
-    // queries.
-    const bool sample = ins_ != nullptr && sample_latency_now();
+    // Latency is sampled (default 1-in-64, attached registry only) so the
+    // common path pays no clock reads; the counters stay exact. The cadence
+    // advances once per admitted entry, however the requests are batched,
+    // so every batching samples the same queries.
+    const bool sample = timing_ != nullptr && sample_latency_now();
     if (snap == nullptr) continue;
     auto& item = scratch.items[i];
     const ppm::Predictor* predictor =
@@ -388,7 +386,7 @@ void ModelServer::query_batch(std::span<const trace::Request> reqs,
       predictor->predict(ctx, preds_tmp);
       pool.insert(pool.end(), preds_tmp.begin(), preds_tmp.end());
     }
-    if (sample) ins_->query_latency->record(obs::now_ns() - p0);
+    if (sample) timing_->query_latency.record(obs::now_ns() - p0);
     item.count = static_cast<std::uint32_t>(pool.size()) - item.first;
     item.result.predicted = true;
     item.result.served = predictor == snap->model.get() ? ServedBy::kModel
@@ -396,11 +394,8 @@ void ModelServer::query_batch(std::span<const trace::Request> reqs,
     if (item.result.served == ServedBy::kFallback) ++degraded;
     ++predicted;
   }
-  queries_.fetch_add(predicted, std::memory_order_relaxed);
-  if (degraded != 0) {
-    degraded_queries_.fetch_add(degraded, std::memory_order_relaxed);
-    if (ins_ != nullptr) ins_->degraded_queries->add(degraded);
-  }
+  c_.queries.add(predicted);
+  if (degraded != 0) c_.degraded_queries.add(degraded);
 
   // Scoreboard pass, re-taking each touched shard's lock after the
   // lock-free predict: score each request against its client's
@@ -490,7 +485,7 @@ std::uint64_t ModelServer::drift_alert_epoch() const {
 
 void ModelServer::observe(const trace::Request& r) {
   if (RequestObserver* obs = observer(); obs != nullptr) obs->on_request(r);
-  observes_.fetch_add(1, std::memory_order_relaxed);
+  c_.observes.add();
   // Error requests reach the observer (the log includes them) but never
   // touch session state — the same admission rule query_batch applies.
   if (config_.session.skip_errors && r.status >= 400) return;
@@ -510,14 +505,10 @@ void ModelServer::observe(const trace::Request& r) {
                    snap != nullptr ? &snap->popularity : nullptr);
     }
   }
-  if (shed) {
-    shed_.fetch_add(1, std::memory_order_relaxed);
-    if (ins_ != nullptr) ins_->shed->add();
-  }
+  if (shed) c_.shed.add();
 }
 
 void ModelServer::refresh_gauges() {
-  if (ins_ == nullptr) return;
   std::size_t clients = 0;
   std::uint64_t evicted = 0;
   std::size_t rings = 0;
@@ -527,26 +518,22 @@ void ModelServer::refresh_gauges() {
     evicted += sh->contexts.evicted_total();
     rings += sh->sb.ring_count();
   }
-  ins_->clients->set(static_cast<std::int64_t>(clients));
+  c_.clients.set(static_cast<std::int64_t>(clients));
   if (sb_ != nullptr) sb_->publish_metrics(rings);
 
-  const std::uint64_t queries = queries_.load(std::memory_order_relaxed);
   std::uint64_t evict_delta = 0;
-  std::uint64_t query_delta = 0;
   {
     std::lock_guard lock(gen_mu_);
     evict_delta = evicted - evictions_reported_;
     evictions_reported_ = evicted;
-    query_delta = queries - queries_reported_;
-    queries_reported_ = queries;
   }
-  if (evict_delta != 0) ins_->evictions->add(evict_delta);
-  if (query_delta != 0) ins_->queries->add(query_delta);
-  ins_->snapshot_version->set(static_cast<std::int64_t>(version()));
-  ins_->degraded_mode->set(degraded() ? 1 : 0);
+  if (evict_delta != 0) c_.evictions.add(evict_delta);
   {
     const auto snap = snap_.load();
-    ins_->snapshot_bytes->set(
+    c_.snapshot_version.set(
+        snap == nullptr ? 0 : static_cast<std::int64_t>(snap->version));
+    c_.degraded_mode.set(snap != nullptr && snap->degraded() ? 1 : 0);
+    c_.snapshot_bytes.set(
         snap == nullptr ? 0
                         : static_cast<std::int64_t>(snap->storage_bytes()));
   }

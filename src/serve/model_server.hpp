@@ -169,12 +169,13 @@ struct ModelServerConfig {
   /// fallback (degraded service) instead of growing the table. Known
   /// clients keep full service — the cap only refuses new admissions.
   std::size_t max_clients_per_shard = 0;
-  /// Observability. Non-null attaches webppm_serve_* metrics: query/publish
-  /// counters, a sampled query-latency histogram, shard-lock contention,
-  /// snapshot-generation gauges, sessionizer eviction totals, and the
-  /// degradation/fault counters. Null (the default) leaves the query path
-  /// byte-identical to the uninstrumented server — the overhead bench
-  /// asserts the attached cost < 3%.
+  /// The registry the webppm_serve_* counters and gauges live in: query,
+  /// publish, degradation, fault and observe counts, snapshot-generation
+  /// gauges, sessionizer eviction totals. Null gives the server a private
+  /// one, so the count accessors below work either way. Only an attached
+  /// registry gets the sampled query-latency histogram and the shard-lock
+  /// contention probe, so a detached server reads no clock — the overhead
+  /// bench asserts the attached cost < 3%.
   obs::MetricsRegistry* metrics = nullptr;
   /// Record one query-latency sample every N queries (>= 1, 1 = every
   /// query). Sampling keeps the two clock reads off the common path;
@@ -185,8 +186,8 @@ struct ModelServerConfig {
   /// Prediction-outcome scoreboard (DESIGN.md §13). Disabled by default:
   /// nothing is allocated and the query path is unchanged. When enabled,
   /// ring state lives in the context shards (under the shard mutexes) and
-  /// the webppm_serve_scoreboard_* metrics register into `metrics` when
-  /// one is attached. Scoring never changes predictions — the serve bench
+  /// the webppm_serve_scoreboard_* metrics register into the server's
+  /// registry. Scoring never changes predictions — the serve bench
   /// gates byte identity with the scoreboard armed.
   ScoreboardOptions scoreboard;
 };
@@ -304,24 +305,20 @@ class ModelServer {
                    BatchQueryScratch& scratch);
 
   /// Total query calls that produced a prediction pass (full or degraded).
-  std::uint64_t query_count() const {
-    return queries_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t query_count() const { return c_.queries.value(); }
 
   /// Queries answered by the popularity fallback (degraded snapshot or
   /// shed client).
   std::uint64_t degraded_query_count() const {
-    return degraded_queries_.load(std::memory_order_relaxed);
+    return c_.degraded_queries.value();
   }
 
   /// Queries from unseen clients refused by the per-shard client cap.
-  std::uint64_t shed_count() const {
-    return shed_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t shed_count() const { return c_.shed.value(); }
 
   /// Queries refused by an injected "serve.query" fault.
   std::uint64_t fault_rejected_count() const {
-    return fault_rejected_.load(std::memory_order_relaxed);
+    return c_.fault_rejected.value();
   }
 
   /// Client contexts currently held (sums all shards; locks each briefly).
@@ -342,9 +339,9 @@ class ModelServer {
   std::size_t retired_snapshot_refs() const;
 
   /// Re-derives the metrics that are summaries of server state (client
-  /// count, eviction totals, query totals, snapshot generations) into the
-  /// attached registry. Cheap but shard-locking — call it from a reporter
-  /// tick, not the query path. No-op without an attached registry.
+  /// count, eviction totals, snapshot generations and bytes) into the
+  /// registry. Cheap but shard-locking — call it from a reporter tick, not
+  /// the query path. Counts need no refresh: they are counted in place.
   void refresh_gauges();
 
   /// The prediction-outcome scoreboard; nullptr unless
@@ -399,9 +396,7 @@ class ModelServer {
   void observe(const trace::Request& r);
 
   /// Requests fed through observe() (including skipped error requests).
-  std::uint64_t observe_count() const {
-    return observes_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t observe_count() const { return c_.observes.value(); }
 
   const ModelServerConfig& config() const { return config_; }
 
@@ -429,12 +424,12 @@ class ModelServer {
   /// fast path records nothing: try_lock success costs the same as a
   /// plain lock.
   void lock_shard(Shard& sh) {
-    if (ins_ != nullptr && !sh.mu.try_lock()) {
+    if (timing_ != nullptr && !sh.mu.try_lock()) {
       const std::uint64_t w0 = obs::now_ns();
       sh.mu.lock();
-      ins_->shard_lock_wait->record(obs::now_ns() - w0);
-      ins_->shard_lock_contended->add();
-    } else if (ins_ == nullptr) {
+      timing_->shard_lock_wait.record(obs::now_ns() - w0);
+      timing_->shard_lock_contended.add();
+    } else if (timing_ == nullptr) {
       sh.mu.lock();
     }
   }
@@ -465,24 +460,19 @@ class ModelServer {
   };
 
   /// Registry handles resolved once at construction so the query path
-  /// never does a name lookup. Present only when config.metrics != null.
-  struct Instruments {
-    obs::Counter* queries;
-    obs::Counter* publishes;
-    obs::Counter* evictions;
-    obs::Counter* shard_lock_contended;
-    obs::Counter* degraded_queries;
-    obs::Counter* shed;
-    obs::Counter* fault_rejected;
-    obs::Counter* degraded_transitions;
-    obs::Gauge* snapshot_version;
-    obs::Gauge* generations_live;
-    obs::Gauge* retired_refs;
-    obs::Gauge* clients;
-    obs::Gauge* degraded_mode;
-    obs::Gauge* snapshot_bytes;
-    obs::LogHistogram* query_latency;
-    obs::LogHistogram* shard_lock_wait;
+  /// never does a name lookup: every count and gauge, in the attached
+  /// registry or the server's own.
+  struct Counters {
+    obs::Counter &queries, &publishes, &evictions, &degraded_queries, &shed,
+        &fault_rejected, &degraded_transitions, &observes;
+    obs::Gauge &snapshot_version, &generations_live, &retired_refs, &clients,
+        &degraded_mode, &snapshot_bytes;
+  };
+  static Counters register_counters(obs::MetricsRegistry& reg);
+  /// Sampled timing and the contention probe: attached registry only.
+  struct Timing {
+    obs::Counter& shard_lock_contended;
+    obs::LogHistogram &query_latency, &shard_lock_wait;
   };
 
   /// True every config.latency_sample_every-th query *of this server* —
@@ -498,17 +488,15 @@ class ModelServer {
   void update_generation_metrics();
 
   ModelServerConfig config_;
+  std::unique_ptr<obs::MetricsRegistry> own_metrics_;
+  obs::MetricsRegistry& metrics_;  ///< attached, else own_metrics_
+  Counters c_;
+  std::unique_ptr<Timing> timing_;
   std::vector<std::unique_ptr<Shard>> shards_;
   SnapshotSlot snap_;
   std::atomic<RequestObserver*> observer_{nullptr};
-  std::atomic<std::uint64_t> observes_{0};
-  std::atomic<std::uint64_t> queries_{0};
-  std::atomic<std::uint64_t> degraded_queries_{0};
-  std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> fault_rejected_{0};
   std::atomic<std::uint32_t> latency_tick_{0};
 
-  std::unique_ptr<Instruments> ins_;
   std::unique_ptr<Scoreboard> sb_;  ///< null unless scoreboard.enabled
   TimeSec sb_sweep_horizon_ = 0;    ///< idle horizon handed to sb_->sweep
 
@@ -519,7 +507,6 @@ class ModelServer {
   std::vector<std::weak_ptr<const Snapshot>> retired_;
   bool degraded_mode_ = false;            ///< under gen_mu_ (publish state)
   std::uint64_t evictions_reported_ = 0;  ///< under gen_mu_ (counter delta)
-  std::uint64_t queries_reported_ = 0;    ///< under gen_mu_ (counter delta)
 };
 
 }  // namespace webppm::serve

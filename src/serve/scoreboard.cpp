@@ -84,18 +84,6 @@ DriftWatch::State DriftWatch::state() const {
 // ---------------------------------------------------------------------------
 // Scoreboard
 
-struct Scoreboard::Owned {
-  obs::Counter requests, untracked;
-  obs::Counter issued, hits, expired, evicted, superseded, unresolved;
-  obs::Counter fb_issued, fb_hits, fb_expired, fb_evicted, fb_superseded,
-      fb_unresolved;
-  std::array<obs::Counter, popularity::kGradeCount> grade_issued;
-  std::array<obs::Counter, popularity::kGradeCount> grade_hits;
-  obs::LogHistogram hit_lag;
-};
-
-Scoreboard::~Scoreboard() = default;
-
 Scoreboard::Scoreboard(const ScoreboardOptions& opt,
                        obs::MetricsRegistry* metrics)
     : opt_(opt),
@@ -106,56 +94,39 @@ Scoreboard::Scoreboard(const ScoreboardOptions& opt,
   if (opt_.ring_capacity == 0) opt_.ring_capacity = 1;
   if (opt_.track_top_k == 0) opt_.track_top_k = 1;
   if (opt_.window_sec == 0) opt_.window_sec = 1;
-  if (metrics != nullptr) {
-    auto& reg = *metrics;
-    requests_ = &reg.counter("webppm_serve_scoreboard_requests_total");
-    untracked_ = &reg.counter("webppm_serve_scoreboard_untracked_total");
-    model_ = ClassCounters{
-        &reg.counter("webppm_serve_scoreboard_issued_total"),
-        &reg.counter("webppm_serve_scoreboard_hits_total"),
-        &reg.counter("webppm_serve_scoreboard_expired_total"),
-        &reg.counter("webppm_serve_scoreboard_evicted_total"),
-        &reg.counter("webppm_serve_scoreboard_superseded_total"),
-        &reg.counter("webppm_serve_scoreboard_unresolved_total"),
-    };
-    fallback_ = ClassCounters{
-        &reg.counter("webppm_serve_scoreboard_fallback_issued_total"),
-        &reg.counter("webppm_serve_scoreboard_fallback_hits_total"),
-        &reg.counter("webppm_serve_scoreboard_fallback_expired_total"),
-        &reg.counter("webppm_serve_scoreboard_fallback_evicted_total"),
-        &reg.counter("webppm_serve_scoreboard_fallback_superseded_total"),
-        &reg.counter("webppm_serve_scoreboard_fallback_unresolved_total"),
-    };
-    for (int g = 0; g < popularity::kGradeCount; ++g) {
-      const std::string base =
-          "webppm_serve_scoreboard_grade" + std::to_string(g);
-      grade_issued_[static_cast<std::size_t>(g)] =
-          &reg.counter(base + "_issued_total");
-      grade_hits_[static_cast<std::size_t>(g)] =
-          &reg.counter(base + "_hits_total");
-    }
-    hit_lag_ = &reg.histogram("webppm_serve_scoreboard_hit_lag_seconds");
-    precision_gauge_ = &reg.gauge("webppm_serve_scoreboard_precision_ppm");
-    usefulness_gauge_ = &reg.gauge("webppm_serve_scoreboard_usefulness_ppm");
-    rings_gauge_ = &reg.gauge("webppm_serve_scoreboard_rings");
-    drift_score_gauge_ = &reg.gauge("webppm_serve_drift_score_ppm");
-    drift_alert_gauge_ = &reg.gauge("webppm_serve_drift_alert");
-  } else {
-    owned_ = std::make_unique<Owned>();
-    requests_ = &owned_->requests;
-    untracked_ = &owned_->untracked;
-    model_ = ClassCounters{&owned_->issued,     &owned_->hits,
-                           &owned_->expired,    &owned_->evicted,
-                           &owned_->superseded, &owned_->unresolved};
-    fallback_ = ClassCounters{&owned_->fb_issued,     &owned_->fb_hits,
-                              &owned_->fb_expired,    &owned_->fb_evicted,
-                              &owned_->fb_superseded, &owned_->fb_unresolved};
-    for (std::size_t g = 0; g < popularity::kGradeCount; ++g) {
-      grade_issued_[g] = &owned_->grade_issued[g];
-      grade_hits_[g] = &owned_->grade_hits[g];
-    }
-    hit_lag_ = &owned_->hit_lag;
+  auto& reg = obs::attached_or_owned(metrics, own_metrics_);
+  requests_ = &reg.counter("webppm_serve_scoreboard_requests_total");
+  untracked_ = &reg.counter("webppm_serve_scoreboard_untracked_total");
+  model_ = ClassCounters{
+      &reg.counter("webppm_serve_scoreboard_issued_total"),
+      &reg.counter("webppm_serve_scoreboard_hits_total"),
+      &reg.counter("webppm_serve_scoreboard_expired_total"),
+      &reg.counter("webppm_serve_scoreboard_evicted_total"),
+      &reg.counter("webppm_serve_scoreboard_superseded_total"),
+      &reg.counter("webppm_serve_scoreboard_unresolved_total"),
+  };
+  fallback_ = ClassCounters{
+      &reg.counter("webppm_serve_scoreboard_fallback_issued_total"),
+      &reg.counter("webppm_serve_scoreboard_fallback_hits_total"),
+      &reg.counter("webppm_serve_scoreboard_fallback_expired_total"),
+      &reg.counter("webppm_serve_scoreboard_fallback_evicted_total"),
+      &reg.counter("webppm_serve_scoreboard_fallback_superseded_total"),
+      &reg.counter("webppm_serve_scoreboard_fallback_unresolved_total"),
+  };
+  for (int g = 0; g < popularity::kGradeCount; ++g) {
+    const std::string base =
+        "webppm_serve_scoreboard_grade" + std::to_string(g);
+    grade_issued_[static_cast<std::size_t>(g)] =
+        &reg.counter(base + "_issued_total");
+    grade_hits_[static_cast<std::size_t>(g)] =
+        &reg.counter(base + "_hits_total");
   }
+  hit_lag_ = &reg.histogram("webppm_serve_scoreboard_hit_lag_seconds");
+  precision_gauge_ = &reg.gauge("webppm_serve_scoreboard_precision_ppm");
+  usefulness_gauge_ = &reg.gauge("webppm_serve_scoreboard_usefulness_ppm");
+  rings_gauge_ = &reg.gauge("webppm_serve_scoreboard_rings");
+  drift_score_gauge_ = &reg.gauge("webppm_serve_drift_score_ppm");
+  drift_alert_gauge_ = &reg.gauge("webppm_serve_drift_alert");
 }
 
 Scoreboard::VersionSlot& Scoreboard::slot_for(std::uint64_t version) {
@@ -422,7 +393,6 @@ std::string Scoreboard::json_text(std::size_t rings) const {
 }
 
 void Scoreboard::publish_metrics(std::size_t rings) {
-  if (precision_gauge_ == nullptr) return;  // no registry attached
   const auto t = totals();
   const auto d = drift_.state();
   precision_gauge_->set(to_ppm(t.model.precision()));

@@ -206,12 +206,10 @@ class Scoreboard {
     std::unordered_map<ClientId, Ring> rings_;
   };
 
-  /// With a registry the aggregate counters ARE the registry's
-  /// webppm_serve_scoreboard_* metrics (no mirroring step can drift);
-  /// without one the scoreboard owns identical private counters, so the
-  /// totals() accessors work either way.
+  /// The aggregate counters are the webppm_serve_scoreboard_* metrics of
+  /// `metrics` (null: of a private registry), so totals() and a scrape
+  /// read the same counters.
   Scoreboard(const ScoreboardOptions& opt, obs::MetricsRegistry* metrics);
-  ~Scoreboard();  ///< out of line — Owned is incomplete here
 
   /// Runtime scoring toggle. Off = armed-but-idle: state is retained, the
   /// query path pays one relaxed load. Flipping it back on resumes scoring
@@ -261,8 +259,8 @@ class Scoreboard {
   std::string json_text(std::size_t rings) const;
 
   /// Re-derives the summary gauges (precision/usefulness/drift/rings) into
-  /// the attached registry; no-op without one. Counters need no publishing
-  /// step — they are written in place.
+  /// the registry. Counters need no publishing step — they are written in
+  /// place.
   void publish_metrics(std::size_t rings);
 
   const ScoreboardOptions& options() const { return opt_; }
@@ -287,9 +285,6 @@ class Scoreboard {
   };
   static constexpr std::size_t kVersionSlots = 8;
 
-  /// Private counter storage used when no registry is attached.
-  struct Owned;
-
   VersionSlot& slot_for(std::uint64_t version);
   void score_hit(const Entry& e, TimeSec now);
   void score_miss(const Entry& e, bool expired);
@@ -303,7 +298,7 @@ class Scoreboard {
   std::atomic<bool> scoring_{true};
   DriftWatch drift_;
 
-  std::unique_ptr<Owned> owned_;
+  std::unique_ptr<obs::MetricsRegistry> own_metrics_;
   obs::Counter* requests_;
   obs::Counter* untracked_;
   ClassCounters model_;
@@ -315,12 +310,12 @@ class Scoreboard {
   std::array<VersionSlot, kVersionSlots> version_slots_;
   VersionSlot overflow_;
 
-  // Summary gauges (registry only; null otherwise).
-  obs::Gauge* precision_gauge_ = nullptr;
-  obs::Gauge* usefulness_gauge_ = nullptr;
-  obs::Gauge* rings_gauge_ = nullptr;
-  obs::Gauge* drift_score_gauge_ = nullptr;
-  obs::Gauge* drift_alert_gauge_ = nullptr;
+  // Summary gauges, re-derived by publish_metrics().
+  obs::Gauge* precision_gauge_;
+  obs::Gauge* usefulness_gauge_;
+  obs::Gauge* rings_gauge_;
+  obs::Gauge* drift_score_gauge_;
+  obs::Gauge* drift_alert_gauge_;
 };
 
 }  // namespace webppm::serve

@@ -23,7 +23,11 @@ std::string describe_current_exception() {
 
 }  // namespace
 
-ThreadPool::ThreadPool(std::size_t threads) {
+ThreadPool::ThreadPool(std::size_t threads)
+    : own_metrics_(std::make_unique<obs::MetricsRegistry>()),
+      submitted_(&own_metrics_->counter("webppm_pool_tasks_submitted_total")),
+      executed_(&own_metrics_->counter("webppm_pool_tasks_executed_total")),
+      failed_(&own_metrics_->counter("webppm_pool_tasks_failed_total")) {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
@@ -43,7 +47,7 @@ ThreadPool::~ThreadPool() {
 }
 
 std::future<void> ThreadPool::submit(std::function<void()> task) {
-  submitted_.fetch_add(1, std::memory_order_relaxed);
+  submitted_->add();
   std::packaged_task<void()> pt(
       [this, t = std::move(task)] { run_task(t); });
   auto fut = pt.get_future();
@@ -54,8 +58,8 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
     depth = queue_.size();
     queue_high_water_ = std::max(queue_high_water_, depth);
   }
-  if (metric_queue_depth_ != nullptr) {
-    metric_queue_depth_->set(static_cast<std::int64_t>(depth));
+  if (queue_depth_ != nullptr) {
+    queue_depth_->set(static_cast<std::int64_t>(depth));
   }
   cv_.notify_one();
   return fut;
@@ -64,11 +68,9 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
 void ThreadPool::run_task(const std::function<void()>& task) {
   try {
     task();
-    executed_.fetch_add(1, std::memory_order_relaxed);
-    if (metric_executed_ != nullptr) metric_executed_->add();
+    executed_->add();
   } catch (...) {
-    failed_.fetch_add(1, std::memory_order_relaxed);
-    if (metric_failed_ != nullptr) metric_failed_->add();
+    failed_->add();
     const std::string what = describe_current_exception();
     obs::log_event(obs::Severity::kError, "thread_pool.task_failed", what);
     std::fprintf(stderr, "webppm::util::ThreadPool: task failed: %s\n",
@@ -89,8 +91,8 @@ void ThreadPool::worker_loop() {
       queue_.pop_front();
       depth = queue_.size();
     }
-    if (metric_queue_depth_ != nullptr) {
-      metric_queue_depth_->set(static_cast<std::int64_t>(depth));
+    if (queue_depth_ != nullptr) {
+      queue_depth_->set(static_cast<std::int64_t>(depth));
     }
     task();  // packaged_task captures exceptions into the future
   }
@@ -98,9 +100,9 @@ void ThreadPool::worker_loop() {
 
 ThreadPoolStats ThreadPool::stats() const {
   ThreadPoolStats s;
-  s.tasks_submitted = submitted_.load(std::memory_order_relaxed);
-  s.tasks_executed = executed_.load(std::memory_order_relaxed);
-  s.tasks_failed = failed_.load(std::memory_order_relaxed);
+  s.tasks_submitted = submitted_->value();
+  s.tasks_executed = executed_->value();
+  s.tasks_failed = failed_->value();
   {
     std::lock_guard lock(mu_);
     s.queue_depth = queue_.size();
@@ -112,9 +114,16 @@ ThreadPoolStats ThreadPool::stats() const {
 void ThreadPool::attach_metrics(obs::MetricsRegistry& registry,
                                 std::string_view prefix) {
   const std::string p(prefix);
-  metric_executed_ = &registry.counter(p + "_tasks_executed_total");
-  metric_failed_ = &registry.counter(p + "_tasks_failed_total");
-  metric_queue_depth_ = &registry.gauge(p + "_queue_depth");
+  // Carry the counts so far over, then count into `registry` alone.
+  const auto move_to = [&](obs::Counter*& c, const char* name) {
+    obs::Counter& to = registry.counter(p + name);
+    if (&to != c) to.add(c->value());
+    c = &to;
+  };
+  move_to(submitted_, "_tasks_submitted_total");
+  move_to(executed_, "_tasks_executed_total");
+  move_to(failed_, "_tasks_failed_total");
+  queue_depth_ = &registry.gauge(p + "_queue_depth");
 }
 
 void parallel_for(ThreadPool& pool, std::size_t n,

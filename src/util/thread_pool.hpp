@@ -12,13 +12,13 @@
 // swallowed.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <string_view>
 #include <thread>
@@ -33,7 +33,8 @@ class MetricsRegistry;
 namespace webppm::util {
 
 /// Point-in-time pool accounting. Counters are cumulative over the pool's
-/// life; queue_depth is the instantaneous backlog (tasks not yet started).
+/// life (read from the pool's registry counters); queue_depth is the
+/// instantaneous backlog (tasks not yet started).
 struct ThreadPoolStats {
   std::uint64_t tasks_submitted = 0;
   std::uint64_t tasks_executed = 0;  ///< completed without throwing
@@ -58,10 +59,11 @@ class ThreadPool {
 
   ThreadPoolStats stats() const;
 
-  /// Mirrors the pool's accounting into live registry metrics:
-  /// {prefix}_tasks_executed_total / {prefix}_tasks_failed_total counters
-  /// and a {prefix}_queue_depth gauge. Attach before submitting work (the
-  /// metric pointers are read unsynchronised on the task path).
+  /// Moves the pool's counts into `registry`:
+  /// {prefix}_tasks_{submitted,executed,failed}_total counters, which start
+  /// from the counts so far (until attached the pool counts into a private
+  /// registry), and a {prefix}_queue_depth gauge. Attach while the pool is
+  /// idle (the metric pointers are read unsynchronised on the task path).
   void attach_metrics(obs::MetricsRegistry& registry,
                       std::string_view prefix = "webppm_pool");
 
@@ -76,13 +78,11 @@ class ThreadPool {
   bool stopping_ = false;
   std::size_t queue_high_water_ = 0;  ///< under mu_
 
-  std::atomic<std::uint64_t> submitted_{0};
-  std::atomic<std::uint64_t> executed_{0};
-  std::atomic<std::uint64_t> failed_{0};
-
-  obs::Counter* metric_executed_ = nullptr;
-  obs::Counter* metric_failed_ = nullptr;
-  obs::Gauge* metric_queue_depth_ = nullptr;
+  std::unique_ptr<obs::MetricsRegistry> own_metrics_;
+  obs::Counter* submitted_;
+  obs::Counter* executed_;
+  obs::Counter* failed_;
+  obs::Gauge* queue_depth_ = nullptr;  ///< attached registry only
 };
 
 /// Runs fn(i) for i in [0, n), distributing iterations across the pool and

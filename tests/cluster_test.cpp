@@ -225,6 +225,23 @@ std::vector<trace::Request> spread_stream(const HashRing& ring,
   return reqs;
 }
 
+/// A blocking loopback connection to `port` that gives up reading after
+/// five seconds (a peer that never answers fails a test, not hangs it).
+net::OwnedFd connect_loopback(std::uint16_t port) {
+  net::OwnedFd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+  if (!fd.valid()) return fd;
+  net::set_socket_timeout(fd.get(), SO_RCVTIMEO, 5000);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
+                sizeof addr) != 0) {
+    fd.reset();
+  }
+  return fd;
+}
+
 /// Supervisor + router over a fresh per-test store directory.
 class ClusterFixture : public ::testing::Test {
  protected:
@@ -329,17 +346,8 @@ TEST_F(ClusterFixture, V1FrameWithUnknownFlagBitGetsBadRequestThenClose) {
   // with an undefined flag bit, then a valid v1 frame in the same write.
   // The router rejects the whole connection itself — one kBadRequest (its
   // own version 0), then close — and neither frame reaches a shard.
-  net::OwnedFd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+  const net::OwnedFd fd = connect_loopback(router_->port());
   ASSERT_TRUE(fd.valid());
-  const timeval five_s{5, 0};  // a router that never closes fails, not hangs
-  ::setsockopt(fd.get(), SOL_SOCKET, SO_RCVTIMEO, &five_s, sizeof five_s);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(router_->port());
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  ASSERT_EQ(::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof addr),
-            0);
   std::vector<std::uint8_t> frames;
   net::WireRequest bad = net::LoadClient::to_wire(click(1, 1, 0));
   bad.flags = 0x80;
@@ -534,6 +542,47 @@ TEST_F(ClusterFixture, AdminEndpointsReportClusterState) {
   EXPECT_NE(mx.find("webppm_cluster_requests_total"), std::string::npos);
   EXPECT_NE(mx.find("webppm_cluster_shards_serving 2"), std::string::npos)
       << mx;
+}
+
+TEST_F(ClusterFixture, TricklingAdminClientCannotStallAcceptsOrShutdown) {
+  bring_up(2);
+  // Admin requests are read on the acceptor thread. This client sends one
+  // byte every 200 ms and never finishes a request; each connection gives
+  // up after 20 bytes (4 s) and a new one starts, so some trickle is
+  // always in progress. The router must drop each after its one-second
+  // admin deadline: new data connections are answered, and shutdown()
+  // returns, well inside 2.5 s.
+  std::atomic<bool> stop{false};
+  std::thread trickler([&] {
+    while (!stop.load()) {
+      const net::OwnedFd fd = connect_loopback(router_->admin_port());
+      if (!fd.valid()) {
+        std::this_thread::sleep_for(20ms);
+        continue;
+      }
+      const char byte = 'G';
+      for (int i = 0; i < 20 && !stop.load() &&
+                      ::send(fd.get(), &byte, 1, MSG_NOSIGNAL) == 1;
+           ++i) {
+        std::this_thread::sleep_for(200ms);
+      }
+    }
+  });
+  std::this_thread::sleep_for(300ms);  // the acceptor is inside a trickle
+
+  const auto reqs = spread_stream(router_->ring(), 1);
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto res = replay(router_->port(),
+                          std::span<const trace::Request>(reqs).first(1), 1);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 2500ms);
+  EXPECT_TRUE(res.ok) << res.error;
+  EXPECT_EQ(router_->responses(), 1u);
+
+  const auto t1 = std::chrono::steady_clock::now();
+  router_->shutdown();
+  EXPECT_LT(std::chrono::steady_clock::now() - t1, 2500ms);
+  stop.store(true);
+  trickler.join();
 }
 
 TEST_F(ClusterFixture, DistributeVerifiesEveryShardStore) {

@@ -693,6 +693,27 @@ TEST(OnlineTrainer, PublishStageHistogramsCountEveryPublish) {
   expect_stage_counts(bare_reg, {1, 0, 0, 1});
 }
 
+TEST(OnlineTrainer, QueueDropsShowInTheRegistryBeforeTheNextStep) {
+  // The queue counts its drops into the trainer's registry as they happen;
+  // no step() has to run before a scrape sees them.
+  obs::MetricsRegistry reg;
+  serve::ModelServer target;
+  OnlineTrainerConfig tc;
+  tc.policy.day_boundaries = false;
+  tc.queue_capacity = 4;
+  tc.metrics = &reg;
+  OnlineTrainer trainer(target, tc);
+  std::size_t accepted = 0;
+  for (TimeSec t = 0; t < 6; ++t) {
+    if (trainer.queue().push(obs_at(100 + t, 1, 1))) ++accepted;
+  }
+  EXPECT_EQ(accepted, 4u);
+  EXPECT_EQ(trainer.dropped(), 2u);
+  const obs::Counter* dropped = reg.find_counter("webppm_learn_dropped_total");
+  ASSERT_NE(dropped, nullptr);
+  EXPECT_EQ(dropped->value(), 2u);
+}
+
 // ---------------------------------------------------------------------------
 // URL ids past kMaxTrainedUrl.
 

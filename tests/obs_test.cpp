@@ -383,6 +383,28 @@ TEST(ThreadPoolObs, CountsExecutedAndFailedTasks) {
   EXPECT_EQ(reg.gauge("test_pool_queue_depth").value(), 0);
 }
 
+TEST(ThreadPoolObs, LateAttachCarriesTheCountsSoFar) {
+  util::ThreadPool pool(2);
+  pool.submit([] {}).get();
+  auto failing = pool.submit([] { throw std::runtime_error("early boom"); });
+  EXPECT_THROW(failing.get(), std::runtime_error);
+
+  MetricsRegistry reg;
+  pool.attach_metrics(reg, "late_pool");
+  pool.submit([] {}).get();
+
+  const auto stats = pool.stats();
+  EXPECT_EQ(stats.tasks_submitted, 3u);
+  EXPECT_EQ(stats.tasks_executed, 2u);
+  EXPECT_EQ(stats.tasks_failed, 1u);
+  EXPECT_EQ(reg.counter("late_pool_tasks_submitted_total").value(),
+            stats.tasks_submitted);
+  EXPECT_EQ(reg.counter("late_pool_tasks_executed_total").value(),
+            stats.tasks_executed);
+  EXPECT_EQ(reg.counter("late_pool_tasks_failed_total").value(),
+            stats.tasks_failed);
+}
+
 TEST(ThreadPoolObs, FailureEmitsStructuredEvent) {
   clear_events();
   util::ThreadPool pool(1);

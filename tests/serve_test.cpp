@@ -283,6 +283,21 @@ TEST(ModelServerObs, InstrumentedPredictionsIdentical) {
             instrumented.query_count());
 }
 
+TEST(ModelServerObs, QueryCounterIsLiveWithoutRefresh) {
+  // The query path counts into the registry itself: a scrape never lags
+  // query_count() waiting for a refresh_gauges() call.
+  obs::MetricsRegistry reg;
+  ModelServerConfig cfg;
+  cfg.metrics = &reg;
+  ModelServer server(cfg);
+  server.publish(tiny_snapshot(3));
+  replay(server, 200);
+  ASSERT_GT(server.query_count(), 0u);
+  const auto* queries = reg.find_counter("webppm_serve_queries_total");
+  ASSERT_NE(queries, nullptr);
+  EXPECT_EQ(queries->value(), server.query_count());
+}
+
 TEST(ModelServerObs, EvictionCounterReconciles) {
   obs::MetricsRegistry reg;
   ModelServerConfig cfg;
