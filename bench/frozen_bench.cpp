@@ -3,8 +3,8 @@
 //
 // For each corpus × model (standard 3-PPM, LRS, PB) this harness trains
 // the arena model, freezes it, and reports bytes/node for both layouts,
-// the freeze/decode walltime, and the store-level load cost of the v1
-// text generation vs the v2 mmap generation.
+// the freeze/decode walltime, and the store-level load cost of the v2 mmap
+// generation.
 //
 // Gates (any failure exits nonzero):
 //   * space — the frozen payload costs >= 2x fewer bytes/node than the
@@ -48,7 +48,6 @@ struct Row {
   double shrink = 0.0;       ///< arena_bpn / frozen_bpn
   double freeze_ms = 0.0;    ///< build_payload walltime
   double decode_ms = 0.0;    ///< decode_payload walltime (validating scan)
-  double load_v1_ms = 0.0;   ///< SnapshotStore text generation load
   double load_v2_ms = 0.0;   ///< SnapshotStore mmap generation load
   bool space_ok = false;
   bool identical = false;
@@ -82,16 +81,14 @@ bool spot_check(const ppm::Predictor& arena, const ppm::Predictor& froz,
   return true;
 }
 
-/// Publishes `snap` in `format` into a scratch store and times
-/// load_latest(), min over `repeats` loads.
-double measure_load_ms(const serve::Snapshot& snap,
-                       serve::GenerationFormat format, std::size_t repeats,
+/// Publishes `snap` into a temporary store and times load_latest(), min
+/// over `repeats` loads.
+double measure_load_ms(const serve::Snapshot& snap, std::size_t repeats,
                        const std::string& dir) {
   namespace fs = std::filesystem;
   fs::remove_all(dir);
   serve::SnapshotStoreConfig cfg;
   cfg.dir = dir;
-  cfg.write_format = format;
   serve::SnapshotStore store(cfg);
   const auto pub = store.publish(snap);
   if (!pub.ok) {
@@ -157,10 +154,7 @@ Row measure(const std::string& corpus, const trace::Trace& trace,
       (std::filesystem::temp_directory_path() /
        ("webppm_frozen_bench_" + corpus + "_" + model))
           .string();
-  row.load_v1_ms = measure_load_ms(*snap, serve::GenerationFormat::kTextV1,
-                                   load_repeats, dir);
-  row.load_v2_ms = measure_load_ms(
-      *snap, serve::GenerationFormat::kFrozenV2, load_repeats, dir);
+  row.load_v2_ms = measure_load_ms(*snap, load_repeats, dir);
   return row;
 }
 
@@ -176,9 +170,9 @@ int main(int argc, char** argv) {
 
   std::printf("=== frozen_bench: arena vs frozen snapshot storage ===\n");
   if (quick) std::printf("quick mode: reduced load repeats\n");
-  std::printf("\n%6s %10s %9s %12s %12s %8s %8s %8s %10s %10s %10s\n",
+  std::printf("\n%6s %10s %9s %12s %12s %8s %8s %8s %10s %10s\n",
               "corpus", "model", "nodes", "arena B", "frozen B", "arena",
-              "frozen", "shrink", "freeze ms", "load v1", "load v2");
+              "frozen", "shrink", "freeze ms", "load v2");
 
   struct Case {
     std::string model;
@@ -200,10 +194,10 @@ int main(int argc, char** argv) {
           measure(corpus, *trace, train_days, c.model, c.spec, load_repeats));
       const auto& r = rows.back();
       std::printf("%6s %10s %9zu %12zu %12zu %7.1f %7.1f %7.2fx "
-                  "%10.2f %10.2f %10.2f%s%s\n",
+                  "%10.2f %10.2f%s%s\n",
                   r.corpus.c_str(), r.model.c_str(), r.nodes, r.arena_bytes,
                   r.frozen_bytes, r.arena_bpn, r.frozen_bpn, r.shrink,
-                  r.freeze_ms, r.load_v1_ms, r.load_v2_ms,
+                  r.freeze_ms, r.load_v2_ms,
                   r.space_ok ? "" : "  SPACE-FAIL",
                   r.identical ? "" : "  MISMATCH");
     }
@@ -238,11 +232,11 @@ int main(int argc, char** argv) {
           "\"arena_bytes\": %zu, \"frozen_bytes\": %zu, "
           "\"arena_bytes_per_node\": %.2f, \"frozen_bytes_per_node\": "
           "%.2f, \"shrink\": %.3f, \"freeze_ms\": %.3f, \"decode_ms\": "
-          "%.3f, \"load_v1_ms\": %.3f, \"load_v2_ms\": %.3f, "
+          "%.3f, \"load_v2_ms\": %.3f, "
           "\"space_ok\": %s, \"identical\": %s}%s\n",
           r.corpus.c_str(), r.model.c_str(), r.nodes, r.arena_bytes,
           r.frozen_bytes, r.arena_bpn, r.frozen_bpn, r.shrink, r.freeze_ms,
-          r.decode_ms, r.load_v1_ms, r.load_v2_ms,
+          r.decode_ms, r.load_v2_ms,
           r.space_ok ? "true" : "false", r.identical ? "true" : "false",
           i + 1 < rows.size() ? "," : "");
     }

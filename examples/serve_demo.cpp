@@ -1,15 +1,16 @@
 // serve_demo: the deployment loop of the paper's §2 server, end to end —
-// offline training, model serialisation, and a concurrent-ready ModelServer
-// answering per-click queries.
+// offline training, the persisted handoff, and a concurrent-ready
+// ModelServer answering per-click queries.
 //
 //   $ ./serve_demo [--profile nasa|ucb] [--days N] [--train K]
 //                  [--model standard|lrs|pb] [--scale X]
 //
 // Steps:
 //   1. train the chosen model on days 1..K of a synthetic trace,
-//   2. save_model it to a stream and load_snapshot it back (the
-//      serialisation round-trip a real deployment does between the
-//      training job and the serving fleet),
+//   2. publish it into a SnapshotStore in a private temp dir and
+//      load_latest it back (the handoff a real deployment does between the
+//      training job and the serving fleet: one frozen v2 generation file,
+//      mmapped on load),
 //   3. publish the snapshot into a ModelServer and replay day K+1 as live
 //      clicks, measuring how often a clicked URL was among the server's
 //      predictions for that client's previous click, and the query cost.
@@ -17,13 +18,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
+#include <filesystem>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "core/webppm.hpp"
 #include "serve/model_server.hpp"
+#include "serve/snapshot_store.hpp"
 
 namespace {
 
@@ -98,26 +100,34 @@ int main(int argc, char** argv) {
               trace.requests.size());
   auto trained = core::train_model(spec, trace, 0, opt.train - 1);
 
-  // 2. Serialise and load back — the training-job -> serving-fleet handoff.
-  std::stringstream stream;
-  if (const auto* pm =
-          dynamic_cast<const ppm::StandardPpm*>(trained.predictor.get())) {
-    ppm::save_model(stream, *pm);
-  } else if (const auto* lm =
-                 dynamic_cast<const ppm::LrsPpm*>(trained.predictor.get())) {
-    ppm::save_model(stream, *lm);
-  } else {
-    ppm::save_model(stream, *dynamic_cast<const ppm::PopularityPpm*>(
-                                trained.predictor.get()));
-  }
-  const std::size_t wire_bytes = stream.str().size();
-  const auto snap = serve::load_snapshot(stream, trained.popularity, 1);
-  if (!snap) {
-    std::fprintf(stderr, "snapshot round-trip failed\n");
+  // 2. Publish and load back — the training-job -> serving-fleet handoff.
+  namespace fs = std::filesystem;
+  std::string dir = (fs::temp_directory_path() / "serve_demo.XXXXXX").string();
+  if (::mkdtemp(dir.data()) == nullptr) {
+    std::perror("mkdtemp");
     return 1;
   }
-  std::printf("serialised: %zu bytes on the wire, %zu nodes loaded\n",
-              wire_bytes, snap->model->node_count());
+  serve::SnapshotStoreConfig store_cfg;
+  store_cfg.dir = dir;
+  serve::SnapshotStore store(store_cfg);
+  const auto pub = store.publish(
+      *serve::make_snapshot(std::move(trained.predictor),
+                            std::move(trained.popularity), 1));
+  const auto loaded = pub.ok ? store.load_latest() : serve::LoadLatestResult{};
+  std::error_code ec;
+  const auto file_bytes = fs::file_size(
+      fs::path(dir) / ("gen-" + std::to_string(pub.generation) + ".snap"),
+      ec);
+  fs::remove_all(dir, ec);  // the mapping keeps the loaded bytes alive
+  const auto& snap = loaded.snapshot;
+  if (snap == nullptr || snap->degraded()) {
+    std::fprintf(stderr, "snapshot round-trip failed: %s\n",
+                 pub.ok ? loaded.error.c_str() : pub.error.c_str());
+    return 1;
+  }
+  std::printf("published: %ju bytes on disk, %zu nodes loaded\n",
+              static_cast<std::uintmax_t>(file_bytes),
+              snap->model->node_count());
 
   // 3. Serve day K+1 click by click.
   serve::ModelServer server;

@@ -3,11 +3,12 @@
 //   $ ./server_prefetch_sim [--profile nasa|ucb] [--days N] [--train K]
 //                           [--model standard|3ppm|lrs|pb|pb-aggressive]
 //                           [--threshold-kb N] [--scale X] [--seed S]
-//                           [--save-model FILE] [--csv FILE]
+//                           [--save-model DIR] [--csv FILE]
 //
 // Trains the chosen model on days 1..K of a synthetic trace and replays
 // day K+1 against a simulated server with per-client caches, printing the
-// paper's four metrics (§2.3).
+// paper's four metrics (§2.3). --save-model publishes the trained model as
+// one generation of the snapshot store at DIR.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -15,6 +16,7 @@
 #include <string>
 
 #include "core/webppm.hpp"
+#include "serve/snapshot_store.hpp"
 
 namespace {
 
@@ -26,7 +28,7 @@ struct Options {
   std::uint64_t threshold_kb = 0;  // 0 = model default
   double scale = 0.5;
   std::uint64_t seed = 0;
-  std::string save_model;  // path to write the trained model (optional)
+  std::string store_dir;   // snapshot store to publish to (optional)
   std::string csv;         // path to write the result row as CSV (optional)
 };
 
@@ -35,7 +37,7 @@ void usage(const char* argv0) {
                "usage: %s [--profile nasa|ucb] [--days N] [--train K]\n"
                "          [--model standard|3ppm|lrs|pb|pb-aggressive]\n"
                "          [--threshold-kb N] [--scale X] [--seed S]\n"
-               "          [--save-model FILE] [--csv FILE]\n",
+               "          [--save-model DIR] [--csv FILE]\n",
                argv0);
 }
 
@@ -80,7 +82,7 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (a == "--save-model") {
       const char* v = need("--save-model");
       if (!v) return false;
-      opt.save_model = v;
+      opt.store_dir = v;
     } else if (a == "--csv") {
       const char* v = need("--csv");
       if (!v) return false;
@@ -153,30 +155,25 @@ int main(int argc, char** argv) {
   std::printf("popular share of hits  %.3f\n",
               m.popular_share_of_prefetch_hits());
 
-  if (!opt.save_model.empty()) {
+  if (!opt.store_dir.empty()) {
     // Retrain once more to obtain the concrete model object for saving
     // (run_day_experiment owns its model internally).
-    const auto trained = core::train_model(spec, trace, 0, opt.train - 1);
-    std::ofstream out(opt.save_model);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", opt.save_model.c_str());
+    auto trained = core::train_model(spec, trace, 0, opt.train - 1);
+    const std::size_t nodes = trained.predictor->node_count();
+    serve::SnapshotStoreConfig store_cfg;
+    store_cfg.dir = opt.store_dir;
+    serve::SnapshotStore store(store_cfg);
+    const auto pub = store.publish(
+        *serve::make_snapshot(std::move(trained.predictor),
+                              std::move(trained.popularity), 1));
+    if (!pub.ok) {
+      std::fprintf(stderr, "cannot publish to %s: %s\n",
+                   opt.store_dir.c_str(), pub.error.c_str());
       return 1;
     }
-    if (const auto* pm =
-            dynamic_cast<const ppm::StandardPpm*>(trained.predictor.get())) {
-      ppm::save_model(out, *pm);
-    } else if (const auto* lm = dynamic_cast<const ppm::LrsPpm*>(
-                   trained.predictor.get())) {
-      ppm::save_model(out, *lm);
-    } else if (const auto* bm = dynamic_cast<const ppm::PopularityPpm*>(
-                   trained.predictor.get())) {
-      ppm::save_model(out, *bm);
-    } else {
-      std::fprintf(stderr, "model kind does not support serialisation\n");
-      return 1;
-    }
-    std::printf("\nmodel saved to %s (%zu nodes)\n", opt.save_model.c_str(),
-                trained.predictor->node_count());
+    std::printf("\nmodel published to %s as generation %llu (%zu nodes)\n",
+                opt.store_dir.c_str(),
+                static_cast<unsigned long long>(pub.generation), nodes);
   }
   if (!opt.csv.empty()) {
     std::ofstream out(opt.csv);

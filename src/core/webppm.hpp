@@ -24,7 +24,6 @@
 #include "ppm/pb_base.hpp"            // IWYU pragma: export
 #include "ppm/popularity_ppm.hpp"     // IWYU pragma: export
 #include "ppm/predictor.hpp"          // IWYU pragma: export
-#include "ppm/serialize.hpp"          // IWYU pragma: export
 #include "ppm/standard_ppm.hpp"       // IWYU pragma: export
 #include "ppm/top_n.hpp"              // IWYU pragma: export
 #include "session/online.hpp"         // IWYU pragma: export

@@ -67,16 +67,6 @@ class LrsPpm final : public Predictor {
 
   const LrsPpmConfig& config() const { return config_; }
 
-  /// Deserialisation hook (ppm/serialize.hpp): adopt a reconstructed tree.
-  /// The extracted-pattern list and support tree are not persisted
-  /// (predictions only need the tree), so patterns() is empty and
-  /// train_more() is not meaningful on a loaded model.
-  static LrsPpm from_parts(const LrsPpmConfig& config, PredictionTree tree) {
-    LrsPpm m(config);
-    m.tree_ = std::move(tree);
-    return m;
-  }
-
  private:
   LrsPpmConfig config_;
   PredictionTree support_;  ///< full window tree; retained for train_more

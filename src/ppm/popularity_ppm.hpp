@@ -121,8 +121,7 @@ class PopularityPpm final : public Predictor {
   /// Assembles a model from a tree and its special links, and ranks every
   /// link list by (traversal count desc, root-to-node URL path asc) — the
   /// canonical order predict() and the frozen layout read the top k from.
-  /// PbBase::emit() and the deserialiser (ppm/serialize.hpp) build models
-  /// this way.
+  /// PbBase::emit() builds models this way.
   static PopularityPpm from_parts(
       const PopularityPpmConfig& config,
       const popularity::PopularityTable* grades, PredictionTree tree,

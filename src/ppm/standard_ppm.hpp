@@ -55,14 +55,6 @@ class StandardPpm final : public Predictor {
   const PredictionTree& tree() const { return tree_; }
   const StandardPpmConfig& config() const { return config_; }
 
-  /// Deserialisation hook (ppm/serialize.hpp): adopt a reconstructed tree.
-  static StandardPpm from_parts(const StandardPpmConfig& config,
-                                PredictionTree tree) {
-    StandardPpm m(config);
-    m.tree_ = std::move(tree);
-    return m;
-  }
-
  private:
   StandardPpmConfig config_;
   PredictionTree tree_;

@@ -6,7 +6,7 @@
 
 #include "fault/fault.hpp"
 #include "obs/trace_event.hpp"
-#include "ppm/serialize.hpp"
+#include "ppm/popularity_ppm.hpp"
 #include "ppm/top_n.hpp"
 
 namespace webppm::serve {
@@ -55,50 +55,6 @@ std::shared_ptr<const Snapshot> make_degraded_snapshot(
   snap->version = version;
   snap->fallback = make_fallback(snap->popularity, fallback_top_n);
   return snap;
-}
-
-SnapshotLoadResult load_snapshot_ex(std::istream& in,
-                                    popularity::PopularityTable popularity,
-                                    std::uint64_t version,
-                                    std::size_t fallback_top_n) {
-  SnapshotLoadResult result;
-  // Dispatch on the magic word without consuming it.
-  std::string magic;
-  const auto pos = in.tellg();
-  if (!(in >> magic)) {
-    result.error = "empty or unreadable model stream";
-    return result;
-  }
-  in.seekg(pos);
-
-  auto snap = std::make_shared<Snapshot>();
-  snap->popularity = std::move(popularity);
-  snap->version = version;
-  if (magic == "webppm-standard") {
-    auto m = ppm::load_standard(in, &result.error);
-    if (!m) return result;
-    snap->model = std::make_unique<ppm::StandardPpm>(std::move(*m));
-  } else if (magic == "webppm-lrs") {
-    auto m = ppm::load_lrs(in, &result.error);
-    if (!m) return result;
-    snap->model = std::make_unique<ppm::LrsPpm>(std::move(*m));
-  } else if (magic == "webppm-pb") {
-    auto m = ppm::load_popularity(in, &snap->popularity, &result.error);
-    if (!m) return result;
-    snap->model = std::make_unique<ppm::PopularityPpm>(std::move(*m));
-  } else {
-    result.error = "unknown model magic '" + magic + "'";
-    return result;
-  }
-  snap->fallback = make_fallback(snap->popularity, fallback_top_n);
-  result.snapshot = std::move(snap);
-  return result;
-}
-
-std::shared_ptr<const Snapshot> load_snapshot(
-    std::istream& in, popularity::PopularityTable popularity,
-    std::uint64_t version) {
-  return load_snapshot_ex(in, std::move(popularity), version).snapshot;
 }
 
 ModelServer::Counters ModelServer::register_counters(

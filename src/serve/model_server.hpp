@@ -35,7 +35,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <istream>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -96,28 +95,14 @@ std::shared_ptr<const Snapshot> make_degraded_snapshot(
     popularity::PopularityTable popularity, std::uint64_t version,
     std::size_t fallback_top_n = 10);
 
-/// Structured result of load_snapshot_ex: exactly one of `snapshot` /
-/// `error` is meaningful. The error string names what the stream violated
-/// ("tree: node 12: parent 14 does not precede child"), so snapshot-store
-/// rollback can log *why* a generation was rejected.
+/// Structured result of opening a persisted snapshot: exactly one of
+/// `snapshot` / `error` is meaningful. The error string names what the
+/// bytes violated, so snapshot-store rollback can log *why* a generation
+/// was rejected.
 struct SnapshotLoadResult {
   std::shared_ptr<const Snapshot> snapshot;
   std::string error;
 };
-
-/// Reads any save_model stream (standard / LRS / PB — dispatched on the
-/// leading magic word) into a snapshot. `popularity` is the training
-/// window's table (PB grades; may be empty for the other models).
-SnapshotLoadResult load_snapshot_ex(std::istream& in,
-                                    popularity::PopularityTable popularity,
-                                    std::uint64_t version,
-                                    std::size_t fallback_top_n = 10);
-
-/// Nullptr-compatible form of load_snapshot_ex (the pre-robustness API):
-/// returns nullptr on malformed input, discarding the reason.
-std::shared_ptr<const Snapshot> load_snapshot(
-    std::istream& in, popularity::PopularityTable popularity,
-    std::uint64_t version);
 
 /// Sink for the server's request stream — the tap the online-training
 /// pipeline hangs off (DESIGN.md §15). An attached observer sees *every*

@@ -5,17 +5,19 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <thread>
 
 #include "fault/fault.hpp"
 #include "obs/trace_event.hpp"
-#include "ppm/serialize.hpp"
 #include "serve/frozen_snapshot.hpp"
 #include "util/align.hpp"
 #include "util/crc32.hpp"
@@ -27,28 +29,21 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr std::string_view kSnapMagic = "webppm-snap";
-constexpr std::string_view kPopMagic = "webppm-pop";
 constexpr std::string_view kManifestMagic = "webppm-manifest";
 
 std::string errno_string() {
   return std::strerror(errno);
 }
 
-/// The checksummed prefix: header fields after the magic, newline-
-/// terminated, so the CRC covers generation, version and length too.
+/// The checksummed prefix: header fields after the magic and version,
+/// newline-terminated, so the CRC covers generation, version, length and
+/// offset too. The CRC itself is seeded with this prefix then run over
+/// every mapped byte *after* the header newline — padding included — so a
+/// flipped bit in the padding gap fails verification just like one in the
+/// payload.
 std::string checksum_prefix(std::uint64_t gen, std::uint64_t version,
-                            std::size_t payload_bytes) {
-  return std::to_string(gen) + ' ' + std::to_string(version) + ' ' +
-         std::to_string(payload_bytes) + '\n';
-}
-
-/// v2 adds the payload offset to the checksummed fields. The CRC itself is
-/// seeded with this prefix then run over every mapped byte *after* the
-/// header newline — padding included — so a flipped bit in the padding gap
-/// fails verification just like one in the payload.
-std::string checksum_prefix_v2(std::uint64_t gen, std::uint64_t version,
-                               std::size_t payload_bytes,
-                               std::size_t payload_offset) {
+                            std::size_t payload_bytes,
+                            std::size_t payload_offset) {
   return std::to_string(gen) + ' ' + std::to_string(version) + ' ' +
          std::to_string(payload_bytes) + ' ' +
          std::to_string(payload_offset) + '\n';
@@ -60,47 +55,21 @@ std::string crc_hex_string(std::uint32_t crc) {
   return hex;
 }
 
-/// Generation id of "gen-<id>.snap", or nullopt for other names.
-std::optional<std::uint64_t> parse_gen_name(const std::string& name) {
-  if (name.size() < 10 || name.rfind("gen-", 0) != 0 ||
-      name.substr(name.size() - 5) != ".snap") {
+/// Generation id of "gen-<id>.snap", or nullopt for other names — an id
+/// that does not fit in a u64 included.
+std::optional<std::uint64_t> parse_gen_name(std::string_view name) {
+  if (!name.starts_with("gen-") || !name.ends_with(".snap")) {
     return std::nullopt;
   }
-  const std::string digits = name.substr(4, name.size() - 9);
-  if (digits.empty() ||
-      digits.find_first_not_of("0123456789") != std::string::npos) {
-    return std::nullopt;
-  }
-  return std::stoull(digits);
+  const std::string_view digits = name.substr(4, name.size() - 9);
+  const char* const last = digits.data() + digits.size();
+  std::uint64_t gen = 0;
+  const auto [end, ec] = std::from_chars(digits.data(), last, gen);
+  if (ec != std::errc{} || end != last) return std::nullopt;
+  return gen;
 }
 
 }  // namespace
-
-std::string serialize_snapshot_payload(const Snapshot& snap) {
-  std::ostringstream out;
-  out << kPopMagic << " v1 " << snap.popularity.url_count() << '\n';
-  for (UrlId u = 0; u < snap.popularity.url_count(); ++u) {
-    out << snap.popularity.accesses(u)
-        << (u + 1 == snap.popularity.url_count() ? '\n' : ' ');
-  }
-  if (snap.model != nullptr) {
-    if (const auto* m =
-            dynamic_cast<const ppm::StandardPpm*>(snap.model.get())) {
-      ppm::save_model(out, *m);
-    } else if (const auto* m =
-                   dynamic_cast<const ppm::LrsPpm*>(snap.model.get())) {
-      ppm::save_model(out, *m);
-    } else if (const auto* m = dynamic_cast<const ppm::PopularityPpm*>(
-                   snap.model.get())) {
-      ppm::save_model(out, *m);
-    } else {
-      // Unserialisable predictor (e.g. a bare Top-N): persist the
-      // popularity section only — it reloads as a degraded generation,
-      // which is exactly what such a snapshot serves anyway.
-    }
-  }
-  return out.str();
-}
 
 SnapshotStore::SnapshotStore(SnapshotStoreConfig config)
     : config_(std::move(config)) {
@@ -207,34 +176,19 @@ std::string SnapshotStore::write_atomic(const std::string& final_name,
 }
 
 std::string SnapshotStore::render_generation(std::uint64_t gen,
-                                             const Snapshot& snap,
-                                             GenerationFormat format) const {
-  if (format == GenerationFormat::kTextV1) {
-    const std::string payload = serialize_snapshot_payload(snap);
-    const std::string prefix =
-        checksum_prefix(gen, snap.version, payload.size());
-    const std::string crc_hex =
-        crc_hex_string(util::crc32(payload, util::crc32(prefix)));
-    std::string content;
-    content.reserve(payload.size() + 64);
-    content.append(kSnapMagic).append(" v1 ").append(prefix.substr(
-        0, prefix.size() - 1));  // prefix without its trailing newline
-    content.append(" ").append(crc_hex).append("\n").append(payload);
-    return content;
-  }
-
-  // v2: the payload starts on a page boundary so a reader can mmap the file
+                                             const Snapshot& snap) const {
+  // The payload starts on a page boundary so a reader can mmap the file
   // and hand the kernel page-granular views of the sections. The CRC field
   // can't be known before the header is laid out, so the header is rendered
   // with the CRC blanked, padded to the offset, then patched.
   const std::string payload = serialize_snapshot_frozen(snap);
   const std::size_t header_guess =
       kSnapMagic.size() + 4 +  // "webppm-snap v2 "
-      checksum_prefix_v2(gen, snap.version, payload.size(), 0).size() + 16;
+      checksum_prefix(gen, snap.version, payload.size(), 0).size() + 16;
   const std::size_t payload_offset =
       util::align_up(header_guess, util::kPageBytes);
   const std::string prefix =
-      checksum_prefix_v2(gen, snap.version, payload.size(), payload_offset);
+      checksum_prefix(gen, snap.version, payload.size(), payload_offset);
 
   std::string content;
   content.reserve(payload_offset + payload.size());
@@ -264,9 +218,17 @@ PublishResult SnapshotStore::publish(const Snapshot& snap) {
     return result;
   }
   const auto existing = generations();
+  if (!existing.empty() &&
+      existing.back() == std::numeric_limits<std::uint64_t>::max()) {
+    result.error = "generation id " + std::to_string(existing.back()) +
+                   " is on disk: the next id would wrap";
+    if (ins_ != nullptr) ins_->publish_failures->add();
+    obs::log_event(obs::Severity::kError, "serve.snapshot_publish_failed",
+                   result.error);
+    return result;
+  }
   const std::uint64_t gen = existing.empty() ? 1 : existing.back() + 1;
-  const std::string content =
-      render_generation(gen, snap, config_.write_format);
+  const std::string content = render_generation(gen, snap);
 
   auto backoff = config_.backoff;
   for (std::size_t attempt = 1; attempt <= config_.publish_attempts;
@@ -336,10 +298,8 @@ SnapshotLoadResult SnapshotStore::load_generation(std::uint64_t gen) const {
     return result;
   }
 
-  // Map the file once; both formats verify against the mapping. The v2
-  // path never copies the payload — CRC, structural validation, and the
-  // served tree all read the mapped bytes in place. The legacy v1 path
-  // still materialises a string for its text parser.
+  // Map the file once. Nothing copies the payload — CRC, structural
+  // validation, and the served tree all read the mapped bytes in place.
   auto map = std::make_shared<util::MappedFile>();
   {
     std::string map_error;
@@ -350,35 +310,27 @@ SnapshotLoadResult SnapshotStore::load_generation(std::uint64_t gen) const {
   }
   const std::string_view mapped = map->bytes();
 
-  // Header line: "webppm-snap v<N> <gen> <version> ...". The line is tiny;
-  // bound the newline scan so a binary-garbage file can't make us walk a
-  // multi-megabyte mapping looking for one.
+  // Header line: "webppm-snap v2 <gen> <version> <bytes> <offset> <crc>".
+  // The line is tiny; bound the newline scan so a binary-garbage file can't
+  // make us walk a multi-megabyte mapping looking for one.
   const auto nl = mapped.substr(0, 256).find('\n');
   if (nl == std::string_view::npos) {
     result.error = "header: no newline";
     return result;
   }
   std::istringstream header{std::string(mapped.substr(0, nl))};
-  {
-    std::string magic, ver_word;
-    if (!(header >> magic >> ver_word) || magic != kSnapMagic) {
-      result.error = "header: malformed";
-      return result;
-    }
-    if (ver_word == "v1") {
-      return load_generation_v1(gen, std::string(mapped));
-    }
-    if (ver_word != "v2") {
-      result.error = "header: unknown format " + ver_word;
-      return result;
-    }
-  }
-
-  std::string crc_word;
+  std::string magic, ver_word, crc_word;
   std::uint64_t hdr_gen = 0, snap_version = 0;
   std::size_t payload_bytes = 0, payload_offset = 0;
-  if (!(header >> hdr_gen >> snap_version >> payload_bytes >>
-        payload_offset >> crc_word)) {
+  const bool parsed =
+      static_cast<bool>(header >> magic >> ver_word >> hdr_gen >>
+                        snap_version >> payload_bytes >> payload_offset >>
+                        crc_word);
+  if (magic == kSnapMagic && !ver_word.empty() && ver_word != "v2") {
+    result.error = "header: unknown format " + ver_word;
+    return result;
+  }
+  if (!parsed || magic != kSnapMagic) {
     result.error = "header: malformed";
     return result;
   }
@@ -410,8 +362,7 @@ SnapshotLoadResult SnapshotStore::load_generation(std::uint64_t gen) const {
   // CRC over the whole mapped range after the header newline — padding and
   // payload alike — seeded with the checksummed header fields.
   const std::string prefix =
-      checksum_prefix_v2(hdr_gen, snap_version, payload_bytes,
-                         payload_offset);
+      checksum_prefix(hdr_gen, snap_version, payload_bytes, payload_offset);
   const std::string expect_hex = crc_hex_string(
       util::crc32(mapped.substr(nl + 1), util::crc32(prefix)));
   if (crc_word != expect_hex) {
@@ -424,92 +375,6 @@ SnapshotLoadResult SnapshotStore::load_generation(std::uint64_t gen) const {
   // snapshot's backing store — it stays alive as long as the model does.
   return open_frozen_snapshot(std::move(map), mapped.substr(payload_offset),
                               snap_version, config_.fallback_top_n);
-}
-
-SnapshotLoadResult SnapshotStore::load_generation_v1(
-    std::uint64_t gen, const std::string& content) const {
-  SnapshotLoadResult result;
-
-  // Header line: "webppm-snap v1 <gen> <version> <bytes> <crc32hex>".
-  const auto nl = content.find('\n');
-  if (nl == std::string::npos) {
-    result.error = "header: no newline";
-    return result;
-  }
-  std::istringstream header(content.substr(0, nl));
-  std::string magic, ver_word, crc_word;
-  std::uint64_t hdr_gen = 0, snap_version = 0;
-  std::size_t payload_bytes = 0;
-  if (!(header >> magic >> ver_word >> hdr_gen >> snap_version >>
-        payload_bytes >> crc_word) ||
-      magic != kSnapMagic || ver_word != "v1") {
-    result.error = "header: malformed";
-    return result;
-  }
-  if (hdr_gen != gen) {
-    result.error = "header: generation " + std::to_string(hdr_gen) +
-                   " does not match filename";
-    return result;
-  }
-  const std::string_view payload =
-      std::string_view(content).substr(nl + 1);
-  if (payload.size() < payload_bytes) {
-    result.error = "payload truncated: have " +
-                   std::to_string(payload.size()) + " of " +
-                   std::to_string(payload_bytes) + " bytes";
-    return result;
-  }
-  if (payload.size() > payload_bytes) {
-    result.error = "payload: trailing garbage";
-    return result;
-  }
-  const std::string prefix =
-      checksum_prefix(hdr_gen, snap_version, payload_bytes);
-  const std::uint32_t crc = util::crc32(payload, util::crc32(prefix));
-  char expect_hex[16];
-  std::snprintf(expect_hex, sizeof expect_hex, "%08x", crc);
-  if (crc_word != expect_hex) {
-    result.error = "payload crc mismatch: header " + crc_word +
-                   ", computed " + expect_hex;
-    return result;
-  }
-
-  // Payload verified; parse the popularity section then the model stream.
-  std::istringstream body{std::string(payload)};
-  std::string pop_magic, pop_ver;
-  std::size_t url_count = 0;
-  if (!(body >> pop_magic >> pop_ver >> url_count) ||
-      pop_magic != kPopMagic || pop_ver != "v1") {
-    result.error = "popularity: malformed header";
-    return result;
-  }
-  if (url_count > payload_bytes) {  // each count needs >= 1 byte + separator
-    result.error = "popularity: url count " + std::to_string(url_count) +
-                   " exceeds payload size";
-    return result;
-  }
-  std::vector<std::uint32_t> counts(url_count);
-  for (auto& c : counts) {
-    if (!(body >> c)) {
-      result.error = "popularity: truncated counts";
-      return result;
-    }
-  }
-  auto popularity = popularity::PopularityTable::from_counts(
-      std::move(counts));
-
-  // A degraded generation ends here (no model stream).
-  std::string peek;
-  const auto model_pos = body.tellg();
-  if (!(body >> peek)) {
-    result.snapshot = make_degraded_snapshot(std::move(popularity),
-                                             snap_version,
-                                             config_.fallback_top_n);
-    return result;
-  }
-  body.seekg(model_pos);
-  return load_snapshot_ex(body, std::move(popularity), snap_version,
-                          config_.fallback_top_n);
 }
 
 LoadLatestResult SnapshotStore::load_latest() const {
@@ -576,27 +441,6 @@ std::vector<std::uint64_t> SnapshotStore::generations() const {
   }
   std::sort(gens.begin(), gens.end());
   return gens;
-}
-
-std::string SnapshotStore::convert_generation(std::uint64_t gen) const {
-  auto loaded = load_generation(gen);
-  if (loaded.snapshot == nullptr) {
-    return "gen " + std::to_string(gen) + ": " + loaded.error;
-  }
-  const std::string content =
-      render_generation(gen, *loaded.snapshot, GenerationFormat::kFrozenV2);
-  // The loaded snapshot may be backed by the mapping of the very file the
-  // rename below replaces; write_atomic stages into a temp file, and the
-  // old mapping stays valid after the rename (the inode lives until
-  // unmapped), so the rewrite is safe even while the old bytes are in use.
-  const std::string err = write_atomic(
-      gen_path(gen), content,
-      [] { return WEBPPM_FAULT_INJECT("serve.snapshot.write"); },
-      [] { return WEBPPM_FAULT_INJECT("serve.snapshot.fsync"); },
-      [] { return WEBPPM_FAULT_INJECT("serve.snapshot.rename"); },
-      [] { return WEBPPM_FAULT_INJECT("serve.snapshot.dirsync"); });
-  if (!err.empty()) return "gen " + std::to_string(gen) + ": " + err;
-  return {};
 }
 
 void SnapshotStore::prune(std::uint64_t newest) const {

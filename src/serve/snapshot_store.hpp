@@ -3,31 +3,25 @@
 //
 // The paper's deployment trains offline and hands the frozen model to the
 // server; this store is that handoff made crash-safe. Each publish writes
-// one *generation* file. The default (v2) format carries a frozen
-// structure-of-arrays payload at a page-aligned offset:
+// one *generation* file, which carries a frozen structure-of-arrays payload
+// at a page-aligned offset:
 //
-//   gen-<id>.snap (v2):
+//   gen-<id>.snap:
 //     webppm-snap v2 <generation> <snapshot-version> <payload-bytes>
 //                    <payload-offset> <crc32>
 //     <zero padding up to payload-offset (a page boundary)>
 //     <frozen payload>         # frozen/format.hpp, exactly payload-bytes
 //
-// load_latest() of a v2 generation is mmap + CRC-32 over the mapped range
+// load_latest() of a generation is mmap + CRC-32 over the mapped range
 // + a validating scan: zero payload-sized copies, no deserialization
 // allocations — the served tree is spans into the mapping. The CRC covers
 // "<generation> <snapshot-version> <payload-bytes> <payload-offset>\n"
 // plus every mapped byte after the header line (padding included), so a
 // bit flip anywhere fails verification.
 //
-// The v1 (text) format is still read — and still written when the config
-// selects it — for the arena-model handoff:
-//
-//   gen-<id>.snap (v1):
-//     webppm-snap v1 <generation> <snapshot-version> <payload-bytes> <crc32>
-//     <payload>                # webppm-pop section + save_model stream
-//
-// convert_generation() rewrites an existing generation in the v2 format in
-// place (one-shot migration of a pre-frozen store).
+// v2 is the only format read. Any other version word, such as that of the
+// text "v1" generations older releases wrote, is rejected as "header:
+// unknown format v1" and rolled back past like any unreadable generation.
 //
 // Files are written temp + fsync + atomic rename, then the
 // MANIFEST (same discipline) records the generation list; a crash between
@@ -64,18 +58,10 @@
 
 namespace webppm::serve {
 
-/// Which generation format publish() writes. Loading always accepts both.
-enum class GenerationFormat : std::uint8_t {
-  kFrozenV2,  ///< mmap-loadable frozen payload at a page-aligned offset
-  kTextV1,    ///< legacy text payload (popularity section + save_model)
-};
-
 struct SnapshotStoreConfig {
   /// Directory holding gen-*.snap files and the MANIFEST. Created (one
   /// level) if absent.
   std::string dir;
-  /// Format for newly published generations.
-  GenerationFormat write_format = GenerationFormat::kFrozenV2;
   /// Newest generations kept on disk; older ones are pruned after a
   /// successful publish. 0 is treated as 1 — the store never prunes the
   /// generation it just wrote.
@@ -117,9 +103,10 @@ class SnapshotStore {
 
   /// Serialises `snap` and durably installs it as the next generation
   /// (write temp, fsync, atomic rename, manifest update, prune). Retries
-  /// transient failures per config. Thread-compatible: one publisher at a
-  /// time (the training loop), concurrent with any number of load_latest()
-  /// readers.
+  /// transient failures per config. Fails without writing when the newest
+  /// generation id on disk is the largest u64, so the next would wrap.
+  /// Thread-compatible: one publisher at a time (the training loop),
+  /// concurrent with any number of load_latest() readers.
   PublishResult publish(const Snapshot& snap);
 
   /// Newest generation that verifies (checksum + structure), rolling back
@@ -129,14 +116,8 @@ class SnapshotStore {
   LoadLatestResult load_latest() const;
 
   /// Generation ids currently on disk, oldest first (directory scan).
+  /// A file name whose id does not fit in a u64 is not a generation.
   std::vector<std::uint64_t> generations() const;
-
-  /// One-shot converter: loads generation `gen` (any format) and rewrites
-  /// it in place — same id, same snapshot version — in the frozen v2
-  /// format, with the usual temp/fsync/rename discipline. Returns empty on
-  /// success, else the reason. Already-v2 generations are rewritten
-  /// losslessly (the frozen payload round-trips byte-identically).
-  std::string convert_generation(std::uint64_t gen) const;
 
   const SnapshotStoreConfig& config() const { return config_; }
 
@@ -153,16 +134,12 @@ class SnapshotStore {
                            const std::string& content, FaultHook write_fault,
                            FaultHook fsync_fault, FaultHook rename_fault,
                            FaultHook dirsync_fault) const;
-  /// Verifies and parses one generation file. Returns nullptr + reason.
-  /// Dispatches on the header's format version: v2 verifies the CRC over
-  /// the mmapped range in place and serves spans into the mapping; v1
-  /// reads and parses the legacy text payload.
+  /// Verifies and opens one generation file: the CRC is checked over the
+  /// mmapped range in place, and the served model is spans into the
+  /// mapping. Returns nullptr + reason.
   SnapshotLoadResult load_generation(std::uint64_t gen) const;
-  SnapshotLoadResult load_generation_v1(std::uint64_t gen,
-                                        const std::string& content) const;
-  /// Renders the full generation file content for `snap` in `format`.
-  std::string render_generation(std::uint64_t gen, const Snapshot& snap,
-                                GenerationFormat format) const;
+  /// Renders the full generation file content for `snap`.
+  std::string render_generation(std::uint64_t gen, const Snapshot& snap) const;
   void prune(std::uint64_t newest) const;
 
   SnapshotStoreConfig config_;
@@ -176,10 +153,5 @@ class SnapshotStore {
   };
   std::unique_ptr<Instruments> ins_;
 };
-
-/// Serialises a snapshot into the store's payload format (popularity
-/// section + model stream). Exposed for tests that corrupt payloads
-/// deliberately.
-std::string serialize_snapshot_payload(const Snapshot& snap);
 
 }  // namespace webppm::serve

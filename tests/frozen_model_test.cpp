@@ -2,11 +2,12 @@
 // format's invariants (section alignment, BFS layout, 2-bit grades), the
 // FrozenModel predictor against its arena source on hand-built trees, and
 // the serve-layer glue (freeze_snapshot, passthrough re-serialisation,
-// store v2 publish/load and one-shot conversion).
+// store v2 publish/load, and the rejection of retired v1 generations).
 #include "frozen/frozen.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -20,6 +21,7 @@
 #include "serve/frozen_snapshot.hpp"
 #include "serve/snapshot_store.hpp"
 #include "util/align.hpp"
+#include "util/crc32.hpp"
 
 namespace webppm::frozen {
 namespace {
@@ -264,11 +266,9 @@ class FrozenStoreTest : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir_); }
 
-  serve::SnapshotStoreConfig cfg(serve::GenerationFormat format =
-                                     serve::GenerationFormat::kFrozenV2) {
+  serve::SnapshotStoreConfig cfg() {
     serve::SnapshotStoreConfig c;
     c.dir = dir_;
-    c.write_format = format;
     c.backoff = std::chrono::milliseconds{0};
     return c;
   }
@@ -311,42 +311,34 @@ TEST_F(FrozenStoreTest, PublishWritesV2AndLoadsBack) {
   }
 }
 
-TEST_F(FrozenStoreTest, V1GenerationsStillLoad) {
-  serve::SnapshotStore store(cfg(serve::GenerationFormat::kTextV1));
-  auto snap = snapshot(3);
-  ASSERT_TRUE(store.publish(*snap).ok);
-
-  const auto loaded = store.load_latest();
-  ASSERT_NE(loaded.snapshot, nullptr) << loaded.error;
-  EXPECT_EQ(loaded.snapshot->version, 3u);
-  for (auto ctx : std::vector<std::vector<UrlId>>{{1}, {1, 2}}) {
-    expect_identical(*snap->model, *loaded.snapshot->model, ctx);
-  }
-}
-
-TEST_F(FrozenStoreTest, ConvertGenerationUpgradesV1InPlace) {
-  auto snap = snapshot(9);
-  {
-    serve::SnapshotStore v1(cfg(serve::GenerationFormat::kTextV1));
-    ASSERT_TRUE(v1.publish(*snap).ok);
-  }
+TEST_F(FrozenStoreTest, V1GenerationIsRejectedAndRolledPast) {
   serve::SnapshotStore store(cfg());
-  ASSERT_EQ(store.convert_generation(1), "");
+  auto snap = snapshot(1);
+  ASSERT_TRUE(store.publish(*snap).ok);  // gen 1, v2
 
-  std::ifstream in((fs::path(dir_) / "gen-1.snap").string(),
-                   std::ios::binary);
-  std::string magic, ver;
-  ASSERT_TRUE(in >> magic >> ver);
-  EXPECT_EQ(ver, "v2");
+  // A well-formed text v1 generation as older releases wrote it, newer
+  // than the v2 one: CRC-32 over "<gen> <version> <bytes>\n" + payload,
+  // and a popularity-only payload (which v1 loaded as a degraded snapshot).
+  const std::string payload = "webppm-pop v1 3\n0 5 3\n";
+  const std::string prefix = "2 2 " + std::to_string(payload.size()) + "\n";
+  char crc[16];
+  std::snprintf(crc, sizeof crc, "%08x",
+                util::crc32(payload, util::crc32(prefix)));
+  std::ofstream((fs::path(dir_) / "gen-2.snap").string(), std::ios::binary)
+      << "webppm-snap v1 " << prefix.substr(0, prefix.size() - 1) << ' '
+      << crc << '\n'
+      << payload;
 
   const auto loaded = store.load_latest();
   ASSERT_NE(loaded.snapshot, nullptr) << loaded.error;
-  EXPECT_EQ(loaded.snapshot->version, 9u);  // id and version preserved
-  for (auto ctx : std::vector<std::vector<UrlId>>{{1}, {1, 2}, {5, 6}}) {
-    expect_identical(*snap->model, *loaded.snapshot->model, ctx);
-  }
-  // Converting an already-v2 generation is an idempotent no-op.
-  EXPECT_EQ(store.convert_generation(1), "");
+  EXPECT_EQ(loaded.generation, 1u);
+  EXPECT_EQ(loaded.snapshot->version, 1u);
+  ASSERT_FALSE(loaded.snapshot->degraded());
+  ASSERT_EQ(loaded.rejected.size(), 1u);
+  EXPECT_NE(loaded.rejected[0].find("gen 2"), std::string::npos)
+      << loaded.rejected[0];
+  EXPECT_NE(loaded.rejected[0].find("unknown format v1"), std::string::npos)
+      << loaded.rejected[0];
 }
 
 TEST_F(FrozenStoreTest, DegradedSnapshotRoundTripsAsDegraded) {

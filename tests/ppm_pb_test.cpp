@@ -282,5 +282,26 @@ TEST(PopularityPpm, PopularHeadsYieldFewerNodesThanStandardWindows) {
   EXPECT_EQ(m.tree().root_count(), 1u);
 }
 
+TEST(SerializeModel, LinksUnderAChainDeeperThanStoredDepthRankSafely) {
+  // One chain 1 -> 2 -> 2 -> ... of 65,540 nodes. A node's stored depth is
+  // 16 bits wide and wraps, so the target at real depth 65,539 (node
+  // 65,538) reads as depth 3: ranking must size its path by walking it.
+  constexpr NodeId kChain = 65'540;
+  constexpr NodeId kDeep = 65'538;
+  constexpr NodeId kShallow = 2;
+  PredictionTree tree;
+  NodeId tip = tree.root_or_add(1);
+  for (NodeId i = 1; i < kChain; ++i) tip = tree.child_or_add(tip, 2);
+  ASSERT_EQ(tree.node_count(), kChain);
+  ASSERT_EQ(tree.node(kDeep).depth, 3u);
+
+  const auto pop = popularity::PopularityTable::from_counts({0, 100, 80});
+  const auto m = PopularityPpm::from_parts(
+      PopularityPpmConfig{}, &pop, std::move(tree), {{0, {kDeep, kShallow}}});
+  // Equal counts: the shallow target's path is a prefix of the deep one's,
+  // so it ranks first.
+  EXPECT_EQ(m.links().at(0), (std::vector<NodeId>{kShallow, kDeep}));
+}
+
 }  // namespace
 }  // namespace webppm::ppm

@@ -398,5 +398,49 @@ TEST_F(SnapshotStoreTest, ReadFaultRollsBackLikeCorruption) {
             1u);
 }
 
+TEST_F(SnapshotStoreTest, OverlongGenerationNameIsIgnored) {
+  SnapshotStore store(cfg());
+  ASSERT_TRUE(store.publish(*make_test_snapshot(1)).ok);
+  // A stray file whose id does not fit in a u64 is not a generation.
+  write_file((fs::path(dir_) / "gen-99999999999999999999.snap").string(),
+             read_file(gen_file(1)));
+
+  EXPECT_EQ(store.generations(), (std::vector<std::uint64_t>{1}));
+  const auto pub = store.publish(*make_test_snapshot(2));
+  ASSERT_TRUE(pub.ok) << pub.error;
+  EXPECT_EQ(pub.generation, 2u);
+  const auto loaded = store.load_latest();
+  ASSERT_NE(loaded.snapshot, nullptr) << loaded.error;
+  EXPECT_EQ(loaded.generation, 2u);
+  EXPECT_EQ(loaded.snapshot->version, 2u);
+  EXPECT_TRUE(loaded.rejected.empty());
+}
+
+TEST_F(SnapshotStoreTest, PublishRefusesToWrapTheGenerationId) {
+  obs::MetricsRegistry registry;
+  auto c = cfg();
+  c.metrics = &registry;
+  SnapshotStore store(c);
+  ASSERT_TRUE(store.publish(*make_test_snapshot(1)).ok);
+  const std::string last =
+      (fs::path(dir_) / "gen-18446744073709551615.snap").string();
+  write_file(last, "garbage");
+
+  const auto pub = store.publish(*make_test_snapshot(2));
+  EXPECT_FALSE(pub.ok);
+  EXPECT_NE(pub.error.find("wrap"), std::string::npos) << pub.error;
+  EXPECT_EQ(registry.counter("webppm_serve_fault_publish_failures_total")
+                .value(),
+            1u);
+  // Nothing was written: no gen 0, and the stray file is untouched.
+  EXPECT_EQ(store.generations(),
+            (std::vector<std::uint64_t>{1, 18446744073709551615ull}));
+  EXPECT_EQ(read_file(last), "garbage");
+  const auto loaded = store.load_latest();
+  ASSERT_NE(loaded.snapshot, nullptr) << loaded.error;
+  EXPECT_EQ(loaded.generation, 1u);
+  EXPECT_EQ(loaded.snapshot->version, 1u);
+}
+
 }  // namespace
 }  // namespace webppm::serve

@@ -11,7 +11,7 @@
 #include "fault/fault.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_event.hpp"
-#include "ppm/serialize.hpp"
+#include "ppm/standard_ppm.hpp"
 #include "serve/metrics_reporter.hpp"
 #include "session/online.hpp"
 
@@ -110,46 +110,6 @@ TEST(ModelServer, PublishSwapsModelWithoutDroppingContexts) {
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].url, 9u);
   EXPECT_EQ(server.client_count(), 1u);
-}
-
-TEST(ModelServer, LoadSnapshotRoundTripsAllModelKinds) {
-  const std::vector<session::Session> train{
-      make_session({1, 2, 3}), make_session({1, 2, 3}),
-      make_session({4, 2, 3})};
-
-  {
-    ppm::StandardPpm m;
-    m.train(train);
-    std::stringstream ss;
-    ppm::save_model(ss, m);
-    const auto snap = load_snapshot(ss, {}, 1);
-    ASSERT_NE(snap, nullptr);
-    EXPECT_EQ(snap->model->node_count(), m.node_count());
-  }
-  {
-    ppm::LrsPpm m;
-    m.train(train);
-    std::stringstream ss;
-    ppm::save_model(ss, m);
-    const auto snap = load_snapshot(ss, {}, 2);
-    ASSERT_NE(snap, nullptr);
-    EXPECT_EQ(snap->model->node_count(), m.node_count());
-  }
-  {
-    auto pop = popularity::PopularityTable::from_counts({0, 100, 80, 60, 10});
-    ppm::PopularityPpm m(ppm::PopularityPpmConfig{}, &pop);
-    m.train(train);
-    std::stringstream ss;
-    ppm::save_model(ss, m);
-    const auto snap = load_snapshot(ss, pop, 3);
-    ASSERT_NE(snap, nullptr);
-    EXPECT_EQ(snap->model->node_count(), m.node_count());
-    EXPECT_EQ(snap->version, 3u);
-  }
-  {
-    std::stringstream ss("webppm-nonsense v1 0\n");
-    EXPECT_EQ(load_snapshot(ss, {}, 4), nullptr);
-  }
 }
 
 TEST(ModelServer, IdleEvictionBoundsClientCount) {
