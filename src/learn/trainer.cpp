@@ -17,9 +17,7 @@ namespace webppm::learn {
 namespace {
 
 std::size_t session_bytes(const session::Session& s) {
-  return sizeof(session::Session) +
-         s.urls.capacity() * sizeof(UrlId) +
-         s.times.capacity() * sizeof(TimeSec);
+  return sizeof(session::Session) + s.urls.capacity() * sizeof(UrlId);
 }
 
 }  // namespace
@@ -150,7 +148,7 @@ class PbShadow final : public ShadowModel {
   }
 
   std::size_t storage_bytes() const override {
-    return (base_ ? base_->tree().memory_bytes() : 0) +
+    return (base_ ? base_->memory_bytes() : 0) +
            (pop_ ? pop_->memory_bytes() : 0);
   }
 

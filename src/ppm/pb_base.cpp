@@ -2,12 +2,28 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdint>
-#include <unordered_map>
 #include <utility>
-#include <vector>
 
 namespace webppm::ppm {
+namespace {
+
+/// The tree a breadth-first listing describes: entry i becomes node i.
+template <typename Listing>
+PredictionTree tree_of(const Listing& listing) {
+  PredictionTree out;
+  out.reserve(listing.size());
+  for (std::size_t i = 0; i < listing.size(); ++i) {
+    const auto& v = listing[i];
+    const NodeId id = v.parent == kNoNode
+                          ? out.root_or_add(v.url, v.count)
+                          : out.child_or_add(v.parent, v.url, v.count);
+    assert(id == i);
+    (void)id;
+  }
+  return out;
+}
+
+}  // namespace
 
 PbBase::PbBase(const PopularityPpmConfig& config,
                const popularity::PopularityTable* grades)
@@ -27,25 +43,197 @@ std::size_t PbBase::branch_length(const popularity::PopularityTable& grades,
   return std::min(cap, urls.size() - i);
 }
 
+NodeId PbBase::new_node(UrlId url, std::uint32_t count) {
+  ++nodes_live_;
+  NodeId id = free_head_;
+  if (id == kNoNode) {
+    id = static_cast<NodeId>(nodes_.size());
+    nodes_.emplace_back();
+  } else {
+    free_head_ = nodes_[id].url;
+  }
+  nodes_[id].url = url;
+  nodes_[id].count = count;
+  return id;
+}
+
+void PbBase::free_node(NodeId id) {
+  nodes_[id] = Node{};  // drops the child map's spill
+  nodes_[id].url = free_head_;
+  free_head_ = id;
+  --nodes_live_;
+}
+
+PbBase::Ref PbBase::seal_tail(std::size_t header) {
+  assert(header < pool_.size() && pool_.size() <= kTailBit);
+  const auto length = static_cast<std::uint32_t>(pool_.size() - header);
+  pool_[header] = length;
+  pool_live_ += length;
+  ++tails_live_;
+  return static_cast<Ref>(header) | kTailBit;
+}
+
+PbBase::Ref PbBase::new_tail(std::span<const UrlId> urls) {
+  const std::size_t header = pool_.size();
+  pool_.push_back(0);  // the length word, where urls[0] would go
+  pool_.insert(pool_.end(), urls.begin() + 1, urls.end());
+  return seal_tail(header);
+}
+
+void PbBase::free_tail(Ref tail) {
+  const std::uint32_t length = pool_[header_of(tail)];
+  pool_live_ -= length;
+  pool_dead_ += length;
+  --tails_live_;
+}
+
+void PbBase::compact_pool_if_sparse() {
+  if (2 * pool_dead_ <= pool_live_) return;
+  // Live tails are copied in node order into a buffer of the same
+  // capacity, so a base whose size holds steady keeps one pool allocation;
+  // each parent's entry is repointed. Free node slots have no children.
+  std::vector<std::uint32_t> packed;
+  packed.reserve(pool_.capacity());
+  for (Node& n : nodes_) {
+    n.children.for_each([&](UrlId, Ref& c) {
+      if (!is_tail(c)) return;
+      const auto from =
+          pool_.begin() + static_cast<std::ptrdiff_t>(header_of(c));
+      c = static_cast<Ref>(packed.size()) | kTailBit;
+      packed.insert(packed.end(), from, from + *from);
+    });
+  }
+  pool_ = std::move(packed);
+  pool_dead_ = 0;
+}
+
 void PbBase::insert_branch(std::span<const UrlId> path) {
-  NodeId id = tree_.root_or_add(path[0]);
+  const auto [root, fresh] = roots_.try_emplace(path[0], 0);
+  if (fresh) {
+    root->second = new_node(path[0], 1);
+  } else {
+    ++nodes_[root->second].count;
+  }
+  NodeId id = root->second;
   for (std::size_t k = 1; k < path.size(); ++k) {
-    id = tree_.child_or_add(id, path[k]);
+    const Ref* const c = nodes_[id].children.find(path[k]);
+    if (c == nullptr) {  // first traversal: the rest of the branch is a tail
+      nodes_[id].children[path[k]] = new_tail(path.subspan(k));
+      return;
+    }
+    if (is_tail(*c)) {
+      split(id, *c, path.subspan(k));
+      return;
+    }
+    id = *c;
+    ++nodes_[id].count;
+  }
+}
+
+void PbBase::split(NodeId parent, Ref tail, std::span<const UrlId> rest) {
+  const std::size_t header = header_of(tail);
+  const std::uint32_t length = pool_[header];
+  std::size_t shared = 1;  // the first URL is the child-map key
+  while (shared < rest.size() && shared < length &&
+         pool_[header + shared] == rest[shared]) {
+    ++shared;
+  }
+  // The shared run is traversed twice now: materialise it at count 2, its
+  // first node in the tail's child-map entry.
+  NodeId last = parent;
+  for (std::size_t j = 0; j < shared; ++j) {
+    const NodeId n = new_node(rest[j], 2);
+    if (j == 0) {
+      *nodes_[last].children.find(rest[j]) = n;
+    } else {
+      nodes_[last].children[rest[j]] = n;
+    }
+    last = n;
+  }
+  // The tail's remainder keeps its place in the pool: its first URL moves
+  // to its parent's child map and its length word takes that URL's place.
+  // The branch's remainder becomes a tail of its own.
+  if (shared < length) {
+    const std::size_t rem = header + shared;
+    const UrlId first = pool_[rem];
+    pool_[rem] = length - static_cast<std::uint32_t>(shared);
+    pool_live_ -= shared;
+    pool_dead_ += shared;
+    nodes_[last].children[first] = static_cast<Ref>(rem) | kTailBit;
+  } else {
+    free_tail(tail);
+  }
+  if (shared < rest.size()) {
+    nodes_[last].children[rest[shared]] = new_tail(rest.subspan(shared));
   }
 }
 
 void PbBase::retract_branch(std::span<const UrlId> path) {
-  NodeId id = tree_.find_root(path[0]);
-  for (std::size_t k = 0; k < path.size(); ++k) {
-    if (k != 0) id = tree_.find_child(id, path[k]);
-    assert(id != kNoNode && "retracting a branch the base does not hold");
-    // A count-1 node's one traversal is this branch, so its subtree is the
-    // rest of the branch: it all goes at once.
-    if (--tree_.node(id).count == 0) {
-      tree_.release(id);
-      return;
-    }
+  const auto root = roots_.find(path[0]);
+  assert(root != roots_.end() && "retracting a branch the base does not hold");
+  NodeId id = root->second;
+  if (--nodes_[id].count == 0) {
+    // This branch was the root's one traversal: below it is at most the
+    // branch's own tail.
+    nodes_[id].children.for_each([this](UrlId, Ref c) { free_tail(c); });
+    roots_.erase(root);
+    free_node(id);
+    return;
   }
+  // The first non-root node that falls back to count 1 takes everything
+  // below it on this branch along, so it is folded once the walk is done.
+  NodeId fold_parent = kNoNode;
+  UrlId fold_url = kInvalidUrl;
+  for (std::size_t k = 1; k < path.size(); ++k) {
+    const Ref* const c = nodes_[id].children.find(path[k]);
+    assert(c != nullptr && "retracting a branch the base does not hold");
+    if (is_tail(*c)) {
+      // A tail's one traversal is this branch, which ends where it ends.
+      assert(pool_[header_of(*c)] == path.size() - k);
+      free_tail(*c);
+      nodes_[id].children.erase_if([&](UrlId u, Ref) { return u == path[k]; });
+      break;
+    }
+    if (--nodes_[*c].count == 1 && fold_parent == kNoNode) {
+      fold_parent = id;
+      fold_url = path[k];
+    }
+    id = *c;
+  }
+  if (fold_parent != kNoNode) fold(fold_parent, fold_url);
+}
+
+void PbBase::fold(NodeId parent, UrlId url) {
+  // Every node from here down has count 1 and at most one child. The
+  // chain's URLs follow a length word; the first stays the map key.
+  const std::size_t header = pool_.size();
+  pool_.push_back(0);
+  NodeId n = *nodes_[parent].children.find(url);
+  for (;;) {
+    assert(nodes_[n].count == 1 && nodes_[n].children.size() <= 1);
+    bool more = false;
+    UrlId next_url = kInvalidUrl;
+    Ref next = 0;
+    nodes_[n].children.for_each([&](UrlId u, Ref c) {
+      more = true;
+      next_url = u;
+      next = c;
+    });
+    free_node(n);
+    if (!more) break;
+    pool_.push_back(next_url);
+    if (is_tail(next)) {
+      const std::size_t from = header_of(next);
+      for (std::size_t i = 1; i < pool_[from]; ++i) {
+        const UrlId u = pool_[from + i];  // push_back may reallocate
+        pool_.push_back(u);
+      }
+      free_tail(next);
+      break;
+    }
+    n = next;
+  }
+  *nodes_[parent].children.find(url) = seal_tail(header);
 }
 
 void PbBase::insert(std::span<const session::Session> sessions) {
@@ -57,6 +245,7 @@ void PbBase::insert(std::span<const session::Session> sessions) {
       }
     }
   }
+  compact_pool_if_sparse();
 }
 
 void PbBase::retract(std::span<const session::Session> sessions) {
@@ -68,6 +257,7 @@ void PbBase::retract(std::span<const session::Session> sessions) {
       }
     }
   }
+  compact_pool_if_sparse();
 }
 
 bool PbBase::drifted(const popularity::PopularityTable& grades) const {
@@ -110,15 +300,14 @@ std::size_t PbBase::regrade(const popularity::PopularityTable* grades,
     }
     touched += hit ? 1 : 0;
   }
+  compact_pool_if_sparse();
   return touched;
 }
 
-PopularityPpm PbBase::emit() const {
+std::vector<PbBase::Visit> PbBase::survivors(std::uint32_t min_count,
+                                             double min_share) const {
   // Rule 4: a non-root node is cut, with its subtree, when its count is at
-  // most min_absolute_count or its share of its parent's count is below
-  // min_relative_probability (0 disables either test).
-  const std::uint32_t min_count = config_.min_absolute_count;
-  const double min_share = config_.min_relative_probability;
+  // most min_count or its share of its parent's count is below min_share.
   const auto cut = [&](std::uint32_t count, std::uint32_t parent_count) {
     if (min_count > 0 && count <= min_count) return true;
     if (min_share > 0.0) {
@@ -127,53 +316,68 @@ PopularityPpm PbBase::emit() const {
     }
     return false;
   };
-
-  // Pass 1 lists the survivors breadth-first; the list is its own queue.
-  // A survivor's index is its id in the emitted tree, so pass 2 builds
-  // that tree in one exactly sized arena: no arena regrowth churns the
-  // heap while the much larger base is alive.
-  struct Kept {
-    NodeId src;
-    NodeId parent;  ///< index of the parent in `kept`, kNoNode for a root
-    NodeId root;    ///< index of the branch root in `kept`
-    std::uint32_t depth;
-  };
-  std::vector<Kept> kept;
-  for (const auto& [url, src_root] : tree_.roots()) {
+  // The listing is its own queue. A tail node's one child is the next URL
+  // of its run, at count 1.
+  std::vector<Visit> kept;
+  for (const auto& [url, id] : roots_) {
     const auto i = static_cast<NodeId>(kept.size());
-    kept.push_back({src_root, kNoNode, i, 1});
+    kept.push_back({url, nodes_[id].count, id, 0, kNoNode, i, 1});
   }
   for (std::size_t i = 0; i < kept.size(); ++i) {
-    const Kept k = kept[i];  // push_back below may reallocate
-    const std::uint32_t parent_count = tree_.node(k.src).count;
-    tree_.node(k.src).children.for_each([&](UrlId, NodeId c) {
-      if (cut(tree_.node(c).count, parent_count)) return;
-      kept.push_back({c, static_cast<NodeId>(i), k.root, k.depth + 1});
-    });
+    const Visit v = kept[i];  // push_back below may reallocate
+    const auto keep = [&](UrlId url, std::uint32_t count, Ref src,
+                          std::uint32_t pos) {
+      if (cut(count, v.count)) return;
+      kept.push_back({url, count, src, pos, static_cast<NodeId>(i), v.root,
+                      v.depth + 1});
+    };
+    if (!is_tail(v.src)) {
+      nodes_[v.src].children.for_each([&](UrlId url, Ref c) {
+        keep(url, is_tail(c) ? 1 : nodes_[c].count, c, 0);
+      });
+    } else if (v.pos + 1 < pool_[header_of(v.src)]) {
+      keep(pool_[header_of(v.src) + v.pos + 1], 1, v.src, v.pos + 1);
+    }
   }
+  return kept;
+}
 
-  PredictionTree out;
-  out.reserve(kept.size());
+PopularityPpm PbBase::emit() const {
+  // The survivors are listed first, so the emitted tree is built in one
+  // exactly sized arena: no arena regrowth churns the heap while the base
+  // is alive.
+  const std::vector<Visit> kept =
+      survivors(config_.min_absolute_count, config_.min_relative_probability);
+  PredictionTree out = tree_of(kept);
   std::unordered_map<NodeId, std::vector<NodeId>> links;
-  for (std::size_t i = 0; i < kept.size(); ++i) {
-    const Kept& k = kept[i];
-    const TreeNode& n = tree_.node(k.src);
-    const NodeId id = k.parent == kNoNode
-                          ? out.root_or_add(n.url, n.count)
-                          : out.child_or_add(k.parent, n.url, n.count);
-    assert(id == i);
-    // Rule 3: a popular URL "not immediately following the heading URL"
-    // gets a special link from its branch root.
-    if (config_.special_links && k.depth >= 3) {
-      const int g = grades_->grade(n.url);
-      if (g > grades_->grade(out.node(k.root).url) ||
-          g == popularity::kMaxGrade) {
-        links[k.root].push_back(id);
+  if (config_.special_links) {
+    for (std::size_t i = 0; i < kept.size(); ++i) {
+      // Rule 3: a popular URL "not immediately following the heading URL"
+      // gets a special link from its branch root.
+      const Visit& v = kept[i];
+      if (v.depth < 3) continue;
+      const int g = grades_->grade(v.url);
+      if (g > grades_->grade(kept[v.root].url) || g == popularity::kMaxGrade) {
+        links[v.root].push_back(static_cast<NodeId>(i));
       }
     }
   }
   return PopularityPpm::from_parts(config_, grades_, std::move(out),
                                    std::move(links));
+}
+
+PredictionTree PbBase::expand() const { return tree_of(survivors(0, 0.0)); }
+
+std::size_t PbBase::memory_bytes() const {
+  std::size_t bytes = nodes_.capacity() * sizeof(Node) +
+                      pool_.capacity() * sizeof(std::uint32_t);
+  for (const Node& n : nodes_) bytes += n.children.heap_bytes();
+  // The root table is approximated as in PredictionTree::memory_bytes: one
+  // bucket pointer per bucket, one heap node per entry.
+  bytes += roots_.bucket_count() * sizeof(void*);
+  bytes += roots_.size() *
+           (sizeof(std::pair<UrlId, NodeId>) + 2 * sizeof(void*));
+  return bytes;
 }
 
 }  // namespace webppm::ppm

@@ -36,7 +36,6 @@ std::vector<Session> extract_sessions(std::span<const trace::Request> requests,
       continue;
     }
     s.urls.push_back(r.url);
-    s.times.push_back(r.timestamp);
     s.end = r.timestamp;
   }
   for (auto& [client, s] : open) close(s);
@@ -70,7 +69,6 @@ void IncrementalSessionizer::feed(std::span<const trace::Request> requests) {
       continue;
     }
     s.urls.push_back(r.url);
-    s.times.push_back(r.timestamp);
     s.end = r.timestamp;
   }
 }

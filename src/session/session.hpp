@@ -16,8 +16,7 @@ struct Session {
   ClientId client = 0;
   TimeSec start = 0;
   TimeSec end = 0;
-  std::vector<UrlId> urls;    ///< page clicks, in order
-  std::vector<TimeSec> times; ///< parallel to urls
+  std::vector<UrlId> urls;  ///< page clicks, in order
 
   std::size_t length() const { return urls.size(); }
 };

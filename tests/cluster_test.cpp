@@ -194,10 +194,8 @@ std::shared_ptr<const serve::Snapshot> tiny_snapshot(
   auto m = std::make_unique<ppm::StandardPpm>();
   session::Session s;
   s.urls = {1, 2, 3};
-  s.times = {0, 0, 0};
   session::Session s2;
   s2.urls = {1, 2, 4};
-  s2.times = {0, 0, 0};
   const std::vector<session::Session> train{s, s, s2};
   m->train(train);
   return serve::make_snapshot(std::move(m), popularity::PopularityTable{},

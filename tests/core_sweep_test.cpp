@@ -196,11 +196,10 @@ TEST(SweepEngine, WindowPopularityMatchesBatchBuild) {
 // [0, k) must be exactly the multiset extract_sessions returns on the same
 // window, for every prefix.
 
-using SessionKey = std::tuple<ClientId, TimeSec, TimeSec, std::vector<UrlId>,
-                              std::vector<TimeSec>>;
+using SessionKey = std::tuple<ClientId, TimeSec, TimeSec, std::vector<UrlId>>;
 
 SessionKey key_of(const session::Session& s) {
-  return {s.client, s.start, s.end, s.urls, s.times};
+  return {s.client, s.start, s.end, s.urls};
 }
 
 std::vector<SessionKey> sorted_keys(std::vector<session::Session> sessions) {

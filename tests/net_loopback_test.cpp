@@ -51,7 +51,6 @@ trace::Request click(ClientId c, UrlId u, TimeSec t,
 session::Session make_session(std::vector<UrlId> urls) {
   session::Session s;
   s.urls = std::move(urls);
-  s.times.assign(s.urls.size(), 0);
   return s;
 }
 

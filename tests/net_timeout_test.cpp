@@ -157,7 +157,6 @@ std::shared_ptr<const serve::Snapshot> tiny_snapshot() {
   auto m = std::make_unique<ppm::StandardPpm>();
   session::Session s;
   s.urls = {1, 2, 3};
-  s.times = {0, 0, 0};
   const std::vector<session::Session> train{s, s};
   m->train(train);
   return serve::make_snapshot(std::move(m), popularity::PopularityTable{}, 1);

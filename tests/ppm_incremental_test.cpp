@@ -28,7 +28,6 @@ std::vector<session::Session> random_sessions(std::uint64_t seed,
       prev = u;
     }
     if (s.urls.empty()) s.urls.push_back(0);
-    s.times.assign(s.urls.size(), 0);
     out.push_back(std::move(s));
   }
   return out;
@@ -79,7 +78,7 @@ TEST(IncrementalTraining, PopularityBatchEqualsIncrementalWithoutOpt) {
   const PopularityPpm incremental = inc_base.emit();
 
   EXPECT_EQ(batch.node_count(), incremental.node_count());
-  EXPECT_EQ(batch.node_count(), batch_base.tree().node_count());
+  EXPECT_EQ(batch.node_count(), batch_base.expand().node_count());
   EXPECT_EQ(batch.links().size(), incremental.links().size());
   std::vector<Prediction> pa, pb;
   for (const auto& s : random_sessions(6, 10)) {
@@ -102,11 +101,11 @@ TEST(IncrementalTraining, EmitLeavesBaseUntouched) {
   cfg.min_absolute_count = 1;  // so the emit cuts something
   PbBase base(cfg, &pop);
   base.insert(data);
-  const auto base_nodes = base.tree().node_count();
+  const auto base_nodes = base.expand().node_count();
   const PopularityPpm first = base.emit();
   const PopularityPpm second = base.emit();
   EXPECT_LT(first.node_count(), base_nodes);
-  EXPECT_EQ(base.tree().node_count(), base_nodes);
+  EXPECT_EQ(base.expand().node_count(), base_nodes);
   EXPECT_EQ(first.node_count(), second.node_count());
   EXPECT_EQ(first.links().size(), second.links().size());
   std::vector<Prediction> pa, pb;
@@ -172,13 +171,13 @@ TEST(IncrementalTraining, PopularityTrainMoreWithoutOptMatchesBatch) {
   PbBase incremental(PopularityPpmConfig{}, &pop);
   incremental.insert(day1);
   incremental.insert(day2);
-  EXPECT_EQ(batch.tree().node_count(), incremental.tree().node_count());
+  EXPECT_EQ(batch.expand().node_count(), incremental.expand().node_count());
 
   // Emitting leaves the bases untouched and produces equal results.
   const PopularityPpm pruned_batch = batch.emit();
   const PopularityPpm pruned_inc = incremental.emit();
   EXPECT_EQ(pruned_batch.node_count(), pruned_inc.node_count());
-  EXPECT_EQ(batch.tree().node_count(), incremental.tree().node_count());
+  EXPECT_EQ(batch.expand().node_count(), incremental.expand().node_count());
   std::vector<Prediction> pa, pb;
   for (const auto& s : random_sessions(14, 10)) {
     pruned_batch.predict(s.urls, pa);

@@ -12,7 +12,6 @@ namespace {
 session::Session make_session(std::vector<UrlId> urls) {
   session::Session s;
   s.urls = std::move(urls);
-  s.times.assign(s.urls.size(), 0);
   return s;
 }
 
@@ -267,7 +266,7 @@ TEST(PopularityPpm, TrainWithoutOptimizationKeepsEverything) {
   train.push_back(make_session({1, 3}));
   a.train(train);
   b.insert(train);  // the training base is never optimised
-  EXPECT_LT(a.node_count(), b.tree().node_count());
+  EXPECT_LT(a.node_count(), b.expand().node_count());
   EXPECT_EQ(a.node_count(), b.emit().node_count());
 }
 

@@ -37,7 +37,6 @@ std::vector<session::Session> random_sessions(std::uint64_t seed,
       prev = u;
     }
     if (s.urls.empty()) s.urls.push_back(draw());
-    s.times.assign(s.urls.size(), 0);
     out.push_back(std::move(s));
   }
   return out;
@@ -207,7 +206,7 @@ TEST_P(ModelPropertyTest, OptimizationOnlyShrinks) {
   PbBase raw(cfg, &pop);
   raw.insert(train);
   const PopularityPpm pruned = raw.emit();
-  EXPECT_LE(pruned.node_count(), raw.tree().node_count());
+  EXPECT_LE(pruned.node_count(), raw.expand().node_count());
   check_tree_invariants(pruned.tree());
 }
 
@@ -250,7 +249,7 @@ TEST_P(ModelPropertyTest, PbLinksStayRankedThroughAppendsAndPruning) {
       check_links_ranked(m);
       check_tree_invariants(m.tree());
       linked = linked || !m.links().empty();
-      EXPECT_EQ(base.tree().node_count(), whole.tree().node_count());
+      EXPECT_EQ(base.expand().node_count(), whole.expand().node_count());
     }
     EXPECT_TRUE(linked);
   }

@@ -31,7 +31,6 @@ std::vector<session::Session> random_sessions(std::uint64_t seed,
       prev = u;
     }
     if (s.urls.empty()) s.urls.push_back(0);
-    s.times.assign(s.urls.size(), 0);
     out.push_back(std::move(s));
   }
   return out;

@@ -161,7 +161,6 @@ std::vector<session::Session> sessions_of(
   for (const auto& p : paths) {
     session::Session s;
     s.urls = p;
-    s.times.assign(p.size(), 0);
     out.push_back(std::move(s));
   }
   return out;
@@ -180,7 +179,7 @@ TEST(PredictionTree, CompactReindexesAndPreservesStructure) {
   cfg.min_absolute_count = 1;  // cuts 1 -> 2 (count 1) with its child 3
   PbBase base(cfg, &grades);
   base.insert(sessions_of({{1, 2, 3}, {1, 4}, {1, 4}}));
-  const PredictionTree& src = base.tree();
+  const PredictionTree& src = base.expand();
   ASSERT_EQ(src.node_count(), 4u);
   const UrlId path[] = {1, 4};
   const NodeId d = src.find_path(path);
@@ -216,7 +215,7 @@ TEST(PredictionTree, CompactOnUnprunedTreeIsIdentityStructure) {
   cfg.min_absolute_count = 0;
   PbBase base(cfg, &grades);
   base.insert(sessions_of({{1, 2}, {1, 2, 3}, {1, 4}}));
-  const PredictionTree& src = base.tree();
+  const PredictionTree& src = base.expand();
   const PopularityPpm m = base.emit();
   const PredictionTree& t = m.tree();
   ASSERT_EQ(t.node_count(), src.node_count());

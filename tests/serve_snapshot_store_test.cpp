@@ -26,7 +26,6 @@ namespace fs = std::filesystem;
 session::Session make_session(std::vector<UrlId> urls) {
   session::Session s;
   s.urls = std::move(urls);
-  s.times.assign(s.urls.size(), 0);
   return s;
 }
 

@@ -31,7 +31,6 @@ trace::Request click(ClientId c, UrlId u, TimeSec t, std::uint16_t status = 200)
 session::Session make_session(std::vector<UrlId> urls) {
   session::Session s;
   s.urls = std::move(urls);
-  s.times.assign(s.urls.size(), 0);
   return s;
 }
 

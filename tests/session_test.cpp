@@ -100,15 +100,6 @@ TEST(Sessionizer, ErrorsKeptWhenDisabled) {
   EXPECT_EQ(sessions[0].length(), 2u);
 }
 
-TEST(Sessionizer, TimesParallelUrls) {
-  const Trace t = make_trace({{0, "c", "/a"}, {7, "c", "/b"}});
-  const auto sessions = extract_sessions(t.requests);
-  ASSERT_EQ(sessions.size(), 1u);
-  ASSERT_EQ(sessions[0].times.size(), 2u);
-  EXPECT_EQ(sessions[0].times[0], 0u);
-  EXPECT_EQ(sessions[0].times[1], 7u);
-}
-
 TEST(Sessionizer, EmptyInput) {
   EXPECT_TRUE(extract_sessions({}).empty());
 }
