@@ -37,7 +37,9 @@
 //     unresolved at the round cap fails.
 //
 // Artifacts: BENCH_online.json (gate results + drift precisions + overhead
-// rows). --quick (or WEBPPM_BENCH_QUICK=1) shrinks corpora for CI.
+// rows + each convergence trainer's storage_bytes() at its last publish,
+// as trainer_bytes). --quick (or WEBPPM_BENCH_QUICK=1) shrinks corpora for
+// CI.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -90,9 +92,11 @@ std::vector<std::uint8_t> served_bytes(
 // Gate 1: in-process convergence, every day boundary.
 
 struct ConvergenceResult {
+  const char* label = "";
   std::size_t boundaries = 0;
   std::size_t mismatches = 0;
   std::uint64_t observations = 0;
+  std::size_t trainer_bytes = 0;  ///< storage_bytes() at the last publish
 };
 
 ConvergenceResult run_convergence(const trace::Trace& trace,
@@ -108,6 +112,7 @@ ConvergenceResult run_convergence(const trace::Trace& trace,
   trainer.attach();
 
   ConvergenceResult res;
+  res.label = label;
   const std::uint32_t days = trace.day_count();
   for (std::uint32_t d = 0; d < days; ++d) {
     for (const auto& r : trace.day_slice(d)) target.observe(r);
@@ -127,10 +132,14 @@ ConvergenceResult run_convergence(const trace::Trace& trace,
     }
   }
   res.observations = trainer.observations();
+  // The last step published at the last boundary and changed nothing
+  // storage_bytes() counts after it.
+  res.trainer_bytes = trainer.storage_bytes();
   std::printf("convergence %-14s boundaries=%zu mismatches=%zu "
-              "(%llu observations)\n",
+              "(%llu observations, trainer %zu B)\n",
               label, res.boundaries, res.mismatches,
-              static_cast<unsigned long long>(res.observations));
+              static_cast<unsigned long long>(res.observations),
+              res.trainer_bytes);
   return res;
 }
 
@@ -540,7 +549,8 @@ int main(int argc, char** argv) {
         "  \"overhead_attached_pct\": %.2f,\n"
         "  \"overhead_rounds\": %zu,\n"
         "  \"overhead_resolving_rounds\": %zu,\n"
-        "  \"attached_identical\": %s\n"
+        "  \"attached_identical\": %s,\n"
+        "  \"trainer_bytes\": {\"%s\": %zu, \"%s\": %zu, \"%s\": %zu}\n"
         "}\n",
         quick ? "true" : "false",
         conv_nasa_pb.boundaries + conv_nasa_std.boundaries +
@@ -551,7 +561,10 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(drift.drift_republishes),
         drift.ok ? "true" : "false", overhead.detached_pct,
         overhead.attached_pct, overhead.rounds, overhead.resolving,
-        overhead.identical ? "true" : "false");
+        overhead.identical ? "true" : "false", conv_nasa_pb.label,
+        conv_nasa_pb.trainer_bytes, conv_nasa_std.label,
+        conv_nasa_std.trainer_bytes, conv_ucb_pb.label,
+        conv_ucb_pb.trainer_bytes);
     std::fclose(f);
     std::printf("\nwrote BENCH_online.json\n");
   }

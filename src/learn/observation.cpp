@@ -25,9 +25,7 @@ ObservationQueue::ObservationQueue(std::size_t capacity,
       pushed_(obs::attached_or_owned(metrics, own_metrics_)
                   .counter("webppm_learn_queue_pushed_total")),
       dropped_(obs::attached_or_owned(metrics, own_metrics_)
-                   .counter("webppm_learn_dropped_total")) {
-  ring_.resize(capacity_);
-}
+                   .counter("webppm_learn_dropped_total")) {}
 
 bool ObservationQueue::push(const Observation& o) noexcept {
   if (injected_drop()) {
@@ -59,59 +57,64 @@ void ObservationQueue::on_requests(
 
 std::size_t ObservationQueue::append(
     std::span<const Observation> obs) noexcept {
-  // The serve path must never see an exception out of the tap; the only
-  // throwing operation here is the mutex (resource exhaustion), and a
-  // dropped observation is the designed answer to any failure to enqueue.
+  // The serve path must never see an exception out of the tap; the
+  // throwing operations here are the mutex and the buffer's growth
+  // (resource exhaustion), and a dropped observation is the designed
+  // answer to any failure to enqueue.
   std::size_t accepted = 0;
   bool notify = false;
   try {
     std::lock_guard lock(mu_);
     if (!closed_) {
-      // What fits goes in, in order; the rest drops, as a full ring drops
-      // every push past it.
-      accepted = std::min(obs.size(), capacity_ - count_);
-      const std::size_t tail = (head_ + count_) % capacity_;
-      const std::size_t first = std::min(accepted, capacity_ - tail);
-      std::copy_n(obs.data(), first, ring_.data() + tail);
-      std::copy_n(obs.data() + first, accepted - first, ring_.data());
-      notify = count_ == 0 && accepted != 0;
-      count_ += accepted;
+      // What fits goes in, in order; the rest drops, as a full queue drops
+      // every push past it. The buffer doubles, capped at capacity_ slots.
+      const std::size_t fits =
+          std::min(obs.size(), capacity_ - pending_.size());
+      const std::size_t need = pending_.size() + fits;
+      if (need > pending_.capacity()) {
+        pending_.reserve(
+            std::min(capacity_, std::max(need, 2 * pending_.capacity())));
+      }
+      const bool was_empty = pending_.empty();
+      const auto take = obs.first(fits);
+      pending_.insert(pending_.end(), take.begin(), take.end());
+      accepted = fits;
+      notify = was_empty && fits != 0;
     }
   } catch (...) {
-    // The lock failed: nothing was accepted, everything drops below.
+    // The lock or the buffer's growth failed: nothing was accepted (a
+    // failed reserve leaves the buffer as it was), everything drops below.
   }
   pushed_.add(accepted);
   dropped_.add(obs.size() - accepted);
-  // At most one wake per append, and only when it made the ring non-empty:
-  // a non-empty ring already has its consumer's wake outstanding.
+  // At most one wake per append, and only when it made the queue
+  // non-empty: a non-empty queue already has its consumer's wake
+  // outstanding.
   if (notify) cv_.notify_one();
   return accepted;
 }
 
+std::size_t ObservationQueue::take_locked(std::vector<Observation>& out) {
+  const std::size_t n = pending_.size();
+  if (out.empty()) {
+    out.swap(pending_);
+  } else {
+    out.insert(out.end(), pending_.begin(), pending_.end());
+  }
+  pending_.clear();
+  return n;
+}
+
 std::size_t ObservationQueue::drain(std::vector<Observation>& out) {
   std::lock_guard lock(mu_);
-  const std::size_t n = count_;
-  out.reserve(out.size() + n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(ring_[(head_ + i) % capacity_]);
-  }
-  head_ = (head_ + n) % capacity_;
-  count_ = 0;
-  return n;
+  return take_locked(out);
 }
 
 std::size_t ObservationQueue::drain_wait(std::vector<Observation>& out,
                                          std::chrono::milliseconds timeout) {
   std::unique_lock lock(mu_);
-  cv_.wait_for(lock, timeout, [this] { return count_ != 0 || closed_; });
-  const std::size_t n = count_;
-  out.reserve(out.size() + n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(ring_[(head_ + i) % capacity_]);
-  }
-  head_ = (head_ + n) % capacity_;
-  count_ = 0;
-  return n;
+  cv_.wait_for(lock, timeout, [this] { return !pending_.empty() || closed_; });
+  return take_locked(out);
 }
 
 void ObservationQueue::close() {
@@ -129,7 +132,12 @@ bool ObservationQueue::closed() const {
 
 std::size_t ObservationQueue::size() const {
   std::lock_guard lock(mu_);
-  return count_;
+  return pending_.size();
+}
+
+std::size_t ObservationQueue::memory_bytes() const {
+  std::lock_guard lock(mu_);
+  return pending_.capacity() * sizeof(Observation);
 }
 
 }  // namespace webppm::learn

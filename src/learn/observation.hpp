@@ -10,11 +10,18 @@
 // Contract inherited from RequestObserver: on_request runs on the query
 // thread under no lock of the server's and must be cheap, thread-safe and
 // noexcept. push() is therefore *non-blocking*: when the trainer falls
-// behind and the ring is full, the observation is dropped and counted —
-// serving latency is never held hostage to training throughput. Dropped
-// observations cost training coverage, not correctness: the trainer's
-// shadow model just learns from a sampled stream until it catches up
-// (dropped_total is the gauge to alarm on).
+// behind and `capacity` observations are buffered, the observation is
+// dropped and counted — serving latency is never held hostage to training
+// throughput. Dropped observations cost training coverage, not
+// correctness: the trainer's shadow model just learns from a sampled
+// stream until it catches up (dropped_total is the gauge to alarm on).
+//
+// Storage follows the backlog, not the bound: the buffer starts empty,
+// grows geometrically (never past `capacity` slots) as observations
+// arrive, and drain() hands it to the consumer whole instead of copying
+// it. A consumer that drains into the same empty vector each round gets
+// its previous buffer taken back in exchange, so in steady state two
+// buffers alternate and the serve path stops allocating.
 //
 // query_batch hands its whole batch to on_requests: one lock and at most
 // one trainer wake per batch instead of per observation — on a shared CPU
@@ -23,7 +30,7 @@
 // observe frames still push one at a time.
 //
 // Fault site (chaos suite): learn.queue.push — a firing rule drops the
-// observation exactly as a full ring would, proving the serve path is
+// observation exactly as a full queue would, proving the serve path is
 // indifferent to observation loss. It fires once per observation on both
 // entry points.
 #pragma once
@@ -58,20 +65,13 @@ struct Observation {
     return Observation{r.timestamp, r.client, r.url,
                        static_cast<std::uint16_t>(r.status)};
   }
-
-  trace::Request to_request() const {
-    trace::Request r;
-    r.timestamp = timestamp;
-    r.client = client;
-    r.url = url;
-    r.status = status;
-    return r;
-  }
 };
 
 class ObservationQueue final : public serve::RequestObserver {
  public:
   /// `capacity` bounds buffered observations (>= 1); pushes beyond it drop.
+  /// It is a bound, not a reservation: nothing is allocated until the
+  /// first push.
   /// Accepted and dropped observations count into `metrics`'
   /// webppm_learn_queue_pushed_total / webppm_learn_dropped_total (null: a
   /// private registry) — the trainer passes its own, so a drop shows in
@@ -80,7 +80,7 @@ class ObservationQueue final : public serve::RequestObserver {
                             obs::MetricsRegistry* metrics = nullptr);
 
   /// Non-blocking bounded push. False when the observation was dropped
-  /// (ring full, queue closed, or an injected learn.queue.push fault).
+  /// (queue full, queue closed, or an injected learn.queue.push fault).
   bool push(const Observation& o) noexcept;
 
   /// RequestObserver: the serve-side tap.
@@ -92,11 +92,13 @@ class ObservationQueue final : public serve::RequestObserver {
   /// push() per request with no drain in between — the fault site fires
   /// per observation, in order, outside the lock; then one lock appends
   /// what fits, the rest drops and is counted, and the consumer is woken
-  /// at most once, only when the batch made the ring non-empty.
+  /// at most once, only when the batch made the queue non-empty.
   void on_requests(std::span<const trace::Request> reqs) noexcept override;
 
   /// Appends everything currently buffered to `out` (non-blocking).
-  /// Returns the number of observations moved.
+  /// Returns the number of observations moved. When `out` is empty the
+  /// buffer is not copied: `out` and the queue's buffer swap, so the
+  /// queue keeps `out`'s (empty) allocation.
   std::size_t drain(std::vector<Observation>& out);
 
   /// Like drain(), but when the queue is empty waits up to `timeout` for
@@ -117,23 +119,24 @@ class ObservationQueue final : public serve::RequestObserver {
   std::uint64_t pushed() const { return pushed_.value(); }
   std::uint64_t dropped() const { return dropped_.value(); }
 
-  /// Resident bytes of the ring (storage accounting).
-  std::size_t memory_bytes() const {
-    return capacity_ * sizeof(Observation);
-  }
+  /// Bytes of the buffer the queue holds (storage accounting): 0 until
+  /// the first push. The queue grows its buffer to at most twice its
+  /// backlog, capped at `capacity` slots; a drain() into an empty vector
+  /// leaves it holding that vector's allocation instead.
+  std::size_t memory_bytes() const;
 
  private:
   /// Appends what fits of `obs` under one lock and drops the rest (all of
-  /// it when closed), counting both; wakes the consumer when the ring was
+  /// it when closed), counting both; wakes the consumer when the queue was
   /// empty. Returns how many were accepted.
   std::size_t append(std::span<const Observation> obs) noexcept;
+  /// drain()'s body; mu_ held.
+  std::size_t take_locked(std::vector<Observation>& out);
 
   const std::size_t capacity_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::vector<Observation> ring_;  ///< ring buffer of capacity_ slots
-  std::size_t head_ = 0;           ///< next slot to pop
-  std::size_t count_ = 0;          ///< buffered observations
+  std::vector<Observation> pending_;  ///< buffered, in arrival order
   bool closed_ = false;
   std::unique_ptr<obs::MetricsRegistry> own_metrics_;
   obs::Counter& pushed_;

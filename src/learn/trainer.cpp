@@ -351,17 +351,14 @@ void OnlineTrainer::absorb_locked(std::vector<Observation>& batch) {
 
 void OnlineTrainer::feed_locked(std::span<const Observation> batch) {
   if (batch.empty()) return;
-  req_buf_.clear();
-  req_buf_.reserve(batch.size());
   for (const auto& o : batch) {
     // Popularity counts every request, errors included — the offline
     // table does (PopularityTable::build has no status filter), and the
     // paper's grades are access counts, not success counts.
     if (o.url >= counts_.size()) counts_.resize(o.url + 1, 0);
     ++counts_[o.url];
-    req_buf_.push_back(o.to_request());
+    sessionizer_.feed_one(o.timestamp, o.client, o.url, o.status);
   }
-  sessionizer_.feed(req_buf_);
   since_publish_ += batch.size();
   c_.observations.add(batch.size());
 }

@@ -12,6 +12,11 @@
 //               └─ trainer: sessionize → extend shadow model → publish
 //                    └─ ModelServer::publish (RCU swap; queries never pause)
 //
+// Each observation is copied once, at the tap. The queue's buffer grows
+// with its backlog (queue_capacity only bounds it), a drain takes the
+// buffer whole, and the trainer feeds the popularity counts and the
+// sessionizer straight from the drained observations.
+//
 // The *shadow model* is the trainer's private growing base — the serving
 // snapshot is never mutated. It is extended with exactly the machinery the
 // offline SweepEngine uses: closed sessions append via train_more (exact
@@ -123,7 +128,9 @@ struct OnlineTrainerConfig {
   /// training's) so shadow sessions match.
   session::SessionizerOptions session;
   PublishPolicy policy;
-  /// Bounded observation ring between the serve tap and the trainer.
+  /// Most observations the queue between the serve tap and the trainer
+  /// buffers; pushes past it drop. A bound, not a reservation: the
+  /// queue's buffer grows with its backlog (learn/observation.hpp).
   std::size_t queue_capacity = 1 << 16;
   /// Closed sessions kept for shadow rebuilds (0 = unbounded — required
   /// for the convergence gate; bound it in production and let
@@ -233,7 +240,8 @@ class OnlineTrainer {
   /// Sessions still open inside the trainer's sessionizer.
   std::size_t open_sessions() const;
   /// Trainer-side resident bytes: shadow base + retained sessions +
-  /// popularity counts + the observation ring.
+  /// popularity counts + the buffer the observation queue holds (its
+  /// backlog, not queue_capacity).
   std::size_t storage_bytes() const;
 
   const OnlineTrainerConfig& config() const { return config_; }
@@ -284,7 +292,6 @@ class OnlineTrainer {
   std::uint32_t publishes_since_rebuild_ = 0;
   bool base_holds_evicted_ = false;  ///< shadow holds sessions not in retained_
   std::uint64_t version_counter_ = 0;
-  std::vector<trace::Request> req_buf_;  ///< feed_locked scratch
 
   std::atomic<PublishTrigger> last_trigger_{PublishTrigger::kNone};
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <unordered_map>
 #include <utility>
 
 namespace webppm::ppm {
@@ -108,13 +109,16 @@ void PbBase::compact_pool_if_sparse() {
 }
 
 void PbBase::insert_branch(std::span<const UrlId> path) {
-  const auto [root, fresh] = roots_.try_emplace(path[0], 0);
-  if (fresh) {
-    root->second = new_node(path[0], 1);
-  } else {
-    ++nodes_[root->second].count;
+  if (path[0] >= roots_.size()) {
+    roots_.resize(static_cast<std::size_t>(path[0]) + 1, kNoNode);
   }
-  NodeId id = root->second;
+  NodeId& root = roots_[path[0]];
+  if (root == kNoNode) {
+    root = new_node(path[0], 1);
+  } else {
+    ++nodes_[root].count;
+  }
+  NodeId id = root;
   for (std::size_t k = 1; k < path.size(); ++k) {
     const Ref* const c = nodes_[id].children.find(path[k]);
     if (c == nullptr) {  // first traversal: the rest of the branch is a tail
@@ -169,14 +173,14 @@ void PbBase::split(NodeId parent, Ref tail, std::span<const UrlId> rest) {
 }
 
 void PbBase::retract_branch(std::span<const UrlId> path) {
-  const auto root = roots_.find(path[0]);
-  assert(root != roots_.end() && "retracting a branch the base does not hold");
-  NodeId id = root->second;
+  assert(path[0] < roots_.size() && roots_[path[0]] != kNoNode &&
+         "retracting a branch the base does not hold");
+  NodeId id = roots_[path[0]];
   if (--nodes_[id].count == 0) {
     // This branch was the root's one traversal: below it is at most the
     // branch's own tail.
     nodes_[id].children.for_each([this](UrlId, Ref c) { free_tail(c); });
-    roots_.erase(root);
+    roots_[path[0]] = kNoNode;
     free_node(id);
     return;
   }
@@ -316,12 +320,15 @@ std::vector<PbBase::Visit> PbBase::survivors(std::uint32_t min_count,
     }
     return false;
   };
-  // The listing is its own queue. A tail node's one child is the next URL
-  // of its run, at count 1.
+  // The listing is its own queue, roots first in URL order. A tail node's
+  // one child is the next URL of its run, at count 1.
   std::vector<Visit> kept;
-  for (const auto& [url, id] : roots_) {
+  for (std::size_t url = 0; url < roots_.size(); ++url) {
+    const NodeId id = roots_[url];
+    if (id == kNoNode) continue;
     const auto i = static_cast<NodeId>(kept.size());
-    kept.push_back({url, nodes_[id].count, id, 0, kNoNode, i, 1});
+    kept.push_back(
+        {static_cast<UrlId>(url), nodes_[id].count, id, 0, kNoNode, i, 1});
   }
   for (std::size_t i = 0; i < kept.size(); ++i) {
     const Visit v = kept[i];  // push_back below may reallocate
@@ -372,12 +379,7 @@ std::size_t PbBase::memory_bytes() const {
   std::size_t bytes = nodes_.capacity() * sizeof(Node) +
                       pool_.capacity() * sizeof(std::uint32_t);
   for (const Node& n : nodes_) bytes += n.children.heap_bytes();
-  // The root table is approximated as in PredictionTree::memory_bytes: one
-  // bucket pointer per bucket, one heap node per entry.
-  bytes += roots_.bucket_count() * sizeof(void*);
-  bytes += roots_.size() *
-           (sizeof(std::pair<UrlId, NodeId>) + 2 * sizeof(void*));
-  return bytes;
+  return bytes + roots_.capacity() * sizeof(NodeId);
 }
 
 }  // namespace webppm::ppm

@@ -56,7 +56,10 @@
 //                             (url, ref) pairs 16, size 8, spill vector 24)
 //   child-map spill      8 B  per entry, once a node has 3+ children
 //                             (4,160 of the 8,614 nodes below do)
-//   root                24 B  root-table entry, + 8 B per bucket
+//   root slot            4 B  per URL id up to the largest root URL: the
+//                             root table is indexed by URL id, as the
+//                             trainer's popularity counts are (an empty
+//                             slot holds kNoNode)
 //   tail node            4 B  one pool word: the first node's word is the
 //                             tail's length (its URL is its child-map key,
 //                             counted with the parent), each later one is
@@ -67,7 +70,7 @@
 // (sizeof(TreeNode)) plus its spills and roots. On the batch_online
 // first-publish window (ucb_like(10, 2.0), seed 1, days 0-7 settled at the
 // day-8 boundary) the 207,608 logical nodes are 8,614 materialised nodes,
-// 57,198 tails and 198,994 live pool words: memory_bytes() is 2,793,032 B.
+// 57,198 tails and 198,994 live pool words: memory_bytes() is 2,712,000 B.
 // The same tree as a PredictionTree took 21,635,288 B grown node by node,
 // and takes 17,272,408 B exactly sized (expand()).
 #pragma once
@@ -75,7 +78,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "popularity/popularity.hpp"
@@ -190,7 +192,8 @@ class PbBase {
   void compact_pool_if_sparse();
 
   /// Every logical node that survives rule 4's cuts at these thresholds
-  /// (0 disables either), breadth-first, parents before children.
+  /// (0 disables either), breadth-first from the roots in URL order,
+  /// parents before children.
   std::vector<Visit> survivors(std::uint32_t min_count,
                                double min_share) const;
 
@@ -199,7 +202,7 @@ class PbBase {
 
   std::vector<Node> nodes_;
   NodeId free_head_ = kNoNode;  ///< free slots, linked through their url
-  std::unordered_map<UrlId, NodeId> roots_;
+  std::vector<NodeId> roots_;  ///< by URL id: its root node, or kNoNode
   std::vector<std::uint32_t> pool_;  ///< tails, one word per node
   std::size_t nodes_live_ = 0;
   std::size_t tails_live_ = 0;

@@ -48,29 +48,34 @@ std::vector<Session> extract_sessions(std::span<const trace::Request> requests,
 }
 
 void IncrementalSessionizer::feed(std::span<const trace::Request> requests) {
+  for (const auto& r : requests) {
+    feed_one(r.timestamp, r.client, r.url, r.status);
+  }
+}
+
+void IncrementalSessionizer::feed_one(TimeSec timestamp, ClientId client,
+                                      UrlId url, std::uint16_t status) {
   // Mirrors extract_sessions exactly, but `open_` and `prev_ts_` persist
   // across calls so the stream can arrive in chunks.
-  for (const auto& r : requests) {
-    assert(r.timestamp >= prev_ts_ && "requests must be time-ordered");
-    prev_ts_ = r.timestamp;
-    if (opt_.skip_errors && r.status >= 400) continue;
+  assert(timestamp >= prev_ts_ && "requests must be time-ordered");
+  prev_ts_ = timestamp;
+  if (opt_.skip_errors && status >= 400) return;
 
-    auto& s = open_[r.client];
-    if (!s.urls.empty() && r.timestamp > s.end &&
-        r.timestamp - s.end > opt_.idle_timeout) {
-      closed_.push_back(std::move(s));
-      s = Session{};
-    }
-    if (s.urls.empty()) {
-      s.client = r.client;
-      s.start = r.timestamp;
-    } else if (opt_.dedup_consecutive && s.urls.back() == r.url) {
-      s.end = r.timestamp;
-      continue;
-    }
-    s.urls.push_back(r.url);
-    s.end = r.timestamp;
+  auto& s = open_[client];
+  if (!s.urls.empty() && timestamp > s.end &&
+      timestamp - s.end > opt_.idle_timeout) {
+    closed_.push_back(std::move(s));
+    s = Session{};
   }
+  if (s.urls.empty()) {
+    s.client = client;
+    s.start = timestamp;
+  } else if (opt_.dedup_consecutive && s.urls.back() == url) {
+    s.end = timestamp;
+    return;
+  }
+  s.urls.push_back(url);
+  s.end = timestamp;
 }
 
 void IncrementalSessionizer::settle_before(TimeSec next_ts) {

@@ -53,6 +53,11 @@ class IncrementalSessionizer {
   /// timestamp order of everything fed before.
   void feed(std::span<const trace::Request> requests);
 
+  /// Feeds one request: the step feed() takes per request, for a caller
+  /// that holds its stream in another layout. The same order rule holds.
+  void feed_one(TimeSec timestamp, ClientId client, UrlId url,
+                std::uint16_t status);
+
   /// Sessions closed so far, in order of close. Append-only: indices into
   /// this vector remain valid across feed() calls.
   const std::vector<Session>& closed() const { return closed_; }
