@@ -1,8 +1,9 @@
 // Closed-loop throughput/latency bench for serve::ModelServer, plus the
 // observability overhead gate.
 //
-// Protocol: train PB-PPM on days 1..7 of the nasa-like trace, publish it,
-// then replay day 8 through the server. The eval stream is sharded by
+// Protocol: train PB-PPM on days 1..7 of the nasa-like trace, publish it
+// (frozen: PB-PPM's only form, the one every workload serves), then replay
+// day 8 through the server. The eval stream is sharded by
 // client (every client's clicks stay in order on one thread, preserving
 // per-client context semantics); each of 1/2/4/8 threads replays its shard
 // closed-loop — next query issued the moment the previous returns — in a
@@ -23,10 +24,11 @@
 //     prediction-identical and < 3% walltime over the disarmed fast path
 //     (ISSUE 4 acceptance criterion; WEBPPM_FAULT_DISABLED removes the
 //     sites entirely).
-//   * frozen snapshot — the frozen (structure-of-arrays) compilation of
-//     the same snapshot is prediction-identical to the simulator AND
-//     >= 1.1x the arena's predictions/s, alternating min-of-rounds
-//     single-thread replays (ISSUE 6 acceptance criterion).
+//   * frozen snapshot — an LRS snapshot trained on the same 7 days (LRS
+//     still has an arena form, and its frozen/arena ratio is the closest
+//     to PB's): its frozen (structure-of-arrays) compilation is
+//     prediction-identical to the simulator AND >= 1.1x the arena's
+//     predictions/s, alternating min-of-rounds single-thread replays.
 //   * batch equivalence — query_batch over fixed-size chunks answers
 //     exactly as a sequential query_ex replay; the group-by-shard reorder
 //     inside a batch must be invisible in the answers (ISSUE 7; the
@@ -428,31 +430,38 @@ int main(int argc, char** argv) {
               fault_overhead_pct, oh_rounds, oh_passes,
               fault_overhead_ok ? "OK (< 3%)" : "FAIL (>= 3%)");
 
-  // Gate 4: the frozen compilation of this snapshot predicts identically
-  // (checked against the simulator, same as the arena gates) and serves
-  // >= 1.1x the arena's predictions/s.
-  auto frozen_snap = serve::freeze_snapshot(*snap);
+  // Gate 4: frozen against arena serving. PB has no arena form, so the
+  // gate runs on LRS trained on the same days: its frozen compilation
+  // predicts identically (checked against the simulator, same as the
+  // gates above) and serves >= 1.1x the arena's predictions/s.
+  const auto lrs_spec = core::ModelSpec::lrs_model();
+  auto lrs_trained = core::train_model(lrs_spec, trace, 0, kTrainDays - 1);
+  const auto lrs_snap =
+      serve::make_snapshot(std::move(lrs_trained.predictor),
+                           std::move(lrs_trained.popularity), 1);
+  auto frozen_snap = serve::freeze_snapshot(*lrs_snap);
   if (frozen_snap == nullptr) {
     std::fprintf(stderr, "freeze_snapshot failed\n");
     return 1;
   }
-  std::printf("frozen snapshot: %zu bytes (arena %zu bytes, %.1fx smaller)\n",
-              frozen_snap->storage_bytes(), snap->storage_bytes(),
+  std::printf("lrs frozen snapshot: %zu bytes (arena %zu bytes, %.1fx "
+              "smaller)\n",
+              frozen_snap->storage_bytes(), lrs_snap->storage_bytes(),
               frozen_snap->storage_bytes() > 0
-                  ? static_cast<double>(snap->storage_bytes()) /
+                  ? static_cast<double>(lrs_snap->storage_bytes()) /
                         static_cast<double>(frozen_snap->storage_bytes())
                   : 0.0);
-  const std::size_t frozen_mismatches =
-      verify_against_simulator(trace, eval, *frozen_snap, spec, plain_cfg);
+  const std::size_t frozen_mismatches = verify_against_simulator(
+      trace, eval, *frozen_snap, lrs_spec, plain_cfg);
   const bool frozen_identical = frozen_mismatches == 0;
   std::printf("frozen equivalence:                   %s "
               "(%zu mismatching requests)\n",
               frozen_identical ? "IDENTICAL to simulator" : "MISMATCH",
               frozen_mismatches);
   const double frozen_speedup = measure_frozen_speedup(
-      *snap, *frozen_snap, plain_cfg, eval, oh_passes, oh_rounds);
+      *lrs_snap, *frozen_snap, plain_cfg, eval, oh_passes, oh_rounds);
   const bool frozen_fast_ok = frozen_speedup >= 1.1;
-  std::printf("frozen speedup: %.2fx predictions/s over arena "
+  std::printf("lrs frozen speedup: %.2fx predictions/s over arena "
               "(min of %zu alternating rounds, %zu passes) -> %s\n\n",
               frozen_speedup, oh_rounds, oh_passes,
               frozen_fast_ok ? "OK (>= 1.1x)" : "FAIL (< 1.1x)");
@@ -513,27 +522,17 @@ int main(int argc, char** argv) {
       quick ? std::vector<std::size_t>{1, 2}
             : std::vector<std::size_t>{1, 2, 4, 8};
   std::vector<RunResult> rows;
-  std::vector<RunResult> frozen_rows;
-  std::printf("%8s %8s %12s %14s %10s %10s\n", "layout", "threads",
-              "queries", "predictions/s", "p50 (us)", "p99 (us)");
+  std::printf("%8s %12s %14s %10s %10s\n", "threads", "queries",
+              "predictions/s", "p50 (us)", "p99 (us)");
   for (const std::size_t n : thread_counts) {
     // Fresh server per run: contexts start empty, runs are independent.
-    // Arena and frozen alternate per thread count so drift lands evenly.
     serve::ModelServer server;
     server.publish(snap);
     const auto r = run_closed_loop(server, eval, n, passes);
     rows.push_back(r);
-    std::printf("%8s %8zu %12llu %14.0f %10.2f %10.2f\n", "arena",
-                r.threads, static_cast<unsigned long long>(r.queries),
-                r.qps, r.p50_us, r.p99_us);
-
-    serve::ModelServer frozen_server;
-    frozen_server.publish(frozen_snap);
-    const auto fr = run_closed_loop(frozen_server, eval, n, passes);
-    frozen_rows.push_back(fr);
-    std::printf("%8s %8zu %12llu %14.0f %10.2f %10.2f\n", "frozen",
-                fr.threads, static_cast<unsigned long long>(fr.queries),
-                fr.qps, fr.p50_us, fr.p99_us);
+    std::printf("%8zu %12llu %14.0f %10.2f %10.2f\n", r.threads,
+                static_cast<unsigned long long>(r.queries), r.qps, r.p50_us,
+                r.p99_us);
   }
 
   const bool have_4t = rows.size() >= 3;
@@ -570,11 +569,11 @@ int main(int argc, char** argv) {
                  "  \"fault_idle_identical\": %s,\n"
                  "  \"fault_idle_overhead_pct\": %.3f,\n"
                  "  \"fault_idle_overhead_ok\": %s,\n"
-                 "  \"frozen_identical\": %s,\n"
-                 "  \"frozen_speedup\": %.3f,\n"
-                 "  \"frozen_speedup_ok\": %s,\n"
-                 "  \"frozen_bytes\": %zu,\n"
-                 "  \"arena_bytes\": %zu,\n"
+                 "  \"lrs_frozen_identical\": %s,\n"
+                 "  \"lrs_frozen_speedup\": %.3f,\n"
+                 "  \"lrs_frozen_speedup_ok\": %s,\n"
+                 "  \"lrs_frozen_bytes\": %zu,\n"
+                 "  \"lrs_arena_bytes\": %zu,\n"
                  "  \"batch_identical\": %s,\n"
                  "  \"batch_speedup\": %.3f,\n"
                  "  \"scoreboard_identical\": %s,\n"
@@ -591,28 +590,19 @@ int main(int argc, char** argv) {
                  fault_overhead_ok ? "true" : "false",
                  frozen_identical ? "true" : "false", frozen_speedup,
                  frozen_fast_ok ? "true" : "false",
-                 frozen_snap->storage_bytes(), snap->storage_bytes(),
+                 frozen_snap->storage_bytes(), lrs_snap->storage_bytes(),
                  batch_identical ? "true" : "false", batch_speedup,
                  sb_identical ? "true" : "false", sb_idle_overhead_pct,
                  sb_idle_ok ? "true" : "false", sb_active_overhead_pct,
                  scaling_4t);
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const auto& r = rows[i];
-      const auto& fr = frozen_rows[i];
       std::fprintf(f,
-                   "    {\"layout\": \"arena\", \"threads\": %zu, "
-                   "\"queries\": %llu, "
-                   "\"predictions_per_sec\": %.0f, \"p50_us\": %.2f, "
-                   "\"p99_us\": %.2f},\n",
-                   r.threads, static_cast<unsigned long long>(r.queries),
-                   r.qps, r.p50_us, r.p99_us);
-      std::fprintf(f,
-                   "    {\"layout\": \"frozen\", \"threads\": %zu, "
-                   "\"queries\": %llu, "
+                   "    {\"threads\": %zu, \"queries\": %llu, "
                    "\"predictions_per_sec\": %.0f, \"p50_us\": %.2f, "
                    "\"p99_us\": %.2f}%s\n",
-                   fr.threads, static_cast<unsigned long long>(fr.queries),
-                   fr.qps, fr.p50_us, fr.p99_us,
+                   r.threads, static_cast<unsigned long long>(r.queries),
+                   r.qps, r.p50_us, r.p99_us,
                    i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");

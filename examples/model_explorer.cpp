@@ -5,7 +5,9 @@
 //
 // Prints per-model node counts, root counts, depth histograms, and the
 // hottest branches (root-to-leaf paths by traversal count), plus PB-PPM's
-// special links.
+// special links. Every model is read through its frozen view
+// (frozen/format.hpp): PB-PPM's only form, and the form the standard and
+// LRS arenas compile to for serving.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -13,17 +15,33 @@
 #include <vector>
 
 #include "core/webppm.hpp"
+#include "serve/frozen_snapshot.hpp"
 
 namespace {
 
 using namespace webppm;
 
-void depth_histogram(const ppm::PredictionTree& tree) {
+constexpr std::uint32_t kNone = 0xffffffffu;
+
+/// Each node's parent in a frozen view (kNone for roots). Nodes are in
+/// breadth-first order, so a parent precedes its children.
+std::vector<std::uint32_t> parents_of(const frozen::FrozenView& v) {
+  std::vector<std::uint32_t> parent(v.header.node_count, kNone);
+  for (std::uint32_t i = 0; i < v.header.node_count; ++i) {
+    for (std::uint32_t c = v.child_begin[i]; c < v.child_begin[i + 1]; ++c) {
+      parent[c] = i;
+    }
+  }
+  return parent;
+}
+
+void depth_histogram(const std::vector<std::uint32_t>& parent) {
+  std::vector<std::size_t> depth(parent.size(), 1);
   std::vector<std::size_t> by_depth;
-  for (ppm::NodeId id = 0; id < tree.node_count(); ++id) {
-    const auto d = tree.node(id).depth;
-    if (d >= by_depth.size()) by_depth.resize(d + 1, 0);
-    ++by_depth[d];
+  for (std::size_t i = 0; i < parent.size(); ++i) {
+    if (parent[i] != kNone) depth[i] = depth[parent[i]] + 1;
+    if (depth[i] >= by_depth.size()) by_depth.resize(depth[i] + 1, 0);
+    ++by_depth[depth[i]];
   }
   std::printf("  depth histogram:");
   for (std::size_t d = 1; d < by_depth.size(); ++d) {
@@ -32,45 +50,30 @@ void depth_histogram(const ppm::PredictionTree& tree) {
   std::printf("\n");
 }
 
-void hottest_branches(const ppm::PredictionTree& tree,
+void hottest_branches(const frozen::FrozenView& v,
+                      const std::vector<std::uint32_t>& parent,
                       const trace::Trace& trace, std::size_t top_n) {
-  struct Branch {
-    std::vector<UrlId> path;
-    std::uint32_t leaf_count;
-  };
-  std::vector<Branch> leaves;
-  // DFS collecting root-to-leaf paths.
-  struct Frame {
-    ppm::NodeId node;
-    std::size_t path_len;
-  };
-  std::vector<UrlId> path;
-  for (const auto& [url, root] : tree.roots()) {
-    std::vector<Frame> stack{{root, 0}};
-    while (!stack.empty()) {
-      const auto [node, len] = stack.back();
-      stack.pop_back();
-      path.resize(len);
-      path.push_back(tree.node(node).url);
-      bool leaf = true;
-      tree.node(node).children.for_each([&](UrlId, ppm::NodeId c) {
-        leaf = false;
-        stack.push_back({c, path.size()});
-      });
-      if (leaf) leaves.push_back({path, tree.node(node).count});
-    }
+  std::vector<std::uint32_t> leaves;
+  for (std::uint32_t i = 0; i < v.header.node_count; ++i) {
+    if (v.child_begin[i] == v.child_begin[i + 1]) leaves.push_back(i);
   }
   const auto shown =
       static_cast<std::ptrdiff_t>(std::min(top_n, leaves.size()));
   std::partial_sort(leaves.begin(), leaves.begin() + shown, leaves.end(),
-                    [](const Branch& a, const Branch& b) {
-                      return a.leaf_count > b.leaf_count;
+                    [&v](std::uint32_t a, std::uint32_t b) {
+                      return v.counts[a] > v.counts[b];
                     });
-  for (std::size_t i = 0; i < std::min(top_n, leaves.size()); ++i) {
-    std::printf("  [%4u] ", leaves[i].leaf_count);
-    for (std::size_t k = 0; k < leaves[i].path.size(); ++k) {
-      std::printf("%s%s", k ? " -> " : "",
-                  std::string(trace.urls.name(leaves[i].path[k])).c_str());
+  std::vector<UrlId> path;
+  for (std::ptrdiff_t i = 0; i < shown; ++i) {
+    const std::uint32_t leaf = leaves[static_cast<std::size_t>(i)];
+    path.clear();
+    for (std::uint32_t n = leaf; n != kNone; n = parent[n]) {
+      path.push_back(v.urls[n]);
+    }
+    std::printf("  [%4u] ", v.counts[leaf]);
+    for (std::size_t k = path.size(); k-- > 0;) {
+      std::printf("%s%s", k + 1 < path.size() ? " -> " : "",
+                  std::string(trace.urls.name(path[k])).c_str());
     }
     std::printf("\n");
   }
@@ -98,27 +101,28 @@ int main(int argc, char** argv) {
   for (const auto& spec :
        {core::ModelSpec::standard_fixed(3), core::ModelSpec::lrs_model(),
         core::ModelSpec::pb_model()}) {
-    const auto trained = engine.train(spec, train);
+    auto trained = engine.train(spec, train);
     std::printf("=== %s ===\n", spec.label.c_str());
 
-    const ppm::PredictionTree* tree = nullptr;
-    if (const auto* std_m =
-            dynamic_cast<const ppm::StandardPpm*>(trained.predictor.get())) {
-      tree = &std_m->tree();
-    } else if (const auto* lrs_m = dynamic_cast<const ppm::LrsPpm*>(
-                   trained.predictor.get())) {
-      tree = &lrs_m->tree();
-    } else if (const auto* pb_m = dynamic_cast<const ppm::PopularityPpm*>(
-                   trained.predictor.get())) {
-      tree = &pb_m->tree();
-      std::printf("  special links: %zu roots carry links\n",
-                  pb_m->links().size());
+    const std::string payload = serve::serialize_snapshot_frozen(
+        *serve::make_snapshot(std::move(trained.predictor),
+                              std::move(trained.popularity), 1));
+    frozen::FrozenView view;
+    std::string error;
+    if (!frozen::decode_payload(payload, &view, &error)) {
+      std::fprintf(stderr, "%s\n", error.c_str());
+      return 1;
     }
-    std::printf("  nodes: %zu, roots: %zu\n", tree->node_count(),
-                tree->root_count());
-    depth_histogram(*tree);
+    if (view.header.model_kind == frozen::kKindPopularity) {
+      std::printf("  special links: %u roots carry links\n",
+                  view.header.link_root_count);
+    }
+    std::printf("  nodes: %u, roots: %u\n", view.header.node_count,
+                view.header.root_count);
+    const auto parent = parents_of(view);
+    depth_histogram(parent);
     std::printf("  hottest branches:\n");
-    hottest_branches(*tree, trace, 5);
+    hottest_branches(view, parent, trace, 5);
     std::printf("\n");
   }
   return 0;

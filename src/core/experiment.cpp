@@ -6,6 +6,7 @@
 #include <mutex>
 #include <unordered_map>
 
+#include "frozen/frozen.hpp"
 #include "util/rng.hpp"
 
 namespace webppm::core {
@@ -84,10 +85,9 @@ TrainedModel train_model(const ModelSpec& spec, const trace::Trace& trace,
       break;
     }
     case ModelKind::kPopularity: {
-      // The popularity table must outlive the model; TrainedModel keeps it.
-      auto m = std::make_unique<ppm::PopularityPpm>(spec.pb, &out.popularity);
-      m->train(sessions);
-      out.predictor = std::move(m);
+      ppm::PbBase base(spec.pb, &out.popularity);
+      base.insert(sessions);
+      out.predictor = frozen::FrozenModel::open(base.emit());
       break;
     }
     case ModelKind::kTopN: {

@@ -13,7 +13,7 @@
 
 #include "popularity/popularity.hpp"
 #include "ppm/lrs_ppm.hpp"
-#include "ppm/popularity_ppm.hpp"
+#include "ppm/pb_base.hpp"
 #include "ppm/standard_ppm.hpp"
 #include "ppm/top_n.hpp"
 #include "session/session.hpp"
@@ -49,6 +49,7 @@ struct ModelSpec {
 };
 
 /// A trained predictor plus the popularity table of its training window.
+/// A PB predictor is a frozen::FrozenModel (its only form).
 struct TrainedModel {
   std::unique_ptr<ppm::Predictor> predictor;
   popularity::PopularityTable popularity;

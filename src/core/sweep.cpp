@@ -7,6 +7,7 @@
 #include <string>
 #include <utility>
 
+#include "frozen/frozen.hpp"
 #include "obs/trace_event.hpp"
 #include "ppm/pb_base.hpp"
 
@@ -123,8 +124,8 @@ class AppendTrainer final : public ModelTrainer {
 /// current window's popularity table. Advancing a day regrades the base to
 /// the new table (only branches next to a URL whose grade moved are
 /// re-walked) and inserts the day's closed sessions. Each sweep point
-/// emits the pruned model with the open tails inserted for the emit and
-/// retracted after it.
+/// emits the pruned model, frozen, with the open tails inserted for the
+/// emit and retracted after it.
 class PbTrainer final : public ModelTrainer {
  public:
   PbTrainer(const SweepEngine& eng, const ModelSpec& spec)
@@ -154,17 +155,18 @@ class PbTrainer final : public ModelTrainer {
   }
 
  private:
-  std::shared_ptr<ppm::PopularityPpm> emit(std::uint32_t k) {
+  std::shared_ptr<const ppm::Predictor> emit(std::uint32_t k) {
     assert(k == trained_);
     const auto tails = eng_.open_tails(k);
     base_->insert(tails);
-    auto model = std::make_shared<ppm::PopularityPpm>(base_->emit());
+    std::shared_ptr<const ppm::Predictor> model =
+        frozen::FrozenModel::open(base_->emit());
     base_->retract(tails);
     return model;
   }
 
   std::optional<ppm::PbBase> base_;
-  std::shared_ptr<ppm::PopularityPpm> holder_;
+  std::shared_ptr<const ppm::Predictor> holder_;
 };
 
 std::unique_ptr<ModelTrainer> make_trainer(const SweepEngine& eng,
@@ -481,7 +483,7 @@ TrainedModel SweepEngine::train(const ModelSpec& spec,
       ppm::PbBase base(spec.pb, &out.popularity);
       base.insert(closed);
       base.insert(tails);
-      out.predictor = std::make_unique<ppm::PopularityPpm>(base.emit());
+      out.predictor = frozen::FrozenModel::open(base.emit());
       break;
     }
     case ModelKind::kTopN: {

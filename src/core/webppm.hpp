@@ -17,12 +17,12 @@
 #include "core/experiment.hpp"        // IWYU pragma: export
 #include "core/report.hpp"            // IWYU pragma: export
 #include "core/sweep.hpp"             // IWYU pragma: export
+#include "frozen/frozen.hpp"          // IWYU pragma: export
 #include "net/latency.hpp"            // IWYU pragma: export
 #include "popularity/popularity.hpp"  // IWYU pragma: export
 #include "popularity/sliding.hpp"     // IWYU pragma: export
 #include "ppm/lrs_ppm.hpp"            // IWYU pragma: export
 #include "ppm/pb_base.hpp"            // IWYU pragma: export
-#include "ppm/popularity_ppm.hpp"     // IWYU pragma: export
 #include "ppm/predictor.hpp"          // IWYU pragma: export
 #include "ppm/standard_ppm.hpp"       // IWYU pragma: export
 #include "ppm/top_n.hpp"              // IWYU pragma: export

@@ -30,14 +30,16 @@
 
 #include <cstdint>
 #include <cstring>
+#include <string>
 
+#include "popularity/popularity.hpp"
 #include "util/align.hpp"
 
 namespace webppm::frozen {
 
 inline constexpr char kMagic[8] = {'W', 'P', 'P', 'M', 'F', 'R', 'Z', '1'};
 
-/// Which arena model the payload freezes (FrozenHeader::model_kind).
+/// Which model the payload holds (FrozenHeader::model_kind).
 enum ModelKind : std::uint32_t {
   kKindDegraded = 0,  ///< popularity sections only (fallback-only snapshot)
   kKindStandard = 1,
@@ -125,6 +127,39 @@ inline SectionLayout compute_layout(const FrozenHeader& h) {
   out.pop_grades = place((static_cast<std::uint64_t>(h.url_count) + 3) / 4, 1);
   out.total_bytes = at;
   return out;
+}
+
+/// The one payload writer, for every model kind. Completes `h` (magic,
+/// sizes and url_count; the caller sets the kind, the tree and link counts
+/// and the configuration), writes the header and the popularity sections
+/// from `popularity`, and leaves the tree and link sections to
+/// `fill(put, layout)`, where put(section, index, value) stores one u32.
+/// Every byte nobody writes is zero.
+template <typename Fill>
+std::string write_payload(FrozenHeader h,
+                          const popularity::PopularityTable& popularity,
+                          Fill&& fill) {
+  std::memcpy(h.magic, kMagic, sizeof h.magic);
+  h.header_bytes = sizeof(FrozenHeader);
+  h.url_count = static_cast<std::uint32_t>(popularity.url_count());
+  const SectionLayout lay = compute_layout(h);
+  h.payload_bytes = lay.total_bytes;
+
+  std::string payload(static_cast<std::size_t>(lay.total_bytes), '\0');
+  char* const base = payload.data();
+  std::memcpy(base, &h, sizeof h);
+  const auto put = [base](std::uint64_t section, std::uint64_t index,
+                          std::uint32_t v) {
+    std::memcpy(base + section + index * 4, &v, 4);
+  };
+  fill(put, lay);
+  auto* const grades = reinterpret_cast<std::uint8_t*>(base + lay.pop_grades);
+  for (UrlId u = 0; u < h.url_count; ++u) {
+    put(lay.pop_counts, u, popularity.accesses(u));
+    grades[u >> 2] |= static_cast<std::uint8_t>((popularity.grade(u) & 3)
+                                                << ((u & 3u) * 2));
+  }
+  return payload;
 }
 
 }  // namespace webppm::frozen

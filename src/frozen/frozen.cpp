@@ -20,22 +20,16 @@ std::span<const T> section_span(const char* base, std::uint64_t offset,
           static_cast<std::size_t>(entries)};
 }
 
-/// Packed 2-bit grade write.
-void set_grade(std::uint8_t* grades, UrlId u, int grade) {
-  grades[u >> 2] |= static_cast<std::uint8_t>((grade & 3) << ((u & 3u) * 2));
-}
-
 }  // namespace
 
 std::string build_payload(const BuildSpec& spec) {
   assert(spec.popularity != nullptr);
   assert(spec.kind == kKindDegraded || spec.tree != nullptr);
+  assert(spec.kind != kKindPopularity &&
+         "PB payloads are written by ppm::PbBase::emit()");
 
   FrozenHeader h{};
-  std::memcpy(h.magic, kMagic, sizeof h.magic);
-  h.header_bytes = sizeof(FrozenHeader);
   h.model_kind = spec.kind;
-  h.url_count = static_cast<std::uint32_t>(spec.popularity->url_count());
 
   // --- Node order: breadth-first level order, roots (then children) sorted
   // by URL. Frozen ids are assigned in visit order, so children of node i
@@ -43,18 +37,13 @@ std::string build_payload(const BuildSpec& spec) {
   // and node depth is monotone in node id (depth stays implicit).
   std::vector<std::pair<UrlId, ppm::NodeId>> order;
   std::vector<std::uint32_t> child_begin;
-  std::unordered_map<ppm::NodeId, std::uint32_t> old2new;
   if (spec.kind != kKindDegraded) {
     const ppm::PredictionTree& tree = *spec.tree;
     const std::size_t n = tree.node_count();
     order.reserve(n);
     child_begin.assign(n + 1, 0);
-    old2new.reserve(n);
     for (const auto& [url, id] : tree.roots()) order.emplace_back(url, id);
     std::sort(order.begin(), order.end());
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      old2new.emplace(order[i].second, static_cast<std::uint32_t>(i));
-    }
     std::vector<std::pair<UrlId, ppm::NodeId>> kids;
     for (std::size_t head = 0; head < order.size(); ++head) {
       child_begin[head] = static_cast<std::uint32_t>(order.size());
@@ -63,10 +52,7 @@ std::string build_payload(const BuildSpec& spec) {
           .children.for_each(
               [&](UrlId url, ppm::NodeId c) { kids.emplace_back(url, c); });
       std::sort(kids.begin(), kids.end());
-      for (const auto& [url, c] : kids) {
-        old2new.emplace(c, static_cast<std::uint32_t>(order.size()));
-        order.emplace_back(url, c);
-      }
+      order.insert(order.end(), kids.begin(), kids.end());
     }
     assert(order.size() == n && "arena tree has unreachable live nodes");
     child_begin[n] = static_cast<std::uint32_t>(n);
@@ -74,94 +60,29 @@ std::string build_payload(const BuildSpec& spec) {
     h.root_count = static_cast<std::uint32_t>(tree.root_count());
   }
 
-  // --- PB special links: rows sorted by frozen root id; each row's targets
-  // keep the arena's pre-ranked order (from_parts()), so "take the first
-  // link_top_k" reads the same targets the arena predict() reads. The
-  // counts that induced the ranking are not re-stored as ordering keys —
-  // the order *is* the rank.
-  std::vector<std::pair<std::uint32_t, const std::vector<ppm::NodeId>*>> rows;
-  std::size_t target_total = 0;
-  if (spec.kind == kKindPopularity && spec.pb.special_links &&
-      spec.links != nullptr) {
-    rows.reserve(spec.links->size());
-    for (const auto& [root, targets] : *spec.links) {
-      if (targets.empty()) continue;
-      rows.emplace_back(old2new.at(root), &targets);
-      target_total += targets.size();
-    }
-    std::sort(rows.begin(), rows.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    h.link_root_count = static_cast<std::uint32_t>(rows.size());
-    h.link_target_count = static_cast<std::uint32_t>(target_total);
-  }
-
   // --- Per-kind configuration.
-  switch (spec.kind) {
-    case kKindStandard:
-      h.prob_threshold = spec.standard.prob_threshold;
-      h.max_height = spec.standard.max_height;
-      h.max_context = spec.standard.max_context;
-      break;
-    case kKindLrs:
-      h.prob_threshold = spec.lrs.prob_threshold;
-      h.max_height = spec.lrs.max_height;
-      h.min_support = spec.lrs.min_support;
-      h.max_context = spec.lrs.max_context;
-      break;
-    case kKindPopularity:
-      h.prob_threshold = spec.pb.prob_threshold;
-      h.link_prob_threshold = spec.pb.link_prob_threshold;
-      h.min_relative_probability = spec.pb.min_relative_probability;
-      h.max_context = spec.pb.max_context;
-      h.link_top_k = spec.pb.link_top_k;
-      h.min_absolute_count = spec.pb.min_absolute_count;
-      for (std::size_t g = 0; g < spec.pb.height_by_grade.size(); ++g) {
-        h.height_by_grade[g] = spec.pb.height_by_grade[g];
-      }
-      h.special_links = spec.pb.special_links ? 1 : 0;
-      break;
-    case kKindDegraded:
-      break;
+  if (spec.kind == kKindStandard) {
+    h.prob_threshold = spec.standard.prob_threshold;
+    h.max_height = spec.standard.max_height;
+    h.max_context = spec.standard.max_context;
+  } else if (spec.kind == kKindLrs) {
+    h.prob_threshold = spec.lrs.prob_threshold;
+    h.max_height = spec.lrs.max_height;
+    h.min_support = spec.lrs.min_support;
+    h.max_context = spec.lrs.max_context;
   }
 
-  const SectionLayout lay = compute_layout(h);
-  h.payload_bytes = lay.total_bytes;
-
-  std::string payload(static_cast<std::size_t>(lay.total_bytes), '\0');
-  char* base = payload.data();
-  std::memcpy(base, &h, sizeof h);
-
-  const auto put_u32 = [&](std::uint64_t offset, std::uint64_t index,
-                           std::uint32_t v) {
-    std::memcpy(base + offset + index * 4, &v, 4);
-  };
-
-  if (spec.kind != kKindDegraded) {
-    const ppm::PredictionTree& tree = *spec.tree;
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      put_u32(lay.urls, i, order[i].first);
-      put_u32(lay.counts, i, tree.node(order[i].second).count);
-    }
-    for (std::size_t i = 0; i < child_begin.size(); ++i) {
-      put_u32(lay.child_begin, i, child_begin[i]);
-    }
-    std::uint32_t t = 0;
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      put_u32(lay.link_roots, i, rows[i].first);
-      put_u32(lay.link_begin, i, t);
-      for (const ppm::NodeId target : *rows[i].second) {
-        put_u32(lay.link_targets, t++, old2new.at(target));
-      }
-    }
-    if (!rows.empty()) put_u32(lay.link_begin, rows.size(), t);
-  }
-
-  for (UrlId u = 0; u < h.url_count; ++u) {
-    put_u32(lay.pop_counts, u, spec.popularity->accesses(u));
-    set_grade(reinterpret_cast<std::uint8_t*>(base + lay.pop_grades), u,
-              spec.popularity->grade(u));
-  }
-  return payload;
+  return write_payload(h, *spec.popularity,
+                       [&](const auto& put, const SectionLayout& lay) {
+                         for (std::size_t i = 0; i < order.size(); ++i) {
+                           put(lay.urls, i, order[i].first);
+                           put(lay.counts, i,
+                               spec.tree->node(order[i].second).count);
+                         }
+                         for (std::size_t i = 0; i < child_begin.size(); ++i) {
+                           put(lay.child_begin, i, child_begin[i]);
+                         }
+                       });
 }
 
 bool decode_payload(std::string_view payload, FrozenView* view,
@@ -398,6 +319,13 @@ std::unique_ptr<FrozenModel> FrozenModel::open(
     }
   }
   return model;
+}
+
+std::unique_ptr<FrozenModel> FrozenModel::open(std::string payload,
+                                               std::string* error) {
+  auto owned = std::make_shared<const std::string>(std::move(payload));
+  const std::string_view bytes = *owned;
+  return open(std::move(owned), bytes, error);
 }
 
 std::uint32_t FrozenModel::find_in(std::uint32_t lo, std::uint32_t hi,

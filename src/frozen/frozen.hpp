@@ -5,11 +5,12 @@
 // needs none of that: a published snapshot is immutable, so this library
 // compiles the arena into a flat payload (format.hpp) that costs 12 bytes
 // per node, loads by mmap with zero deserialization allocations, and
-// answers predict() byte-identically to the arena model it froze.
+// answers predict() byte-identically to the arena model it froze. PB-PPM
+// has no arena form: ppm::PbBase::emit() writes its payload directly.
 //
 // Three pieces:
-//   * build_payload()  — compiles an arena model (tree + links + config +
-//     popularity) into one contiguous payload string.
+//   * build_payload()  — compiles a standard or LRS arena model (tree +
+//     config + popularity) into one contiguous payload string.
 //   * decode_payload() — validates a payload and yields a FrozenView of
 //     spans into it. Validation is a single O(payload) scan with no
 //     allocations, so hostile headers can never size a buffer (the fuzz
@@ -22,34 +23,31 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "frozen/format.hpp"
 #include "popularity/popularity.hpp"
 #include "ppm/lrs_ppm.hpp"
-#include "ppm/popularity_ppm.hpp"
 #include "ppm/predictor.hpp"
 #include "ppm/standard_ppm.hpp"
 
 namespace webppm::frozen {
 
-/// What to freeze. `popularity` is always required; `tree` (and for PB,
-/// `links`) are required for the non-degraded kinds. The config matching
-/// `kind` is read; the others are ignored.
+/// What to freeze: a standard or LRS arena model, or (kKindDegraded)
+/// popularity alone. `popularity` is always required; `tree` is required
+/// for the two model kinds. The config matching `kind` is read; the other
+/// is ignored.
 struct BuildSpec {
   ModelKind kind = kKindDegraded;
   ppm::StandardPpmConfig standard;
   ppm::LrsPpmConfig lrs;
-  ppm::PopularityPpmConfig pb;
   const ppm::PredictionTree* tree = nullptr;
-  const std::unordered_map<ppm::NodeId, std::vector<ppm::NodeId>>* links =
-      nullptr;
   const popularity::PopularityTable* popularity = nullptr;
 };
 
 /// Compiles `spec` into a frozen payload (BFS level-order node layout,
-/// sorted child ranges, packed grades — see format.hpp).
+/// sorted child ranges, packed grades — see format.hpp) through
+/// write_payload().
 std::string build_payload(const BuildSpec& spec);
 
 /// Zero-copy decoded payload: the header by value, every section as a span
@@ -83,10 +81,11 @@ struct FrozenView {
 bool decode_payload(std::string_view payload, FrozenView* view,
                     std::string* error);
 
-/// A Predictor serving from a frozen payload. predict() is byte-identical
-/// to the arena model the payload froze: same longest-match walk, same
-/// probability arithmetic (exact u32 counts, double division, float
-/// narrowing), same finalize pass — only the storage differs.
+/// A Predictor serving from a frozen payload. For standard and LRS,
+/// predict() is byte-identical to the arena model the payload froze: same
+/// longest-match walk, same probability arithmetic (exact u32 counts,
+/// double division, float narrowing), same finalize pass — only the
+/// storage differs. A PB payload is PB-PPM's only form.
 class FrozenModel final : public ppm::Predictor {
  public:
   /// Decodes `payload` (which must stay alive through `backing`) into a
@@ -96,6 +95,10 @@ class FrozenModel final : public ppm::Predictor {
   static std::unique_ptr<FrozenModel> open(
       std::shared_ptr<const void> backing, std::string_view payload,
       std::string* error);
+
+  /// Serves a heap payload it takes over (ppm::PbBase::emit()'s, say).
+  static std::unique_ptr<FrozenModel> open(std::string payload,
+                                           std::string* error = nullptr);
 
   void predict(std::span<const UrlId> context,
                std::vector<ppm::Prediction>& out,

@@ -102,6 +102,12 @@ std::size_t ObservationQueue::take_locked(std::vector<Observation>& out) {
     out.insert(out.end(), pending_.begin(), pending_.end());
   }
   pending_.clear();
+  // A buffer grown for an earlier, deeper backlog is released: kept, it
+  // would stay for the queue's life. The next pushes grow one to the
+  // backlog they make.
+  if (pending_.capacity() > kReleaseRatio * std::max<std::size_t>(n, 1)) {
+    pending_ = std::vector<Observation>();
+  }
   return n;
 }
 

@@ -21,7 +21,10 @@
 // arrive, and drain() hands it to the consumer whole instead of copying
 // it. A consumer that drains into the same empty vector each round gets
 // its previous buffer taken back in exchange, so in steady state two
-// buffers alternate and the serve path stops allocating.
+// buffers alternate and the serve path stops allocating. A buffer the
+// queue keeps after a drain is released when it holds more than
+// kReleaseRatio slots per observation drained, so one deep backlog does
+// not leave two buffers of its depth behind for the trainer's life.
 //
 // query_batch hands its whole batch to on_requests: one lock and at most
 // one trainer wake per batch instead of per observation — on a shared CPU
@@ -98,8 +101,14 @@ class ObservationQueue final : public serve::RequestObserver {
   /// Appends everything currently buffered to `out` (non-blocking).
   /// Returns the number of observations moved. When `out` is empty the
   /// buffer is not copied: `out` and the queue's buffer swap, so the
-  /// queue keeps `out`'s (empty) allocation.
+  /// queue keeps `out`'s (empty) allocation — unless it exceeds
+  /// kReleaseRatio slots per observation moved (an empty drain counts as
+  /// one), in which case the queue frees it.
   std::size_t drain(std::vector<Observation>& out);
+
+  /// See drain(): the most buffer slots per drained observation the queue
+  /// keeps after a drain.
+  static constexpr std::size_t kReleaseRatio = 8;
 
   /// Like drain(), but when the queue is empty waits up to `timeout` for
   /// an observation (or close()) first. Returns observations moved — 0
@@ -122,7 +131,8 @@ class ObservationQueue final : public serve::RequestObserver {
   /// Bytes of the buffer the queue holds (storage accounting): 0 until
   /// the first push. The queue grows its buffer to at most twice its
   /// backlog, capped at `capacity` slots; a drain() into an empty vector
-  /// leaves it holding that vector's allocation instead.
+  /// leaves it holding that vector's allocation instead, if that is at
+  /// most kReleaseRatio slots per observation drained.
   std::size_t memory_bytes() const;
 
  private:

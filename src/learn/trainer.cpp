@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "fault/fault.hpp"
+#include "frozen/frozen.hpp"
 #include "obs/trace_event.hpp"
 #include "ppm/lrs_ppm.hpp"
 #include "ppm/pb_base.hpp"
@@ -33,20 +34,18 @@ class ShadowModel {
  public:
   virtual ~ShadowModel() = default;
 
-  /// What absorb() did besides appending.
-  struct Absorbed {
-    bool rebuilt = false;      ///< the base was rebuilt from the window
-    std::size_t regraded = 0;  ///< sessions a PB regrade re-derived
-  };
-
   /// Extends the base to cover `all_closed` (the retained window), of
   /// which [0, absorbed) is already trained in. `pop` is the current
-  /// cumulative popularity table. `holds_evicted` says the base also holds
-  /// sessions since evicted from the window.
-  virtual Absorbed absorb(std::span<const session::Session> all_closed,
-                          std::size_t absorbed,
-                          const popularity::PopularityTable& pop,
-                          bool holds_evicted) = 0;
+  /// cumulative popularity table. Returns how many sessions a PB regrade
+  /// re-derived.
+  virtual std::size_t absorb(std::span<const session::Session> all_closed,
+                             std::size_t absorbed,
+                             const popularity::PopularityTable& pop) = 0;
+
+  /// `evicted`, the oldest sessions of the window the last absorb()
+  /// covered, leave the window. PB retracts them, so its base holds exactly
+  /// the window; the append-only shadows keep them until a rebuild.
+  virtual void evict(std::span<const session::Session> evicted) = 0;
 
   /// Rebuilds the base from `all_closed` alone — the decay path: history
   /// evicted from the retained window is forgotten.
@@ -55,7 +54,8 @@ class ShadowModel {
 
   /// Self-contained window model for publishing: the base with the open
   /// `tails` applied (and, for PB, the lossy pruning pass the base must
-  /// never receive). The base itself ends as it began.
+  /// never receive, in the frozen form PB serves in). The base itself ends
+  /// as it began.
   virtual std::unique_ptr<ppm::Predictor> published_model(
       std::span<const session::Session> tails) = 0;
 
@@ -71,13 +71,14 @@ class AppendShadow final : public ShadowModel {
  public:
   explicit AppendShadow(Model base) : base_(std::move(base)), empty_(base_) {}
 
-  Absorbed absorb(std::span<const session::Session> all_closed,
-                  std::size_t absorbed,
-                  const popularity::PopularityTable& /*pop*/,
-                  bool /*holds_evicted*/) override {
+  std::size_t absorb(std::span<const session::Session> all_closed,
+                     std::size_t absorbed,
+                     const popularity::PopularityTable& /*pop*/) override {
     base_.train_more(all_closed.subspan(absorbed));
-    return {};
+    return 0;
   }
+
+  void evict(std::span<const session::Session> /*evicted*/) override {}
 
   void rebuild(std::span<const session::Session> all_closed,
                const popularity::PopularityTable& /*pop*/) override {
@@ -99,36 +100,35 @@ class AppendShadow final : public ShadowModel {
   const Model empty_;  ///< untrained copy holding the config, for rebuilds
 };
 
-/// PB-PPM: a ppm::PbBase over the retained window, reading grades from a
-/// trainer-owned copy of the popularity table — the same recipe as the
-/// sweep engine's PB trainer (core/sweep.cpp). On grade drift the base is
-/// regraded in place. A base that still holds sessions evicted from the
-/// window cannot re-walk them, so on drift it is rebuilt from the window.
+/// PB-PPM: a ppm::PbBase over exactly the retained window, reading grades
+/// from a trainer-owned copy of the popularity table — the same recipe as
+/// the sweep engine's PB trainer (core/sweep.cpp). On grade drift the base
+/// is regraded in place; evicted sessions are retracted under the current
+/// grades, which absorb() left every retained session under.
 class PbShadow final : public ShadowModel {
  public:
   explicit PbShadow(const ppm::PopularityPpmConfig& config)
       : config_(config) {}
 
-  Absorbed absorb(std::span<const session::Session> all_closed,
-                  std::size_t absorbed,
-                  const popularity::PopularityTable& pop,
-                  bool holds_evicted) override {
-    if (!base_ || (holds_evicted && base_->drifted(pop))) {
-      const bool rebuilt = base_.has_value();
+  std::size_t absorb(std::span<const session::Session> all_closed,
+                     std::size_t absorbed,
+                     const popularity::PopularityTable& pop) override {
+    if (!base_) {
       rebuild(all_closed, pop);
-      return {rebuilt, 0};
+      return 0;
     }
     // The new table moves to owned storage first; the old one stays alive
-    // until the regrade, which reads both, is done. A base holding evicted
-    // sessions reaches here only when no grade moved, so it has nothing to
-    // re-walk.
+    // until the regrade, which reads both, is done.
     auto next = std::make_unique<popularity::PopularityTable>(pop);
-    const std::size_t regraded = base_->regrade(
-        next.get(), holds_evicted ? std::span<const session::Session>()
-                                  : all_closed.first(absorbed));
+    const std::size_t regraded =
+        base_->regrade(next.get(), all_closed.first(absorbed));
     pop_ = std::move(next);
     base_->insert(all_closed.subspan(absorbed));
-    return {false, regraded};
+    return regraded;
+  }
+
+  void evict(std::span<const session::Session> evicted) override {
+    base_->retract(evicted);
   }
 
   void rebuild(std::span<const session::Session> all_closed,
@@ -142,7 +142,7 @@ class PbShadow final : public ShadowModel {
       std::span<const session::Session> tails) override {
     assert(base_ && "absorb() runs before every publish");
     base_->insert(tails);
-    auto model = std::make_unique<ppm::PopularityPpm>(base_->emit());
+    auto model = frozen::FrozenModel::open(base_->emit());
     base_->retract(tails);
     return model;
   }
@@ -415,26 +415,23 @@ bool OnlineTrainer::publish_locked(TimeSec settle_ts, PublishTrigger why) {
   }
 
   auto pop = popularity::PopularityTable::from_counts(counts_);
-  const auto absorbed =
-      shadow_->absorb(retained_, absorbed_, pop, base_holds_evicted_);
-  if (absorbed.rebuilt) {
-    base_holds_evicted_ = false;
-    c_.rebuilds.add();
-  }
-  if (absorbed.regraded != 0) c_.regraded_sessions.add(absorbed.regraded);
+  const std::size_t regraded = shadow_->absorb(retained_, absorbed_, pop);
+  if (regraded != 0) c_.regraded_sessions.add(regraded);
   absorbed_ = retained_.size();
 
+  // The base now holds every retained session under the current grades,
+  // so the evicted ones can leave it before the emit.
   if (config_.max_retained_sessions != 0 &&
       retained_.size() > config_.max_retained_sessions) {
     const std::size_t excess =
         retained_.size() - config_.max_retained_sessions;
+    shadow_->evict(std::span(retained_).first(excess));
     for (std::size_t i = 0; i < excess; ++i) {
       retained_bytes_ -= session_bytes(retained_[i]);
     }
     retained_.erase(retained_.begin(),
                     retained_.begin() + static_cast<std::ptrdiff_t>(excess));
     absorbed_ -= excess;
-    base_holds_evicted_ = true;
   }
 
   if (config_.policy.rebuild_every_publishes != 0) {
@@ -442,7 +439,6 @@ bool OnlineTrainer::publish_locked(TimeSec settle_ts, PublishTrigger why) {
       publishes_since_rebuild_ = 0;
       shadow_->rebuild(retained_, pop);
       absorbed_ = retained_.size();
-      base_holds_evicted_ = false;
       c_.rebuilds.add();
     }
   }
@@ -454,9 +450,13 @@ bool OnlineTrainer::publish_locked(TimeSec settle_ts, PublishTrigger why) {
   auto snap = serve::make_snapshot(std::move(model), std::move(pop),
                                    version_counter_, config_.fallback_top_n);
   if (timed) record_lap(timing_->publish_model);
+  // Top-N's only frozen form is popularity-only (it would degrade
+  // serving), and a PB model is emitted frozen: its freeze passes it on.
   if (config_.freeze_published &&
       config_.spec.kind != core::ModelKind::kTopN) {
-    snap = serve::freeze_snapshot(*snap, config_.fallback_top_n);
+    if (config_.spec.kind != core::ModelKind::kPopularity) {
+      snap = serve::freeze_snapshot(*snap, config_.fallback_top_n);
+    }
     if (timed) record_lap(timing_->publish_freeze);
   }
 

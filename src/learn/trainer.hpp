@@ -25,8 +25,9 @@
 // drift. Publishing settles the sessionizer, applies the open tails (to a
 // copy, or for PB inserted into the base for the pruned emit and
 // retracted after it), wraps the model with the cumulative popularity
-// table via make_snapshot, optionally freezes it, optionally persists it
-// through a SnapshotStore, and RCU-publishes into the target server.
+// table via make_snapshot, optionally freezes it (a PB model is emitted
+// frozen), optionally persists it through a SnapshotStore, and
+// RCU-publishes into the target server.
 //
 // Determinism contract (the convergence gate in bench/online_training):
 // fed the same request stream the offline oracle trained on — errors
@@ -41,13 +42,13 @@
 // may reorder session closing — deliberate freshness at the cost of
 // replay-exactness, which is why the gate pins day_boundaries only.
 //
-// Old-window decay: retention is bounded by max_retained_sessions and
-// policy.rebuild_every_publishes periodically rebuilds the shadow from the
-// retained window only, forgetting evicted history. Until then a PB base
-// still holds evicted sessions it cannot re-walk, so grade drift rebuilds
-// it from the window too. Popularity counts stay cumulative (they are
-// cheap and error-inclusive; a rotating head re-grades itself by
-// accumulation).
+// Old-window decay: retention is bounded by max_retained_sessions. After
+// each absorb the oldest sessions past the bound leave the window, and a
+// PB base retracts them before the emit, so a capped PB trainer publishes
+// PB over exactly its window. The append-only shadows keep evicted
+// history until policy.rebuild_every_publishes rebuilds them from the
+// retained window. Popularity counts stay cumulative (they are cheap and
+// error-inclusive; a rotating head re-grades itself by accumulation).
 //
 // Observations whose URL id exceeds kMaxTrainedUrl are dropped and counted
 // (rejected()): URL ids size the popularity count table, and the serve tap
@@ -101,8 +102,10 @@ struct PublishPolicy {
   /// flash-crowd recovery path bench/online_training demonstrates.
   bool on_drift_alert = false;
   /// Every Nth publish, rebuild the shadow from the *retained* session
-  /// window only (0 = never). With bounded retention this is the decay
-  /// mechanism: evicted history is forgotten by the rebuilt base.
+  /// window only (0 = never). With bounded retention this is the
+  /// Standard/LRS/Top-N decay mechanism: evicted history is forgotten by
+  /// the rebuilt base. A PB base retracts evicted sessions as they leave,
+  /// so its rebuild reproduces the base it replaces.
   std::uint32_t rebuild_every_publishes = 0;
 };
 
@@ -133,8 +136,9 @@ struct OnlineTrainerConfig {
   /// queue's buffer grows with its backlog (learn/observation.hpp).
   std::size_t queue_capacity = 1 << 16;
   /// Closed sessions kept for shadow rebuilds (0 = unbounded — required
-  /// for the convergence gate; bound it in production and let
-  /// rebuild_every_publishes decay old windows). Counted in
+  /// for the convergence gate; bound it in production). A PB model covers
+  /// exactly the retained window; the other families forget evicted
+  /// history at their next rebuild_every_publishes rebuild. Counted in
   /// storage_bytes().
   std::size_t max_retained_sessions = 0;
   /// Pre-size the popularity count vector (0 = grow on demand). Matching
@@ -145,7 +149,9 @@ struct OnlineTrainerConfig {
   std::size_t fallback_top_n = 10;
   /// Freeze the published snapshot (serve::freeze_snapshot) so the target
   /// serves the compact SoA layout. Skipped for Top-N specs, whose only
-  /// frozen form is popularity-only (it would degrade serving).
+  /// frozen form is popularity-only (it would degrade serving). A PB
+  /// model is published frozen whether or not this is set; its freeze
+  /// step passes it through.
   bool freeze_published = false;
   /// Non-null: every publish is also durably written here (generation
   /// file + manifest) before the in-memory publish. A store failure is
@@ -220,9 +226,8 @@ class OnlineTrainer {
   std::uint64_t publishes() const { return c_.publishes.value(); }
   std::uint64_t publish_failures() const { return c_.publish_failures.value(); }
   std::uint64_t store_failures() const { return c_.store_failures.value(); }
-  /// Full rebuilds of the shadow from the retained window: decay
-  /// (rebuild_every_publishes) and PB drift on a base holding evicted
-  /// sessions. The first publish's cold build is not one.
+  /// Full rebuilds of the shadow from the retained window
+  /// (rebuild_every_publishes). The first publish's cold build is not one.
   std::uint64_t rebuilds() const { return c_.rebuilds.value(); }
   /// Sessions whose branches PB regrades re-derived (grade drift applied
   /// in place).
@@ -290,7 +295,6 @@ class OnlineTrainer {
   std::uint64_t since_publish_ = 0;  ///< observations since last publish
   std::uint64_t drift_epoch_handled_ = 0;
   std::uint32_t publishes_since_rebuild_ = 0;
-  bool base_holds_evicted_ = false;  ///< shadow holds sessions not in retained_
   std::uint64_t version_counter_ = 0;
 
   std::atomic<PublishTrigger> last_trigger_{PublishTrigger::kNone};

@@ -116,8 +116,7 @@ void LrsPpm::train_more(std::span<const session::Session> sessions) {
 void LrsPpm::predict(std::span<const UrlId> context,
                      std::vector<Prediction>& out, UsageScratch* usage) const {
   out.clear();
-  const auto m = longest_match(tree_, context, config_.max_context,
-                               MatchPolicy::kStrict);
+  const auto m = longest_match(tree_, context, config_.max_context);
   if (m.node == kNoNode) return;
   if (usage != nullptr) {
     usage->nodes.push_back(m.node);

@@ -1,12 +1,30 @@
-// PB-PPM's training base: the unpruned prediction tree of a session window
-// under one popularity table's grades (paper §3.4 rules 1-2), and the one
-// place a PopularityPpm is built from (rule 3's links and rule 4's space
-// optimisation are applied by emit()).
+// PB-PPM's training base and its one model form (paper §3.4).
 //
-// Every trainer keeps a PbBase: core::train_model and PopularityPpm::train
-// (one insert, one emit), the sweep engine (one base grown day by day) and
-// the online trainer (one base grown publish by publish). The base is
-// training-only state and never serves.
+// The Markov prediction tree grows with a *variable* height per branch:
+// a branch headed by a popular URL may grow long (grade 3 -> height 7),
+// a branch headed by an unpopular URL stays short (grade 0 -> height 1).
+// The paper's rules:
+//   1. A branch's height is capped by its head URL's popularity grade.
+//   2. A URL heads a new branch only at session start or when its grade
+//      exceeds its predecessor's ("added only once ... unless the URL's
+//      popularity grade is higher than the node ahead of it").
+//   3. A popular URL deeper in a branch (not immediately after the head)
+//      gets a special link from the branch root; when a client clicks a
+//      root URL, its links yield extra predictions for popular documents.
+//   4. Space optimisation: cut subtrees whose relative access probability
+//      (count / parent count) is below a threshold, and optionally nodes
+//      with absolute count <= 1.
+//
+// A PbBase holds the unpruned tree of a session window under one
+// popularity table's grades (rules 1-2). Rules 3 and 4 are applied by
+// emit(), which writes the published model straight into the frozen v2
+// payload (frozen/format.hpp); every PB producer serves that payload as a
+// frozen::FrozenModel, and no other PB model form exists.
+//
+// Every trainer keeps a PbBase: core::train_model (one insert, one emit),
+// the sweep engine (one base grown day by day) and the online trainer
+// (one base grown publish by publish, its evicted sessions retracted).
+// The base is training-only state and never serves.
 //
 // Why a base can be edited in place: rules 1-2 make every branch a run of
 // consecutive clicks. A session's branch heads are its first click and
@@ -75,23 +93,52 @@
 // and takes 17,272,408 B exactly sized (expand()).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "popularity/popularity.hpp"
-#include "ppm/popularity_ppm.hpp"
 #include "ppm/tree.hpp"
 #include "session/session.hpp"
 #include "util/small_map.hpp"
 
 namespace webppm::ppm {
 
+struct PopularityPpmConfig {
+  /// Branch height cap indexed by the head URL's grade (paper §4.1:
+  /// grade 0 -> 1, grade 1 -> 3, grade 2 -> 5, grade 3 -> 7).
+  std::array<std::uint32_t, popularity::kGradeCount> height_by_grade{1, 3, 5,
+                                                                     7};
+  double prob_threshold = 0.25;
+  std::uint32_t max_context = 16;
+
+  /// Enables rule 3's root -> duplicated-popular-node links.
+  bool special_links = true;
+  /// Probability floor for link predictions. Links are multi-step-ahead
+  /// predictions whose conditional probabilities are naturally far below
+  /// next-click probabilities; the paper gives popular URLs "more
+  /// considerations for prefetching", so links use their own (low) floor
+  /// rather than prob_threshold.
+  double link_prob_threshold = 0.05;
+  /// At most this many link targets (by descending traversal count) are
+  /// emitted per root click; 0 = unlimited. Keeps the "more consideration
+  /// for popular URLs" mechanism from flooding the downlink.
+  std::uint32_t link_top_k = 3;
+
+  /// Space optimisation pass 1: prune subtrees whose relative access
+  /// probability is below this (paper §3.4: "ranging 5% to 1%"). 0 disables.
+  double min_relative_probability = 0.05;
+  /// Space optimisation pass 2: prune non-root nodes with absolute count
+  /// <= this (paper uses 1 for the UCB-CS trace). 0 disables.
+  std::uint32_t min_absolute_count = 0;
+};
+
 class PbBase {
  public:
-  /// `grades` must outlive the base (and every model it emits, until the
-  /// model is rebound).
+  /// `grades` must outlive the base; an emitted payload copies the table.
   PbBase(const PopularityPpmConfig& config,
          const popularity::PopularityTable* grades);
 
@@ -110,15 +157,15 @@ class PbBase {
   std::size_t regrade(const popularity::PopularityTable* grades,
                       std::span<const session::Session> window);
 
-  /// True when some URL's grade differs between `grades` and the base's.
-  bool drifted(const popularity::PopularityTable& grades) const;
-
-  /// The published model: one breadth-first walk lists the nodes that
-  /// survive the configured space optimisation (rule 4), and they are
-  /// copied into an exactly sized arena. Rule-3 links are derived from the
-  /// survivors and ranked. The model reads the base's current grade table.
-  /// The base is left unchanged.
-  PopularityPpm emit() const;
+  /// The published model as a frozen v2 payload (frozen/format.hpp)
+  /// carrying the base's current grade table. One breadth-first walk lists
+  /// the nodes that survive the configured space optimisation (rule 4) in
+  /// the payload's node order, so a survivor's index is its frozen id.
+  /// Rule-3 links are derived from the survivors, and each root's list is
+  /// ranked by (count desc, root-to-node URL path asc); the path is walked
+  /// through 32-bit parent indices, so no depth wraps. The base is left
+  /// unchanged.
+  std::string emit() const;
 
   /// The whole unpruned tree as a PredictionTree: every logical node with
   /// its count, in the same breadth-first order emit() lists survivors in.
@@ -193,7 +240,8 @@ class PbBase {
 
   /// Every logical node that survives rule 4's cuts at these thresholds
   /// (0 disables either), breadth-first from the roots in URL order,
-  /// parents before children.
+  /// parents before children, each node's children in URL order: the
+  /// frozen layout's node order.
   std::vector<Visit> survivors(std::uint32_t min_count,
                                double min_share) const;
 

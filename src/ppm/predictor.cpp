@@ -6,14 +6,14 @@ namespace webppm::ppm {
 
 MatchResult longest_match(const PredictionTree& tree,
                           std::span<const UrlId> context,
-                          std::size_t max_context, MatchPolicy policy) {
+                          std::size_t max_context) {
   const std::size_t longest = std::min(context.size(), max_context);
   for (std::size_t k = longest; k >= 1; --k) {
     const auto suffix = context.subspan(context.size() - k);
     const NodeId n = tree.find_path(suffix);
     if (n == kNoNode) continue;  // longer suffix unseen; try shorter
-    if (!tree.node(n).children.empty()) return {n, k};
-    if (policy == MatchPolicy::kStrict) return {};  // leaf: cannot predict
+    if (tree.node(n).children.empty()) return {};  // leaf: cannot predict
+    return {n, k};
   }
   return {};
 }

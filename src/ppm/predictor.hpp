@@ -98,18 +98,21 @@ class Predictor {
 ///                   predict. The popularity-based model uses this: its
 ///                   branch heights vary per root, so a fixed context order
 ///                   cannot be chosen up front.
+/// PB-PPM serves only in frozen form, so only frozen::FrozenModel reads
+/// the policy; the arena longest_match below is strict.
 enum class MatchPolicy : std::uint8_t { kStrict, kSkipChildless };
 
 /// Deepest tree node whose root-path equals a suffix of `context`,
-/// considering suffixes up to `max_context` URLs, under `policy`.
+/// considering suffixes up to `max_context` URLs, under kStrict: a longer
+/// suffix that is absent is skipped, one that is a leaf ends the search
+/// with no match.
 struct MatchResult {
   NodeId node = kNoNode;
   std::size_t context_used = 0;
 };
 MatchResult longest_match(const PredictionTree& tree,
                           std::span<const UrlId> context,
-                          std::size_t max_context,
-                          MatchPolicy policy = MatchPolicy::kSkipChildless);
+                          std::size_t max_context);
 
 /// Appends `node`'s children with conditional probability >= threshold to
 /// `out`, recording each emitted child in `usage` (when given).

@@ -36,8 +36,7 @@ void StandardPpm::predict(std::span<const UrlId> context,
           : std::min<std::size_t>(config_.max_context,
                                   config_.max_height - 1);
   const auto m =
-      longest_match(tree_, context, std::max<std::size_t>(max_ctx, 1),
-                    MatchPolicy::kStrict);
+      longest_match(tree_, context, std::max<std::size_t>(max_ctx, 1));
   if (m.node == kNoNode) return;
   if (usage != nullptr) {
     usage->nodes.push_back(m.node);

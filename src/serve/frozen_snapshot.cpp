@@ -24,12 +24,6 @@ std::string serialize_snapshot_frozen(const Snapshot& snap) {
     spec.kind = frozen::kKindLrs;
     spec.lrs = m->config();
     spec.tree = &m->tree();
-  } else if (const auto* m = dynamic_cast<const ppm::PopularityPpm*>(
-                 snap.model.get())) {
-    spec.kind = frozen::kKindPopularity;
-    spec.pb = m->config();
-    spec.tree = &m->tree();
-    spec.links = &m->links();
   } else {
     spec.kind = frozen::kKindDegraded;  // degraded or unfreezable predictor
   }

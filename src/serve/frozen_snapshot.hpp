@@ -14,9 +14,10 @@
 namespace webppm::serve {
 
 /// Compiles `snap` into a frozen payload (frozen/format.hpp). Dispatches on
-/// the snapshot's concrete model: arena models are compiled; a snapshot
-/// already serving a FrozenModel passes its payload through byte-for-byte
-/// (so re-publishing a loaded snapshot is lossless); a degraded snapshot —
+/// the snapshot's concrete model: standard and LRS arena models are
+/// compiled; a snapshot already serving a FrozenModel (every PB model, and
+/// any loaded snapshot) passes its payload through byte-for-byte, so
+/// re-publishing it is lossless; a degraded snapshot —
 /// or one holding a predictor with no frozen form, e.g. a bare Top-N —
 /// freezes to a popularity-only payload that reloads as a degraded
 /// generation, exactly what such a snapshot serves anyway.

@@ -6,7 +6,6 @@
 
 #include "fault/fault.hpp"
 #include "obs/trace_event.hpp"
-#include "ppm/popularity_ppm.hpp"
 #include "ppm/top_n.hpp"
 
 namespace webppm::serve {
@@ -36,12 +35,6 @@ std::shared_ptr<const Snapshot> make_snapshot(
   auto snap = std::make_shared<Snapshot>();
   snap->popularity = std::move(popularity);
   snap->version = version;
-  // A PB model carries a raw pointer to the grade table it was trained
-  // against; repoint it at the snapshot-owned copy so the snapshot is
-  // self-contained before the caller's table goes away.
-  if (auto* pb = dynamic_cast<ppm::PopularityPpm*>(model.get())) {
-    pb->rebind_grades(&snap->popularity);
-  }
   snap->model = std::move(model);
   snap->fallback = make_fallback(snap->popularity, fallback_top_n);
   return snap;

@@ -78,10 +78,10 @@ struct Snapshot {
 };
 
 /// Wraps a trained predictor into a publishable snapshot. `popularity` is
-/// moved in and, for PB-PPM, the model's grade pointer is rebound to the
-/// snapshot-owned copy, making the snapshot self-contained. A Top-N
-/// fallback is derived from the popularity table (absent when the table is
-/// empty). `fallback_top_n` sizes its push set.
+/// moved in; no model reads it (a PB model's grades are in its frozen
+/// payload), so the snapshot is self-contained. A Top-N fallback is
+/// derived from the popularity table (absent when the table is empty).
+/// `fallback_top_n` sizes its push set.
 std::shared_ptr<const Snapshot> make_snapshot(
     std::unique_ptr<ppm::Predictor> model,
     popularity::PopularityTable popularity, std::uint64_t version,

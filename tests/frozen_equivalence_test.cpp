@@ -1,9 +1,12 @@
-// Golden equivalence: a frozen snapshot must be *byte-identical* to the
-// arena snapshot it was compiled from — same prediction lists, same float
-// probabilities — across every model kind, both workload profiles, the
-// degraded path, a store round trip with rollback, and the net tier's
-// framed responses. Tolerances would hide ranking flips at equal
-// probability, so every comparison here is exact equality.
+// Golden equivalence: a frozen snapshot must be *byte-identical* to its
+// reference — same prediction lists, same float probabilities — across
+// every model kind, both workload profiles, the degraded path, a store
+// round trip with rollback, and the net tier's framed responses. The
+// reference of a standard or LRS snapshot is the arena model it was
+// compiled from; PB-PPM has no arena form, so its reference is the
+// rule-by-rule predictor of tests/pb_reference.hpp over the same training
+// window. Tolerances would hide ranking flips at equal probability, so
+// every comparison here is exact equality.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -22,6 +25,7 @@
 
 #include "core/experiment.hpp"
 #include "net/server.hpp"
+#include "pb_reference.hpp"
 #include "net/wire.hpp"
 #include "serve/frozen_snapshot.hpp"
 #include "serve/snapshot_store.hpp"
@@ -56,13 +60,31 @@ std::shared_ptr<const serve::Snapshot> train_snapshot(
                               std::move(trained.popularity), 1);
 }
 
+/// What a trained snapshot must serve like: itself for the arena models;
+/// for PB, the reference predictor over core::train_model's window (days
+/// 0-1, sessions and popularity as train_model derives them).
+std::shared_ptr<const serve::Snapshot> reference_for(
+    const std::string& model, const std::string& profile,
+    std::shared_ptr<const serve::Snapshot> trained) {
+  if (model != "pb") return trained;
+  const trace::Trace& trace = profile_trace(profile);
+  const auto window = trace.day_range(0, 1);
+  auto pop = popularity::PopularityTable::build(window, trace.urls.size());
+  const ppm::PopularityPpmConfig cfg = spec_for(model).pb;
+  ppm::PbBase base(cfg, &pop);
+  base.insert(session::extract_sessions(window));
+  auto reference = std::make_unique<pbtest::PbReference>(
+      cfg, pbtest::copy_prune_reference(base));
+  return serve::make_snapshot(std::move(reference), std::move(pop), 1);
+}
+
 /// Replays day 3 through two servers and requires identical answers —
 /// predicted flag, served-by, urls, and bit-equal float probabilities.
 void expect_equivalent_serving(const trace::Trace& trace,
-                               std::shared_ptr<const serve::Snapshot> arena,
+                               std::shared_ptr<const serve::Snapshot> ref,
                                std::shared_ptr<const serve::Snapshot> froz) {
   serve::ModelServer a, f;
-  a.publish(std::move(arena));
+  a.publish(std::move(ref));
   f.publish(std::move(froz));
 
   const auto eval = trace.day_slice(2);
@@ -90,12 +112,13 @@ class FrozenEquivalence
 
 TEST_P(FrozenEquivalence, FrozenServesByteIdenticalPredictions) {
   const auto& [model, profile] = GetParam();
-  auto arena = train_snapshot(model, profile);
-  auto froz = serve::freeze_snapshot(*arena);
+  auto trained = train_snapshot(model, profile);
+  auto froz = serve::freeze_snapshot(*trained);
   ASSERT_NE(froz, nullptr);
   ASSERT_FALSE(froz->degraded());
-  EXPECT_EQ(froz->model->node_count(), arena->model->node_count());
-  expect_equivalent_serving(profile_trace(profile), arena, froz);
+  const auto ref = reference_for(model, profile, trained);
+  EXPECT_EQ(froz->model->node_count(), ref->model->node_count());
+  expect_equivalent_serving(profile_trace(profile), ref, froz);
 }
 
 TEST_P(FrozenEquivalence, StoreRoundTripServesByteIdenticalPredictions) {
@@ -105,16 +128,18 @@ TEST_P(FrozenEquivalence, StoreRoundTripServesByteIdenticalPredictions) {
           .string();
   fs::remove_all(dir);
 
-  auto arena = train_snapshot(model, profile);
+  auto trained = train_snapshot(model, profile);
   serve::SnapshotStoreConfig cfg;
   cfg.dir = dir;
   cfg.backoff = std::chrono::milliseconds{0};
   serve::SnapshotStore store(cfg);
-  ASSERT_TRUE(store.publish(*arena).ok);
+  ASSERT_TRUE(store.publish(*trained).ok);
 
   const auto loaded = store.load_latest();
   ASSERT_NE(loaded.snapshot, nullptr) << loaded.error;
-  expect_equivalent_serving(profile_trace(profile), arena, loaded.snapshot);
+  expect_equivalent_serving(profile_trace(profile),
+                            reference_for(model, profile, trained),
+                            loaded.snapshot);
   fs::remove_all(dir);
 }
 
@@ -142,17 +167,17 @@ TEST(FrozenEquivalenceRollback, RollbackLandsOnEquivalentOlderGeneration) {
       (fs::path(::testing::TempDir()) / "frozeneq_rollback").string();
   fs::remove_all(dir);
 
-  auto arena = train_snapshot("pb", "nasa");
+  auto source = train_snapshot("pb", "nasa");
   serve::SnapshotStoreConfig cfg;
   cfg.dir = dir;
   cfg.backoff = std::chrono::milliseconds{0};
   serve::SnapshotStore store(cfg);
-  ASSERT_TRUE(store.publish(*arena).ok);
+  ASSERT_TRUE(store.publish(*source).ok);
   auto newer = train_snapshot("pb", "ucb");
   ASSERT_TRUE(store.publish(*newer).ok);
 
   // Corrupt the newest generation mid-payload; the store must roll back to
-  // gen 1 and gen 1 must still serve identically to its arena source.
+  // gen 1 and gen 1 must still serve identically to its reference.
   const std::string path = (fs::path(dir) / "gen-2.snap").string();
   std::string content;
   {
@@ -171,7 +196,9 @@ TEST(FrozenEquivalenceRollback, RollbackLandsOnEquivalentOlderGeneration) {
   ASSERT_NE(loaded.snapshot, nullptr) << loaded.error;
   EXPECT_EQ(loaded.generation, 1u);
   ASSERT_EQ(loaded.rejected.size(), 1u);
-  expect_equivalent_serving(profile_trace("nasa"), arena, loaded.snapshot);
+  expect_equivalent_serving(profile_trace("nasa"),
+                            reference_for("pb", "nasa", source),
+                            loaded.snapshot);
   fs::remove_all(dir);
 }
 
@@ -241,12 +268,11 @@ struct BlockingConn {
 };
 
 TEST(FrozenEquivalenceNet, WireResponsesAreByteIdentical) {
-  auto arena = train_snapshot("pb", "nasa");
-  auto froz = serve::freeze_snapshot(*arena);
-  ASSERT_NE(froz, nullptr);
+  auto froz = train_snapshot("pb", "nasa");
+  auto ref = reference_for("pb", "nasa", froz);
 
   serve::ModelServer ma, mf;
-  ma.publish(arena);
+  ma.publish(ref);
   mf.publish(froz);
   net::NetServerConfig cfg;
   cfg.workers = 1;

@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "ppm/popularity_ppm.hpp"
+#include "ppm/pb_base.hpp"
 #include "ppm/standard_ppm.hpp"
 
 namespace webppm::frozen {
@@ -34,19 +34,13 @@ std::string pb_payload() {
   static const std::string payload = [] {
     auto pop = popularity::PopularityTable::from_counts(
         {0, 9, 8, 7, 3, 6, 5, 4, 2, 1});
-    ppm::PopularityPpm m{ppm::PopularityPpmConfig{}, &pop};
-    m.train(std::vector<session::Session>{
+    ppm::PbBase base(ppm::PopularityPpmConfig{}, &pop);
+    base.insert(std::vector<session::Session>{
         make_session({1, 2, 3}), make_session({1, 2, 3}),
         make_session({1, 2, 4}), make_session({5, 2, 3}),
         make_session({5, 6, 7, 8}), make_session({5, 6, 7}),
         make_session({9, 1, 2}), make_session({9, 1, 2, 3})});
-    BuildSpec spec;
-    spec.kind = kKindPopularity;
-    spec.pb = m.config();
-    spec.tree = &m.tree();
-    spec.links = &m.links();
-    spec.popularity = &pop;
-    return build_payload(spec);
+    return base.emit();
   }();
   return payload;
 }

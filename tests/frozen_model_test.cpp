@@ -1,6 +1,7 @@
 // webppm::frozen unit suite: the build→decode round trip, the packed
 // format's invariants (section alignment, BFS layout, 2-bit grades), the
-// FrozenModel predictor against its arena source on hand-built trees, and
+// FrozenModel predictor against its arena source on hand-built trees (and,
+// for PB-PPM, which has no arena form, against the reference predictor), and
 // the serve-layer glue (freeze_snapshot, passthrough re-serialisation,
 // store v2 publish/load, and the rejection of retired v1 generations).
 #include "frozen/frozen.hpp"
@@ -16,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "ppm/popularity_ppm.hpp"
+#include "pb_reference.hpp"
 #include "ppm/standard_ppm.hpp"
 #include "serve/frozen_snapshot.hpp"
 #include "serve/snapshot_store.hpp"
@@ -148,23 +149,21 @@ TEST(FrozenModelTest, PredictsIdenticallyToArenaStandard) {
 }
 
 TEST(FrozenModelTest, PredictsIdenticallyToArenaPopularity) {
-  auto pop = small_pop();
-  ppm::PopularityPpm m{ppm::PopularityPpmConfig{}, &pop};
-  m.train(train_sessions());
-  serve::Snapshot snap;
-  snap.popularity = pop;
-  snap.model = std::make_unique<ppm::PopularityPpm>(m);
-  snap.version = 1;
-
-  const std::string payload = serve::serialize_snapshot_frozen(snap);
-  auto owned = std::make_shared<const std::string>(payload);
+  // PB-PPM's payload is written by PbBase::emit, not compiled from an
+  // arena; the reference predictor over the same base stands in for one.
+  const auto pop = small_pop();
+  ppm::PbBase base(ppm::PopularityPpmConfig{}, &pop);
+  base.insert(train_sessions());
+  const pbtest::PbReference reference(ppm::PopularityPpmConfig{},
+                                      pbtest::copy_prune_reference(base));
   std::string error;
-  auto froz = FrozenModel::open(owned, *owned, &error);
+  auto froz = FrozenModel::open(base.emit(), &error);
   ASSERT_NE(froz, nullptr) << error;
+  EXPECT_EQ(froz->name(), "frozen-pb-ppm");
 
   for (auto ctx : std::vector<std::vector<UrlId>>{
            {1}, {2}, {1, 2}, {5, 6}, {5, 6, 7}, {1, 2, 3}, {9}, {}}) {
-    expect_identical(m, *froz, ctx);
+    expect_identical(reference, *froz, ctx);
   }
 }
 

@@ -6,20 +6,23 @@
 // (traversal count desc, root-to-node URL path asc) — with no ordering key
 // beside it, so a ranking shortcut that leaves a list stale after an
 // append changes these bytes even where every prediction test still
-// passes. The constants are FNV-1a 64 digests of
-// serve::serialize_snapshot_frozen; a deliberate model change must update
-// them (and say why), an optimisation must leave them alone.
+// passes. The constants are FNV-1a 64 digests of the payload
+// ppm::PbBase::emit() writes (which serve::serialize_snapshot_frozen passes
+// through); a deliberate model change must update them (and say why), an
+// optimisation must leave them alone.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "core/experiment.hpp"
 #include "core/sweep.hpp"
+#include "frozen/frozen.hpp"
 #include "learn/trainer.hpp"
 #include "serve/frozen_snapshot.hpp"
 #include "serve/model_server.hpp"
@@ -28,14 +31,17 @@
 namespace webppm::learn {
 namespace {
 
-std::uint64_t payload_digest(const serve::Snapshot& snap) {
-  const std::string bytes = serve::serialize_snapshot_frozen(snap);
+std::uint64_t digest(std::string_view bytes) {
   std::uint64_t h = 0xcbf29ce484222325ull;
   for (const char c : bytes) {
     h ^= static_cast<unsigned char>(c);
     h *= 0x100000001b3ull;
   }
   return h;
+}
+
+std::uint64_t payload_digest(const serve::Snapshot& snap) {
+  return digest(serve::serialize_snapshot_frozen(snap));
 }
 
 TEST(PbGolden, TrainModelNasa) {
@@ -117,12 +123,9 @@ TEST(PbGolden, SweepEngineUcbEveryWindow) {
   for (const auto& spec : {core::ModelSpec::pb_model(),
                            core::ModelSpec::pb_model_aggressive()}) {
     engine.visit_models(
-        spec, days, [&](std::uint32_t k, const ppm::Predictor& model) {
-          const auto& pb = dynamic_cast<const ppm::PopularityPpm&>(model);
-          const auto snap = serve::make_snapshot(
-              std::make_unique<ppm::PopularityPpm>(pb),
-              engine.window_popularity(k), k);
-          digests.push_back(payload_digest(*snap));
+        spec, days, [&](std::uint32_t, const ppm::Predictor& model) {
+          digests.push_back(digest(
+              dynamic_cast<const frozen::FrozenModel&>(model).payload()));
         });
   }
   // pb_model at windows 1..4, then pb_model_aggressive at windows 1..4.

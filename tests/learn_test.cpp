@@ -35,6 +35,7 @@
 
 #include "core/sweep.hpp"
 #include "fault/fault.hpp"
+#include "frozen/frozen.hpp"
 #include "learn/observation.hpp"
 #include "serve/model_server.hpp"
 #include "serve/scoreboard.hpp"
@@ -240,13 +241,13 @@ TEST(ObservationQueue, MemoryFollowsDepthNotCapacity) {
   EXPECT_EQ(q.memory_bytes(), 0u);
   EXPECT_GE(out.capacity(), kDepth);
 
-  // A consumer that reuses its vector trades buffers with the queue: the
-  // queue takes back the one it grew for the deeper backlog, no more.
+  // A consumer that reuses its vector trades buffers with the queue, but
+  // the queue keeps at most kReleaseRatio slots per observation drained:
+  // the buffer grown for the deeper backlog is released, not kept.
   out.clear();
   q.on_requests(clicks_from(0, 10));
   ASSERT_EQ(q.drain(out), 10u);
-  EXPECT_LE(q.memory_bytes(), 2 * kDepth * kSlot);
-  EXPECT_GE(q.memory_bytes(), kDepth * kSlot);
+  EXPECT_LE(q.memory_bytes(), ObservationQueue::kReleaseRatio * 10 * kSlot);
 
   // Growth never passes the bound: a full queue holds capacity slots.
   ObservationQueue bounded(100);
@@ -850,6 +851,61 @@ TEST(OnlineTrainer, RetentionCapAndRebuildDecay) {
     if (fresh.query(r, out)) ++predicted;
   }
   EXPECT_GT(predicted, 0u);
+}
+
+TEST(OnlineTrainer, CappedPbPublishesPbOverExactlyItsWindow) {
+  // A drifting trace (grades move at the day boundaries) under a cap that
+  // evicts at most of them. At every publish the trainer's payload must be
+  // what a fresh base emits over exactly the retained window plus the open
+  // tails, under the published table.
+  const trace::Trace trace =
+      workload::generate_page_trace(workload::ucb_like(6, 0.25));
+  constexpr std::size_t kCap = 1000;
+  serve::ModelServer target;
+  OnlineTrainerConfig tc;
+  tc.spec = core::ModelSpec::pb_model_aggressive();
+  tc.url_count_hint = trace.urls.size();
+  tc.queue_capacity = trace.requests.size() + 1;
+  tc.max_retained_sessions = kCap;
+  OnlineTrainer trainer(target, tc);
+  trainer.attach();
+
+  // The trainer's sessions, replayed: the same clicks, settled at the same
+  // boundaries, evicted oldest first.
+  session::IncrementalSessionizer mirror(tc.session);
+  std::vector<session::Session> closed;
+  std::size_t capped = 0;
+  for (std::uint32_t d = 0; d < trace.day_count(); ++d) {
+    const auto day = trace.day_slice(d);
+    feed_day(target, day, Feed::kObserve);
+    trainer.step();
+    if (d > 0) {
+      ASSERT_EQ(trainer.publishes(), d);
+      mirror.settle_before(static_cast<TimeSec>(d) * kSecondsPerDay);
+      auto fresh = mirror.take_closed();
+      closed.insert(closed.end(), std::make_move_iterator(fresh.begin()),
+                    std::make_move_iterator(fresh.end()));
+      if (closed.size() > kCap) {
+        closed.erase(closed.begin(), closed.end() - kCap);
+        ++capped;
+      }
+      EXPECT_EQ(trainer.retained_sessions(), closed.size());
+
+      const auto snap = target.snapshot();
+      ASSERT_NE(snap, nullptr);
+      ppm::PbBase fresh_base(tc.spec.pb, &snap->popularity);
+      fresh_base.insert(closed);
+      fresh_base.insert(mirror.open_snapshot());
+      EXPECT_TRUE(
+          dynamic_cast<const frozen::FrozenModel&>(*snap->model).payload() ==
+          fresh_base.emit())
+          << "publish at boundary " << d;
+    }
+    mirror.feed(day);
+  }
+  EXPECT_GE(capped, 3u);
+  EXPECT_GT(trainer.regraded_sessions(), 0u);
+  EXPECT_EQ(trainer.rebuilds(), 0u);
 }
 
 // ---------------------------------------------------------------------------

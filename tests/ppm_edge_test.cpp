@@ -2,8 +2,8 @@
 // configurations, and adversarial shapes the main suites don't hit.
 #include <gtest/gtest.h>
 
+#include "pb_reference.hpp"
 #include "ppm/lrs_ppm.hpp"
-#include "ppm/popularity_ppm.hpp"
 #include "ppm/standard_ppm.hpp"
 
 namespace webppm::ppm {
@@ -19,20 +19,20 @@ TEST(ModelEdge, EmptyTrainingLeavesModelsPredictingNothing) {
   StandardPpm std_m;
   LrsPpm lrs_m;
   const auto pop = popularity::PopularityTable::from_counts({});
-  PopularityPpm pb_m(PopularityPpmConfig{}, &pop);
+  const auto pb_m = pbtest::train_pb(PopularityPpmConfig{}, pop, {});
+  ASSERT_NE(pb_m, nullptr);
   std_m.train({});
   lrs_m.train({});
-  pb_m.train({});
   EXPECT_EQ(std_m.node_count(), 0u);
   EXPECT_EQ(lrs_m.node_count(), 0u);
-  EXPECT_EQ(pb_m.node_count(), 0u);
+  EXPECT_EQ(pb_m->node_count(), 0u);
   std::vector<Prediction> out;
   const UrlId ctx[] = {1, 2};
   std_m.predict(ctx, out);
   EXPECT_TRUE(out.empty());
   lrs_m.predict(ctx, out);
   EXPECT_TRUE(out.empty());
-  pb_m.predict(ctx, out);
+  pb_m->predict(ctx, out);
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(std_m.path_usage().total, 0u);
   EXPECT_DOUBLE_EQ(std_m.path_usage().rate(), 0.0);
@@ -90,13 +90,12 @@ TEST(ModelEdge, PbAllUrlsSameGradeOnlySessionHeadsAreRoots) {
       std::vector<std::uint32_t>(10, 100));  // everyone grade 3
   PopularityPpmConfig cfg;
   cfg.min_relative_probability = 0.0;
-  PopularityPpm m(cfg, &pop);
   const std::vector<session::Session> train{make_session({1, 2, 3}),
                                             make_session({4, 5})};
-  m.train(train);
-  EXPECT_EQ(m.tree().root_count(), 2u);  // 1 and 4 only (no grade increases)
-  EXPECT_NE(m.tree().find_root(1), kNoNode);
-  EXPECT_NE(m.tree().find_root(4), kNoNode);
+  const auto c = pbtest::contents_of(*pbtest::train_pb(cfg, pop, train));
+  EXPECT_EQ(c.roots(), 2u);  // 1 and 4 only (no grade increases)
+  EXPECT_TRUE(c.paths.contains({1}));
+  EXPECT_TRUE(c.paths.contains({4}));
 }
 
 TEST(ModelEdge, PbLinkTopKZeroMeansUnlimited) {
@@ -109,14 +108,13 @@ TEST(ModelEdge, PbLinkTopKZeroMeansUnlimited) {
   cfg.min_relative_probability = 0.0;
   cfg.link_prob_threshold = 0.0;
   cfg.link_top_k = 0;  // unlimited
-  PopularityPpm m(cfg, &pop);
   // One branch passing through many grade-3 documents.
   const std::vector<session::Session> train{
       make_session({0, 11, 1, 2, 3, 4, 5})};
-  m.train(train);
+  const auto m = pbtest::train_pb(cfg, pop, train);
   std::vector<Prediction> out;
   const UrlId ctx[] = {0};
-  m.predict(ctx, out);
+  m->predict(ctx, out);
   // The branch holds 0 -> 11 -> 1 -> 2 -> 3 -> 4 -> 5 (depth cap 7); the
   // grade-3 documents at depths 3..7 (urls 1..5) are all linked.
   std::size_t link_candidates = 0;
@@ -132,14 +130,13 @@ TEST(ModelEdge, PbContextLongerThanAnyBranchStillMatches) {
   const auto pop = popularity::PopularityTable::from_counts(counts);
   PopularityPpmConfig cfg;
   cfg.min_relative_probability = 0.0;
-  PopularityPpm m(cfg, &pop);
   const std::vector<session::Session> train{make_session({1, 2, 3}),
                                             make_session({1, 2, 4})};
-  m.train(train);
+  const auto m = pbtest::train_pb(cfg, pop, train);
   // 12-long context whose tail replays the trained branch start.
   std::vector<UrlId> ctx{9, 8, 7, 6, 5, 9, 8, 7, 6, 5, 1, 2};
   std::vector<Prediction> out;
-  m.predict(ctx, out);
+  m->predict(ctx, out);
   ASSERT_EQ(out.size(), 2u);  // 3 and 4, each at p=0.5
   EXPECT_NEAR(out[0].probability, 0.5, 1e-6);
 }

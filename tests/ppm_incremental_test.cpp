@@ -4,9 +4,9 @@
 // equivalence guarantees are.
 #include <gtest/gtest.h>
 
+#include "pb_reference.hpp"
 #include "ppm/lrs_ppm.hpp"
 #include "ppm/pb_base.hpp"
-#include "ppm/popularity_ppm.hpp"
 #include "ppm/standard_ppm.hpp"
 #include "util/rng.hpp"
 
@@ -74,16 +74,15 @@ TEST(IncrementalTraining, PopularityBatchEqualsIncrementalWithoutOpt) {
   batch_base.insert(all);
   inc_base.insert(day1);
   inc_base.insert(day2);
-  const PopularityPpm batch = batch_base.emit();
-  const PopularityPpm incremental = inc_base.emit();
+  const auto batch = pbtest::open_pb(batch_base);
+  const auto incremental = pbtest::open_pb(inc_base);
 
-  EXPECT_EQ(batch.node_count(), incremental.node_count());
-  EXPECT_EQ(batch.node_count(), batch_base.expand().node_count());
-  EXPECT_EQ(batch.links().size(), incremental.links().size());
+  EXPECT_EQ(batch->payload(), incremental->payload());
+  EXPECT_EQ(batch->node_count(), batch_base.expand().node_count());
   std::vector<Prediction> pa, pb;
   for (const auto& s : random_sessions(6, 10)) {
-    batch.predict(s.urls, pa);
-    incremental.predict(s.urls, pb);
+    batch->predict(s.urls, pa);
+    incremental->predict(s.urls, pb);
     EXPECT_EQ(pa, pb);
   }
 }
@@ -102,16 +101,15 @@ TEST(IncrementalTraining, EmitLeavesBaseUntouched) {
   PbBase base(cfg, &pop);
   base.insert(data);
   const auto base_nodes = base.expand().node_count();
-  const PopularityPpm first = base.emit();
-  const PopularityPpm second = base.emit();
-  EXPECT_LT(first.node_count(), base_nodes);
+  const auto first = pbtest::open_pb(base);
+  const auto second = pbtest::open_pb(base);
+  EXPECT_LT(first->node_count(), base_nodes);
   EXPECT_EQ(base.expand().node_count(), base_nodes);
-  EXPECT_EQ(first.node_count(), second.node_count());
-  EXPECT_EQ(first.links().size(), second.links().size());
+  EXPECT_EQ(first->payload(), second->payload());
   std::vector<Prediction> pa, pb;
   for (const auto& s : random_sessions(15, 10)) {
-    first.predict(s.urls, pa);
-    second.predict(s.urls, pb);
+    first->predict(s.urls, pa);
+    second->predict(s.urls, pb);
     EXPECT_EQ(pa, pb);
   }
 }
@@ -174,14 +172,14 @@ TEST(IncrementalTraining, PopularityTrainMoreWithoutOptMatchesBatch) {
   EXPECT_EQ(batch.expand().node_count(), incremental.expand().node_count());
 
   // Emitting leaves the bases untouched and produces equal results.
-  const PopularityPpm pruned_batch = batch.emit();
-  const PopularityPpm pruned_inc = incremental.emit();
-  EXPECT_EQ(pruned_batch.node_count(), pruned_inc.node_count());
+  const auto pruned_batch = pbtest::open_pb(batch);
+  const auto pruned_inc = pbtest::open_pb(incremental);
+  EXPECT_EQ(pruned_batch->payload(), pruned_inc->payload());
   EXPECT_EQ(batch.expand().node_count(), incremental.expand().node_count());
   std::vector<Prediction> pa, pb;
   for (const auto& s : random_sessions(14, 10)) {
-    pruned_batch.predict(s.urls, pa);
-    pruned_inc.predict(s.urls, pb);
+    pruned_batch->predict(s.urls, pa);
+    pruned_inc->predict(s.urls, pb);
     EXPECT_EQ(pa, pb);
   }
 }

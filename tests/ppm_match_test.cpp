@@ -43,22 +43,19 @@ TEST(LongestMatch, MaxContextCapsSuffixLength) {
 
 TEST(LongestMatch, StrictStopsAtChildlessDeepMatch) {
   const auto t = sample_tree();
-  // (1,2,3) exists and is a leaf; strict matching gives up.
+  // (1,2,3) exists and is a leaf; strict matching gives up, though (2,3)
+  // has a child. PB-PPM's back-off past it is checked on the frozen model
+  // (PbModel.BacksOffPastAChildlessDeepMatch, and every context of
+  // PbReferenceTest.FrozenPredictsAsTheReference).
   const UrlId ctx[] = {1, 2, 3};
-  const auto strict = longest_match(t, ctx, 8, MatchPolicy::kStrict);
-  EXPECT_EQ(strict.node, kNoNode);
-  // Backoff finds (2,3), whose child 5 can be predicted.
-  const auto backoff = longest_match(t, ctx, 8, MatchPolicy::kSkipChildless);
-  ASSERT_NE(backoff.node, kNoNode);
-  EXPECT_EQ(backoff.context_used, 2u);
-  EXPECT_EQ(t.node(backoff.node).depth, 2u);
+  EXPECT_EQ(longest_match(t, ctx, 8).node, kNoNode);
 }
 
 TEST(LongestMatch, StrictAcceptsMissingDeepPaths) {
   const auto t = sample_tree();
   // (7,1) does not exist at all — strict matching may shorten.
   const UrlId ctx[] = {7, 1};
-  const auto m = longest_match(t, ctx, 8, MatchPolicy::kStrict);
+  const auto m = longest_match(t, ctx, 8);
   ASSERT_NE(m.node, kNoNode);
   EXPECT_EQ(m.context_used, 1u);
   EXPECT_EQ(t.node(m.node).url, 1u);
@@ -68,7 +65,6 @@ TEST(LongestMatch, NoMatchAnywhere) {
   const auto t = sample_tree();
   const UrlId ctx[] = {99};
   EXPECT_EQ(longest_match(t, ctx, 8).node, kNoNode);
-  EXPECT_EQ(longest_match(t, ctx, 8, MatchPolicy::kStrict).node, kNoNode);
 }
 
 TEST(LongestMatch, EmptyContext) {

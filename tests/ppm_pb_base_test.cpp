@@ -16,12 +16,18 @@
 #include <utility>
 #include <vector>
 
+#include "pb_reference.hpp"
 #include "session/session.hpp"
 #include "util/rng.hpp"
 #include "workload/generator.hpp"
 
 namespace webppm::ppm {
 namespace {
+
+using pbtest::contents_of;
+using pbtest::copy_prune_reference;
+using pbtest::PbContents;
+using pbtest::paths_of;
 
 constexpr std::size_t kUrlSpace = 60;
 
@@ -64,26 +70,6 @@ PopularityPpmConfig prune_config(bool aggressive) {
   return cfg;
 }
 
-using Path = std::vector<UrlId>;
-
-/// Every live node by its root-to-node URL path, with its count.
-std::map<Path, std::uint32_t> paths_of(const PredictionTree& tree) {
-  std::map<Path, std::uint32_t> out;
-  std::vector<std::pair<NodeId, Path>> stack;
-  for (const auto& [url, root] : tree.roots()) stack.push_back({root, {url}});
-  while (!stack.empty()) {
-    auto [id, path] = std::move(stack.back());
-    stack.pop_back();
-    out.emplace(path, tree.node(id).count);
-    tree.node(id).children.for_each([&](UrlId u, NodeId c) {
-      Path p = path;
-      p.push_back(u);
-      stack.push_back({c, std::move(p)});
-    });
-  }
-  return out;
-}
-
 /// Structural invariants of a tree that may hold free slots: everything
 /// reachable is live, consistently linked, and the maintained live and
 /// leaf counts match what is reachable.
@@ -116,24 +102,6 @@ void check_reachable_invariants(const PredictionTree& tree) {
   EXPECT_EQ(leaves, tree.path_usage().total);
 }
 
-/// A model's special links as (root URL, target paths in rank order).
-std::map<UrlId, std::vector<Path>> links_of(const PopularityPpm& m) {
-  const PredictionTree& tree = m.tree();
-  std::map<UrlId, std::vector<Path>> out;
-  for (const auto& [root, targets] : m.links()) {
-    auto& row = out[tree.node(root).url];
-    for (const NodeId t : targets) {
-      Path p;
-      for (NodeId a = t; a != kNoNode; a = tree.node(a).parent) {
-        p.push_back(tree.node(a).url);
-      }
-      std::reverse(p.begin(), p.end());
-      row.push_back(std::move(p));
-    }
-  }
-  return out;
-}
-
 void expect_same_base(const PbBase& a, const PbBase& b) {
   EXPECT_EQ(paths_of(a.expand()), paths_of(b.expand()));
   EXPECT_EQ(a.expand().node_count(), b.expand().node_count());
@@ -142,57 +110,22 @@ void expect_same_base(const PbBase& a, const PbBase& b) {
   EXPECT_EQ(a.expand().total_root_count(), b.expand().total_root_count());
 }
 
-void expect_same_model(const PopularityPpm& a, const PopularityPpm& b) {
-  EXPECT_EQ(paths_of(a.tree()), paths_of(b.tree()));
-  EXPECT_EQ(a.node_count(), b.node_count());
-  EXPECT_EQ(links_of(a), links_of(b));
+/// True when some URL's grade differs between the two tables.
+bool grades_differ(const popularity::PopularityTable& a,
+                   const popularity::PopularityTable& b) {
+  for (UrlId u = 0; u < std::max(a.url_count(), b.url_count()); ++u) {
+    if (a.grade(u) != b.grade(u)) return true;
+  }
+  return false;
 }
 
-/// The model the trainers published before PbBase existed, rebuilt by
-/// hand: copy the unpruned tree, cut it top-down by rule 4 (a cut node
-/// takes its subtree along), link every surviving depth>=3 node whose
-/// URL's grade is above its root's or is the top grade, and rank each
-/// root's list by (count desc, root-to-node URL path asc).
-std::pair<std::map<Path, std::uint32_t>, std::map<UrlId, std::vector<Path>>>
-copy_prune_reference(const PbBase& base) {
-  const PopularityPpmConfig& cfg = base.config();
-  const auto& grades = base.grades();
-  PredictionTree copy = base.expand();
-  std::vector<NodeId> stack;
-  for (const auto& [url, root] : copy.roots()) stack.push_back(root);
-  while (!stack.empty()) {
-    const NodeId id = stack.back();
-    stack.pop_back();
-    std::vector<NodeId> cut;
-    copy.node(id).children.for_each([&](UrlId, NodeId c) {
-      const double share = static_cast<double>(copy.node(c).count) /
-                           static_cast<double>(copy.node(id).count);
-      const bool by_count = cfg.min_absolute_count > 0 &&
-                            copy.node(c).count <= cfg.min_absolute_count;
-      const bool by_share = cfg.min_relative_probability > 0.0 &&
-                            share < cfg.min_relative_probability;
-      (by_count || by_share ? cut : stack).push_back(c);
-    });
-    for (const NodeId c : cut) copy.release(c);
-  }
-  auto paths = paths_of(copy);
-
-  std::map<UrlId, std::vector<std::pair<std::uint32_t, Path>>> ranked;
-  for (const auto& [path, count] : paths) {
-    const int g = grades.grade(path.back());
-    if (cfg.special_links && path.size() >= 3 &&
-        (g > grades.grade(path.front()) || g == popularity::kMaxGrade)) {
-      ranked[path.front()].push_back({count, path});
-    }
-  }
-  std::map<UrlId, std::vector<Path>> links;
-  for (auto& [root, row] : ranked) {
-    std::sort(row.begin(), row.end(), [](const auto& a, const auto& b) {
-      return a.first != b.first ? a.first > b.first : a.second < b.second;
-    });
-    for (auto& entry : row) links[root].push_back(std::move(entry.second));
-  }
-  return {std::move(paths), std::move(links)};
+/// The emitted model's nodes and links, checked against the hand-pruned
+/// copy of the base.
+void expect_emit_matches_reference(const PbBase& base) {
+  const PbContents want = copy_prune_reference(base);
+  const PbContents got = contents_of(*pbtest::open_pb(base));
+  EXPECT_EQ(got.paths, want.paths);
+  EXPECT_EQ(got.links, want.links);
 }
 
 class PbBaseTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -225,7 +158,7 @@ TEST_P(PbBaseTest, RegradeEqualsRebuildUnderRandomGradeDrift) {
       tables.push_back(std::make_unique<popularity::PopularityTable>(
           popularity::PopularityTable::from_counts(counts)));
       const auto* next = tables.back().get();
-      const bool drifted = base.drifted(*next);
+      const bool drifted = grades_differ(base.grades(), *next);
       const std::size_t regraded = base.regrade(next, window);
       EXPECT_EQ(regraded != 0, drifted);
       if (regraded != 0 && regraded < window.size()) ++local_rounds;
@@ -234,7 +167,7 @@ TEST_P(PbBaseTest, RegradeEqualsRebuildUnderRandomGradeDrift) {
       rebuilt.insert(window);
       expect_same_base(base, rebuilt);
       check_reachable_invariants(base.expand());
-      expect_same_model(base.emit(), rebuilt.emit());
+      EXPECT_EQ(base.emit(), rebuilt.emit());
 
       // Grow the window under the new grades, as a trainer's next day does.
       const auto day = random_sessions(rng, 10);
@@ -261,12 +194,10 @@ TEST_P(PbBaseTest, EmitMatchesCopyPruneReference) {
     base.retract(part);
     base.insert(part);
 
-    const PopularityPpm m = base.emit();
-    const auto [paths, links] = copy_prune_reference(base);
-    EXPECT_EQ(paths_of(m.tree()), paths);
-    EXPECT_EQ(links_of(m), links);
-    EXPECT_LT(m.node_count(), base.expand().node_count());
-    linked = linked || !links.empty();
+    expect_emit_matches_reference(base);
+    EXPECT_LT(pbtest::open_pb(base)->node_count(),
+              base.expand().node_count());
+    linked = linked || !copy_prune_reference(base).links.empty();
   }
   EXPECT_TRUE(linked);
 }
@@ -317,7 +248,7 @@ TEST(PbBase, RegradeWithoutDriftRewalksNothing) {
   const auto b = popularity::PopularityTable::from_counts(more);
   PbBase base(PopularityPpmConfig{}, &a);
   base.insert(window);
-  EXPECT_FALSE(base.drifted(b));
+  EXPECT_FALSE(grades_differ(a, b));
   EXPECT_EQ(base.regrade(&b, window), 0u);
   EXPECT_EQ(&base.grades(), &b);
 }
@@ -481,10 +412,7 @@ TEST_P(PbBaseTailForm, RandomEditsMatchTheOracle) {
           auto with_tails = held;
           with_tails.insert(with_tails.end(), tails.begin(), tails.end());
           expect_matches(base, oracle, with_tails);
-          const PopularityPpm m = base.emit();
-          const auto [paths, links] = copy_prune_reference(base);
-          EXPECT_EQ(paths_of(m.tree()), paths);
-          EXPECT_EQ(links_of(m), links);
+          expect_emit_matches_reference(base);
           base.retract(tails);
           oracle.retract(grades, tails);
           break;
@@ -577,8 +505,7 @@ TEST(PbBaseTail, SplitsAtEachPositionOfATail) {
     both.insert(both.end(), probe.begin(), probe.end());
     expect_matches(base, oracle, both);
     EXPECT_EQ(shape_of(base), c.shape);
-    const auto [paths, links] = copy_prune_reference(base);
-    EXPECT_EQ(paths_of(base.emit().tree()), paths);
+    expect_emit_matches_reference(base);
     // Retracting the probe folds the shared run back into one tail.
     base.retract(probe);
     oracle.retract(grades, probe);
@@ -656,7 +583,7 @@ TEST(PbBaseTail, TailLongerThanTheSixteenBitDepth) {
   expect_matches(base, oracle, two);
   EXPECT_EQ(shape_of(base),
             (std::array<std::size_t, 3>{kLength - 1, 2, 2}));
-  EXPECT_EQ(base.emit().node_count(), kLength + 1);
+  EXPECT_EQ(pbtest::open_pb(base)->node_count(), kLength + 1);
 
   base.retract(more);
   oracle.retract(grades, more);

@@ -6,9 +6,9 @@
 #include <utility>
 #include <vector>
 
+#include "pb_reference.hpp"
 #include "ppm/lrs_ppm.hpp"
 #include "ppm/pb_base.hpp"
-#include "ppm/popularity_ppm.hpp"
 #include "ppm/standard_ppm.hpp"
 #include "util/rng.hpp"
 
@@ -85,28 +85,39 @@ void check_tree_invariants(const PredictionTree& tree) {
   EXPECT_EQ(tree.path_usage().total, leaves);
 }
 
+/// Structural invariants of a frozen PB model, read back by URL path:
+/// every node's parent path is a node, no child outcounts its parent, and
+/// no branch is taller than its head's grade allows.
+void check_pb_invariants(const pbtest::PbContents& m,
+                         const popularity::PopularityTable& pop,
+                         const PopularityPpmConfig& cfg) {
+  for (const auto& [path, count] : m.paths) {
+    EXPECT_GT(count, 0u);
+    EXPECT_LE(path.size(), cfg.height_by_grade[static_cast<std::size_t>(
+                               pop.grade(path.front()))]);
+    if (path.size() == 1) continue;
+    const pbtest::Path parent(path.begin(), path.end() - 1);
+    ASSERT_TRUE(m.paths.contains(parent)) << "orphan node";
+    EXPECT_LE(count, m.paths.at(parent)) << "child traversals exceed parent's";
+  }
+}
+
 /// PB special links, checked against an order the test derives itself:
 /// each root's targets strictly by (traversal count desc, root-to-node URL
-/// path asc), each target once and inside its root's subtree.
-void check_links_ranked(const PopularityPpm& m) {
-  const PredictionTree& tree = m.tree();
-  for (const auto& [root, targets] : m.links()) {
-    ASSERT_EQ(tree.node(root).parent, kNoNode) << "link from a non-root";
-    std::vector<NodeId> uniq(targets);
+/// path asc), each target once, a node inside its root's subtree.
+void check_links_ranked(const pbtest::PbContents& m) {
+  for (const auto& [root, targets] : m.links) {
+    ASSERT_TRUE(m.paths.contains({root})) << "link from a non-root";
+    std::vector<pbtest::Path> uniq(targets);
     std::sort(uniq.begin(), uniq.end());
     EXPECT_EQ(std::adjacent_find(uniq.begin(), uniq.end()), uniq.end())
         << "target listed twice under root " << root;
     std::vector<std::pair<std::uint32_t, std::vector<UrlId>>> keys;
-    for (const NodeId t : targets) {
-      std::vector<UrlId> path;
-      NodeId top = t;
-      for (NodeId a = t; a != kNoNode; a = tree.node(a).parent) {
-        path.push_back(tree.node(a).url);
-        top = a;
-      }
-      EXPECT_EQ(top, root) << "target " << t << " outside its root's subtree";
-      std::reverse(path.begin(), path.end());
-      keys.emplace_back(tree.node(t).count, std::move(path));
+    for (const auto& path : targets) {
+      ASSERT_TRUE(m.paths.contains(path)) << "link to no node";
+      EXPECT_EQ(path.front(), root) << "target outside its root's subtree";
+      EXPECT_GE(path.size(), 3u) << "target right below its root";
+      keys.emplace_back(m.paths.at(path), path);
     }
     for (std::size_t i = 1; i < keys.size(); ++i) {
       const auto& [ca, pa] = keys[i - 1];
@@ -181,22 +192,10 @@ TEST_P(ModelPropertyTest, PopularityTreeInvariantsAfterOptimization) {
   const auto train = random_sessions(GetParam() ^ 0x5151, 80);
   const auto pop = popularity_of(train);
   PopularityPpmConfig cfg;
-  PopularityPpm m(cfg, &pop);
-  m.train(train);
-  check_tree_invariants(m.tree());
-  // Height caps respected relative to each branch head's grade.
-  for (const auto& [url, root] : m.tree().roots()) {
-    const auto cap = cfg.height_by_grade[static_cast<std::size_t>(
-        pop.grade(url))];
-    std::vector<NodeId> stack{root};
-    while (!stack.empty()) {
-      const auto id = stack.back();
-      stack.pop_back();
-      EXPECT_LE(m.tree().node(id).depth, cap);
-      m.tree().node(id).children.for_each(
-          [&](UrlId, NodeId c) { stack.push_back(c); });
-    }
-  }
+  const auto m = pbtest::train_pb(cfg, pop, train);
+  const auto c = pbtest::contents_of(*m);
+  EXPECT_EQ(c.paths.size(), m->node_count());
+  check_pb_invariants(c, pop, cfg);
 }
 
 TEST_P(ModelPropertyTest, OptimizationOnlyShrinks) {
@@ -205,9 +204,9 @@ TEST_P(ModelPropertyTest, OptimizationOnlyShrinks) {
   PopularityPpmConfig cfg;
   PbBase raw(cfg, &pop);
   raw.insert(train);
-  const PopularityPpm pruned = raw.emit();
-  EXPECT_LE(pruned.node_count(), raw.expand().node_count());
-  check_tree_invariants(pruned.tree());
+  const auto pruned = pbtest::open_pb(raw);
+  EXPECT_LE(pruned->node_count(), raw.expand().node_count());
+  check_pb_invariants(pbtest::contents_of(*pruned), pop, cfg);
 }
 
 TEST_P(ModelPropertyTest, PbLinksStayRankedThroughAppendsAndPruning) {
@@ -240,15 +239,15 @@ TEST_P(ModelPropertyTest, PbLinksStayRankedThroughAppendsAndPruning) {
       const auto grown = draw(1 + rng.below(40));
       base.insert(grown);
       whole.insert(grown);
-      check_links_ranked(whole.emit());
+      check_links_ranked(pbtest::contents_of(*pbtest::open_pb(whole)));
 
       const auto tails = draw(1 + rng.below(8));
       base.insert(tails);
-      const PopularityPpm m = base.emit();
+      const auto m = pbtest::contents_of(*pbtest::open_pb(base));
       base.retract(tails);
       check_links_ranked(m);
-      check_tree_invariants(m.tree());
-      linked = linked || !m.links().empty();
+      check_pb_invariants(m, pop, cfg);
+      linked = linked || !m.links.empty();
       EXPECT_EQ(base.expand().node_count(), whole.expand().node_count());
     }
     EXPECT_TRUE(linked);
@@ -269,9 +268,9 @@ TEST_P(ModelPropertyTest, PredictionsAreSaneAcrossModels) {
   check_predictions_sane(lrs_m, probe, 0.25);
 
   // PB emits special-link candidates down to its link probability floor.
-  PopularityPpm pb_m(PopularityPpmConfig{}, &pop);
-  pb_m.train(train);
-  check_predictions_sane(pb_m, probe, PopularityPpmConfig{}.link_prob_threshold);
+  const auto pb_m = pbtest::train_pb(PopularityPpmConfig{}, pop, train);
+  check_predictions_sane(*pb_m, probe,
+                         PopularityPpmConfig{}.link_prob_threshold);
 }
 
 TEST_P(ModelPropertyTest, PbNeverLargerThanStandard) {
@@ -279,9 +278,8 @@ TEST_P(ModelPropertyTest, PbNeverLargerThanStandard) {
   const auto pop = popularity_of(train);
   StandardPpm std_m;
   std_m.train(train);
-  PopularityPpm pb_m(PopularityPpmConfig{}, &pop);
-  pb_m.train(train);
-  EXPECT_LE(pb_m.node_count(), std_m.node_count());
+  const auto pb_m = pbtest::train_pb(PopularityPpmConfig{}, pop, train);
+  EXPECT_LE(pb_m->node_count(), std_m.node_count());
 }
 
 TEST_P(ModelPropertyTest, DeterministicTraining) {

@@ -1,6 +1,7 @@
 // Reference-implementation cross-checks: naive, obviously-correct
 // transcriptions of the paper's algorithms, compared against the optimised
-// library implementations on randomized inputs.
+// library implementations on randomized inputs. PB-PPM is checked in its
+// one form, the frozen model PbBase::emit() writes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,8 +9,8 @@
 #include <set>
 #include <vector>
 
+#include "pb_reference.hpp"
 #include "ppm/lrs_ppm.hpp"
-#include "ppm/popularity_ppm.hpp"
 #include "util/rng.hpp"
 
 namespace webppm::ppm {
@@ -138,28 +139,6 @@ ReferencePb reference_pb(const std::vector<session::Session>& sessions,
   return ref;
 }
 
-void collect_tree_paths(const PredictionTree& tree,
-                        std::set<std::vector<UrlId>>& out) {
-  struct Frame {
-    NodeId node;
-    std::size_t len;
-  };
-  std::vector<UrlId> path;
-  for (const auto& [url, root] : tree.roots()) {
-    std::vector<Frame> stack{{root, 0}};
-    while (!stack.empty()) {
-      const auto [node, len] = stack.back();
-      stack.pop_back();
-      path.resize(len);
-      path.push_back(tree.node(node).url);
-      out.insert(path);
-      tree.node(node).children.for_each([&](UrlId, NodeId c) {
-        stack.push_back({c, path.size()});
-      });
-    }
-  }
-}
-
 class PbReferenceTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PbReferenceTest, TreePathsMatchRuleTranscription) {
@@ -173,20 +152,17 @@ TEST_P(PbReferenceTest, TreePathsMatchRuleTranscription) {
   PopularityPpmConfig cfg;
   cfg.min_relative_probability = 0.0;  // compare unpruned structure
   cfg.min_absolute_count = 0;
-  PopularityPpm m(cfg, &pop);
-  m.train(sessions);
+  const auto m = pbtest::contents_of(*pbtest::train_pb(cfg, pop, sessions));
 
   const auto ref = reference_pb(sessions, pop, cfg.height_by_grade);
 
   std::set<std::vector<UrlId>> tree_paths;
-  collect_tree_paths(m.tree(), tree_paths);
+  for (const auto& [path, count] : m.paths) tree_paths.insert(path);
   EXPECT_EQ(tree_paths, ref.paths);
 
   std::set<std::pair<UrlId, UrlId>> tree_links;
-  for (const auto& [root, targets] : m.links()) {
-    for (const auto t : targets) {
-      tree_links.insert({m.tree().node(root).url, m.tree().node(t).url});
-    }
+  for (const auto& [root, targets] : m.links) {
+    for (const auto& t : targets) tree_links.insert({root, t.back()});
   }
   EXPECT_EQ(tree_links, ref.links);
 }
@@ -200,11 +176,53 @@ TEST_P(PbReferenceTest, NodeCountEqualsDistinctPaths) {
   const auto pop = popularity::PopularityTable::from_counts(counts);
   PopularityPpmConfig cfg;
   cfg.min_relative_probability = 0.0;
-  PopularityPpm m(cfg, &pop);
-  m.train(sessions);
-  std::set<std::vector<UrlId>> tree_paths;
-  collect_tree_paths(m.tree(), tree_paths);
-  EXPECT_EQ(m.node_count(), tree_paths.size());
+  const auto m = pbtest::train_pb(cfg, pop, sessions);
+  EXPECT_EQ(m->node_count(), pbtest::contents_of(*m).paths.size());
+}
+
+TEST_P(PbReferenceTest, FrozenPredictsAsTheReference) {
+  // Every context a session's clicks make, and each context's suffixes
+  // from an unseen click on: the frozen model and the reference predictor
+  // over the same base must answer bit for bit.
+  const auto sessions = random_sessions(GetParam() ^ 0xfeed, 40, 12);
+  const auto probes = random_sessions(GetParam() ^ 0xcafe, 20, 14);
+  std::vector<std::uint32_t> counts(12, 0);
+  for (const auto& s : sessions) {
+    for (const auto u : s.urls) ++counts[u];
+  }
+  const auto pop = popularity::PopularityTable::from_counts(counts);
+
+  PopularityPpmConfig paper;  // pb_model
+  PopularityPpmConfig aggressive;
+  aggressive.min_absolute_count = 1;  // pb_model_aggressive
+  PopularityPpmConfig wide;  // every link, short contexts
+  wide.link_top_k = 0;
+  wide.link_prob_threshold = 0.0;
+  wide.max_context = 2;
+  std::size_t predicted = 0;
+  for (const auto& cfg : {paper, aggressive, wide}) {
+    PbBase base(cfg, &pop);
+    base.insert(sessions);
+    const auto frozen = pbtest::open_pb(base);
+    const pbtest::PbReference reference(cfg,
+                                        pbtest::copy_prune_reference(base));
+    std::vector<Prediction> want, got;
+    for (const auto& s : {sessions, probes}) {
+      for (const auto& session : s) {
+        const std::span<const UrlId> urls = session.urls;
+        for (std::size_t end = 1; end <= urls.size(); ++end) {
+          for (std::size_t begin = 0; begin < end; ++begin) {
+            const auto ctx = urls.subspan(begin, end - begin);
+            reference.predict(ctx, want);
+            frozen->predict(ctx, got);
+            ASSERT_EQ(got, want);
+            if (!want.empty()) ++predicted;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(predicted, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PbReferenceTest,

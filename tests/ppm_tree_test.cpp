@@ -7,9 +7,9 @@
 #include <utility>
 #include <vector>
 
+#include "pb_reference.hpp"
 #include "popularity/popularity.hpp"
 #include "ppm/pb_base.hpp"
-#include "ppm/popularity_ppm.hpp"
 #include "session/session.hpp"
 
 namespace webppm::ppm {
@@ -152,8 +152,9 @@ TEST(PredictionTree, ReleasedSlotsAreReusedAndLiveIdsStay) {
   EXPECT_EQ(t.find_path(grown), x);
 }
 
-// A tree is compacted when it is published: PbBase::emit copies the nodes
-// that survive the rule-4 cut into a new, densely indexed arena.
+// A PB tree is compacted when it is published: PbBase::emit writes the
+// nodes that survive the rule-4 cut into a frozen payload, densely
+// numbered in breadth-first order.
 
 std::vector<session::Session> sessions_of(
     std::initializer_list<std::vector<UrlId>> paths) {
@@ -186,23 +187,19 @@ TEST(PredictionTree, CompactReindexesAndPreservesStructure) {
   ASSERT_NE(d, kNoNode);
   ASSERT_GE(d, 2u);  // behind the cut subtree in the base's arena
 
-  const PopularityPpm m = base.emit();
-  const PredictionTree& t = m.tree();
-  EXPECT_EQ(t.node_count(), 2u);
-  const NodeId a_new = t.find_root(1);
-  ASSERT_NE(a_new, kNoNode);
-  const NodeId d_new = t.find_child(a_new, 4);
-  ASSERT_NE(d_new, kNoNode);
-  // Survivors are renumbered densely, and keep their structure and counts.
-  EXPECT_LT(a_new, 2u);
-  EXPECT_LT(d_new, 2u);
-  EXPECT_EQ(t.node(d_new).parent, a_new);
-  EXPECT_EQ(t.node(d_new).depth, 2u);
-  EXPECT_EQ(t.node(a_new).count, 3u);
-  EXPECT_EQ(t.node(d_new).count, 2u);
-  EXPECT_EQ(t.find_path(path), d_new);
-  EXPECT_EQ(t.find_child(a_new, 2), kNoNode);
-  EXPECT_EQ(t.path_usage().total, 1u);
+  const auto m = pbtest::open_pb(base);
+  const frozen::FrozenView& t = m->view();
+  ASSERT_EQ(t.header.node_count, 2u);
+  ASSERT_EQ(t.header.root_count, 1u);
+  // Survivors are renumbered densely, and keep their structure and counts:
+  // the root 1 is node 0, its one surviving child 4 is node 1.
+  EXPECT_EQ(t.urls[0], 1u);
+  EXPECT_EQ(t.urls[1], 4u);
+  EXPECT_EQ(t.child_begin[0], 1u);
+  EXPECT_EQ(t.child_begin[1], 2u);
+  EXPECT_EQ(t.counts[0], 3u);
+  EXPECT_EQ(t.counts[1], 2u);
+  EXPECT_EQ(t.leaf_count, 1u);
   // The base itself is not compacted.
   EXPECT_EQ(src.node_count(), 4u);
   EXPECT_EQ(src.find_path(path), d);
@@ -216,24 +213,14 @@ TEST(PredictionTree, CompactOnUnprunedTreeIsIdentityStructure) {
   PbBase base(cfg, &grades);
   base.insert(sessions_of({{1, 2}, {1, 2, 3}, {1, 4}}));
   const PredictionTree& src = base.expand();
-  const PopularityPpm m = base.emit();
-  const PredictionTree& t = m.tree();
-  ASSERT_EQ(t.node_count(), src.node_count());
-  EXPECT_EQ(t.root_count(), src.root_count());
-  EXPECT_EQ(t.path_usage().total, src.path_usage().total);
-  // The base holds no free slots, so its ids are 0 .. n-1; every node's
-  // root-to-node path is in the emitted tree with the same count.
-  for (NodeId id = 0; id < src.node_count(); ++id) {
-    std::vector<UrlId> p;
-    for (NodeId n = id; n != kNoNode; n = src.node(n).parent) {
-      p.push_back(src.node(n).url);
-    }
-    std::reverse(p.begin(), p.end());
-    const NodeId e = t.find_path(p);
-    ASSERT_NE(e, kNoNode);
-    EXPECT_EQ(t.node(e).count, src.node(id).count);
-    EXPECT_EQ(t.node(e).depth, src.node(id).depth);
-  }
+  const auto m = pbtest::open_pb(base);
+  const frozen::FrozenView& t = m->view();
+  ASSERT_EQ(t.header.node_count, src.node_count());
+  EXPECT_EQ(t.header.root_count, src.root_count());
+  EXPECT_EQ(t.leaf_count, src.path_usage().total);
+  // Every node's root-to-node path is in the emitted tree with the same
+  // count.
+  EXPECT_EQ(pbtest::contents_of(t).paths, pbtest::paths_of(src));
 }
 
 TEST(PredictionTree, TotalRootCount) {
