@@ -38,8 +38,10 @@
 //
 // Artifacts: BENCH_online.json (gate results + drift precisions + overhead
 // rows + each convergence trainer's storage_bytes() at its last publish,
-// as trainer_bytes). --quick (or WEBPPM_BENCH_QUICK=1) shrinks corpora for
-// CI.
+// as trainer_bytes, and its publish model-stage time from
+// webppm_learn_publish_model_ns — the first publish and the mean of the
+// later ones — as publish_model_ms; reported, not gated). --quick (or
+// WEBPPM_BENCH_QUICK=1) shrinks corpora for CI.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -57,6 +59,7 @@
 #include "net/load_client.hpp"
 #include "net/server.hpp"
 #include "net/wire.hpp"
+#include "obs/metrics.hpp"
 #include "serve/model_server.hpp"
 #include "workload/generator.hpp"
 
@@ -97,6 +100,8 @@ struct ConvergenceResult {
   std::size_t mismatches = 0;
   std::uint64_t observations = 0;
   std::size_t trainer_bytes = 0;  ///< storage_bytes() at the last publish
+  double first_model_ms = 0;      ///< the first publish's model stage
+  double later_model_ms = 0;      ///< the later publishes' mean model stage
 };
 
 ConvergenceResult run_convergence(const trace::Trace& trace,
@@ -104,12 +109,17 @@ ConvergenceResult run_convergence(const trace::Trace& trace,
                                   const char* label) {
   core::SweepEngine engine(trace);
   serve::ModelServer target;
+  obs::MetricsRegistry reg;
   learn::OnlineTrainerConfig tc;
   tc.spec = spec;
   tc.url_count_hint = trace.urls.size();
   tc.queue_capacity = trace.requests.size() + 1;
+  tc.metrics = &reg;
   learn::OnlineTrainer trainer(target, tc);
   trainer.attach();
+  const obs::LogHistogram& model_ns =
+      *reg.find_histogram("webppm_learn_publish_model_ns");
+  std::uint64_t first_ns = 0;
 
   ConvergenceResult res;
   res.label = label;
@@ -118,6 +128,7 @@ ConvergenceResult run_convergence(const trace::Trace& trace,
     for (const auto& r : trace.day_slice(d)) target.observe(r);
     trainer.step();
     if (d == 0) continue;
+    if (d == 1) first_ns = model_ns.snapshot().sum;
     ++res.boundaries;
     auto online = target.snapshot();
     core::TrainedModel oracle = engine.train(spec, d);
@@ -135,12 +146,28 @@ ConvergenceResult run_convergence(const trace::Trace& trace,
   // The last step published at the last boundary and changed nothing
   // storage_bytes() counts after it.
   res.trainer_bytes = trainer.storage_bytes();
+  const auto model = model_ns.snapshot();
+  res.first_model_ms = static_cast<double>(first_ns) / 1e6;
+  if (model.count > 1) {
+    res.later_model_ms = static_cast<double>(model.sum - first_ns) / 1e6 /
+                         static_cast<double>(model.count - 1);
+  }
   std::printf("convergence %-14s boundaries=%zu mismatches=%zu "
-              "(%llu observations, trainer %zu B)\n",
+              "(%llu observations, trainer %zu B, publish model stage "
+              "first %.2f ms, later %.2f ms)\n",
               label, res.boundaries, res.mismatches,
               static_cast<unsigned long long>(res.observations),
-              res.trainer_bytes);
+              res.trainer_bytes, res.first_model_ms, res.later_model_ms);
   return res;
+}
+
+/// `"label": {"first": ms, "later_mean": ms}` for BENCH_online.json.
+std::string model_ms_json(const ConvergenceResult& r) {
+  char buf[160];
+  std::snprintf(buf, sizeof buf,
+                "\"%s\": {\"first\": %.3f, \"later_mean\": %.3f}", r.label,
+                r.first_model_ms, r.later_model_ms);
+  return buf;
 }
 
 // ---------------------------------------------------------------------------
@@ -550,7 +577,8 @@ int main(int argc, char** argv) {
         "  \"overhead_rounds\": %zu,\n"
         "  \"overhead_resolving_rounds\": %zu,\n"
         "  \"attached_identical\": %s,\n"
-        "  \"trainer_bytes\": {\"%s\": %zu, \"%s\": %zu, \"%s\": %zu}\n"
+        "  \"trainer_bytes\": {\"%s\": %zu, \"%s\": %zu, \"%s\": %zu},\n"
+        "  \"publish_model_ms\": {%s, %s, %s}\n"
         "}\n",
         quick ? "true" : "false",
         conv_nasa_pb.boundaries + conv_nasa_std.boundaries +
@@ -564,7 +592,9 @@ int main(int argc, char** argv) {
         overhead.identical ? "true" : "false", conv_nasa_pb.label,
         conv_nasa_pb.trainer_bytes, conv_nasa_std.label,
         conv_nasa_std.trainer_bytes, conv_ucb_pb.label,
-        conv_ucb_pb.trainer_bytes);
+        conv_ucb_pb.trainer_bytes, model_ms_json(conv_nasa_pb).c_str(),
+        model_ms_json(conv_nasa_std).c_str(),
+        model_ms_json(conv_ucb_pb).c_str());
     std::fclose(f);
     std::printf("\nwrote BENCH_online.json\n");
   }

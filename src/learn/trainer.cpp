@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <optional>
 #include <utility>
 
@@ -34,23 +35,31 @@ class ShadowModel {
  public:
   virtual ~ShadowModel() = default;
 
-  /// Extends the base to cover `all_closed` (the retained window), of
-  /// which [0, absorbed) is already trained in. `pop` is the current
-  /// cumulative popularity table. Returns how many sessions a PB regrade
-  /// re-derived.
-  virtual std::size_t absorb(std::span<const session::Session> all_closed,
-                             std::size_t absorbed,
-                             const popularity::PopularityTable& pop) = 0;
+  /// `fresh`, sessions the sessionizer just closed, join the end of the
+  /// window and are trained in (PB: under the grades its base holds).
+  /// `counts` are the cumulative popularity counts: the first PB absorb
+  /// creates the base under a table built from them.
+  virtual void absorb(std::span<const session::Session> fresh,
+                      const std::vector<std::uint32_t>& counts) = 0;
 
-  /// `evicted`, the oldest sessions of the window the last absorb()
-  /// covered, leave the window. PB retracts them, so its base holds exactly
-  /// the window; the append-only shadows keep them until a rebuild.
+  /// Moves the model to `pop`, the table a publish carries. `window` is
+  /// the retained window, which absorb() and evict() kept in step with
+  /// the model; PB borrows the sessions it re-walks and puts them back.
+  /// Returns how many sessions a PB regrade re-derived.
+  virtual std::size_t regrade(const popularity::PopularityTable& pop,
+                              std::span<session::Session> window) = 0;
+
+  /// `evicted`, the oldest sessions of the window, leave it. PB retracts
+  /// them, so its base holds exactly the window; the append-only shadows
+  /// keep them until a rebuild.
   virtual void evict(std::span<const session::Session> evicted) = 0;
 
-  /// Rebuilds the base from `all_closed` alone — the decay path: history
-  /// evicted from the retained window is forgotten.
-  virtual void rebuild(std::span<const session::Session> all_closed,
-                       const popularity::PopularityTable& pop) = 0;
+  /// Rebuilds the base from `window` alone — the decay path: history
+  /// evicted from the retained window is forgotten. A model that already
+  /// holds exactly its window (PB) has nothing to forget: it returns false.
+  virtual bool rebuild(std::span<const session::Session> /*window*/) {
+    return false;
+  }
 
   /// Self-contained window model for publishing: the base with the open
   /// `tails` applied (and, for PB, the lossy pruning pass the base must
@@ -71,19 +80,22 @@ class AppendShadow final : public ShadowModel {
  public:
   explicit AppendShadow(Model base) : base_(std::move(base)), empty_(base_) {}
 
-  std::size_t absorb(std::span<const session::Session> all_closed,
-                     std::size_t absorbed,
-                     const popularity::PopularityTable& /*pop*/) override {
-    base_.train_more(all_closed.subspan(absorbed));
+  void absorb(std::span<const session::Session> fresh,
+              const std::vector<std::uint32_t>& /*counts*/) override {
+    base_.train_more(fresh);
+  }
+
+  std::size_t regrade(const popularity::PopularityTable& /*pop*/,
+                      std::span<session::Session> /*window*/) override {
     return 0;
   }
 
   void evict(std::span<const session::Session> /*evicted*/) override {}
 
-  void rebuild(std::span<const session::Session> all_closed,
-               const popularity::PopularityTable& /*pop*/) override {
+  bool rebuild(std::span<const session::Session> window) override {
     base_ = empty_;
-    base_.train_more(all_closed);
+    base_.train_more(window);
+    return true;
   }
 
   std::unique_ptr<ppm::Predictor> published_model(
@@ -102,45 +114,95 @@ class AppendShadow final : public ShadowModel {
 
 /// PB-PPM: a ppm::PbBase over exactly the retained window, reading grades
 /// from a trainer-owned copy of the popularity table — the same recipe as
-/// the sweep engine's PB trainer (core/sweep.cpp). On grade drift the base
-/// is regraded in place; evicted sessions are retracted under the current
-/// grades, which absorb() left every retained session under.
+/// the sweep engine's PB trainer (core/sweep.cpp). Absorbed sessions are
+/// inserted under the grades the base holds; a publish regrades the base
+/// in place, and evicted sessions are retracted under the grades every
+/// retained session is under.
+///
+/// The regrade re-walks only the sessions that hold a URL whose grade
+/// moved. It finds them through an index from each URL to the retained
+/// sessions that hold it: session k of the trainer's life (absorb order,
+/// modulo 2^32) is posted once under each URL it holds, so each list is
+/// in window order and eviction drops a prefix of it.
 class PbShadow final : public ShadowModel {
  public:
   explicit PbShadow(const ppm::PopularityPpmConfig& config)
       : config_(config) {}
 
-  std::size_t absorb(std::span<const session::Session> all_closed,
-                     std::size_t absorbed,
-                     const popularity::PopularityTable& pop) override {
-    if (!base_) {
-      rebuild(all_closed, pop);
+  void absorb(std::span<const session::Session> fresh,
+              const std::vector<std::uint32_t>& counts) override {
+    if (!base_) start(popularity::PopularityTable::from_counts(counts));
+    base_->insert(fresh);
+    for (const auto& s : fresh) {
+      for (const UrlId u : s.urls) {
+        if (u >= list_of_.size()) {
+          list_of_.resize(std::size_t{u} + 1, kNoList);
+        }
+        if (list_of_[u] == kNoList) {
+          list_of_[u] = static_cast<std::uint32_t>(lists_.size());
+          lists_.emplace_back();
+        }
+        auto& list = lists_[list_of_[u]];
+        if (list.empty() || list.back() != next_id_) list.push_back(next_id_);
+      }
+      ++next_id_;
+    }
+  }
+
+  std::size_t regrade(const popularity::PopularityTable& pop,
+                      std::span<session::Session> window) override {
+    if (!base_) {  // nothing absorbed yet: the base starts at this table
+      start(pop);
       return 0;
     }
+    assert(window.size() == next_id_ - first_id_);
+    // The sessions that hold a URL whose grade moved, in window order.
+    // URLs without a list are in no session.
+    std::vector<std::uint32_t> held;
+    for (UrlId u = 0; u < list_of_.size(); ++u) {
+      if (list_of_[u] == kNoList || pop_->grade(u) == pop.grade(u)) continue;
+      for (const std::uint32_t id : lists_[list_of_[u]]) {
+        held.push_back(id - first_id_);
+      }
+    }
+    std::sort(held.begin(), held.end());
+    held.erase(std::unique(held.begin(), held.end()), held.end());
+    // PbBase::regrade reads a contiguous run of sessions: these move out
+    // of the window and back, so no URL is copied.
+    std::vector<session::Session> touched;
+    touched.reserve(held.size());
+    for (const std::uint32_t i : held) touched.push_back(std::move(window[i]));
+
     // The new table moves to owned storage first; the old one stays alive
     // until the regrade, which reads both, is done.
     auto next = std::make_unique<popularity::PopularityTable>(pop);
-    const std::size_t regraded =
-        base_->regrade(next.get(), all_closed.first(absorbed));
+    const std::size_t regraded = base_->regrade(next.get(), touched);
     pop_ = std::move(next);
-    base_->insert(all_closed.subspan(absorbed));
+    for (std::size_t k = 0; k < held.size(); ++k) {
+      window[held[k]] = std::move(touched[k]);
+    }
     return regraded;
   }
 
   void evict(std::span<const session::Session> evicted) override {
     base_->retract(evicted);
-  }
-
-  void rebuild(std::span<const session::Session> all_closed,
-               const popularity::PopularityTable& pop) override {
-    pop_ = std::make_unique<popularity::PopularityTable>(pop);
-    base_.emplace(config_, pop_.get());
-    base_->insert(all_closed);
+    first_id_ += static_cast<std::uint32_t>(evicted.size());
+    const std::uint32_t live = next_id_ - first_id_;
+    for (const auto& s : evicted) {
+      for (const UrlId u : s.urls) {
+        auto& list = lists_[list_of_[u]];
+        const auto kept =
+            std::find_if(list.begin(), list.end(), [&](std::uint32_t id) {
+              return id - first_id_ < live;
+            });
+        list.erase(list.begin(), kept);
+      }
+    }
   }
 
   std::unique_ptr<ppm::Predictor> published_model(
       std::span<const session::Session> tails) override {
-    assert(base_ && "absorb() runs before every publish");
+    assert(base_ && "regrade() runs before every publish");
     base_->insert(tails);
     auto model = frozen::FrozenModel::open(base_->emit());
     base_->retract(tails);
@@ -148,15 +210,35 @@ class PbShadow final : public ShadowModel {
   }
 
   std::size_t storage_bytes() const override {
-    return (base_ ? base_->memory_bytes() : 0) +
-           (pop_ ? pop_->memory_bytes() : 0);
+    std::size_t bytes = (base_ ? base_->memory_bytes() : 0) +
+                        (pop_ ? pop_->memory_bytes() : 0) +
+                        list_of_.capacity() * sizeof(std::uint32_t) +
+                        lists_.capacity() * sizeof(lists_[0]);
+    for (const auto& list : lists_) {
+      bytes += list.capacity() * sizeof(std::uint32_t);
+    }
+    return bytes;
   }
 
  private:
+  void start(popularity::PopularityTable pop) {
+    pop_ = std::make_unique<popularity::PopularityTable>(std::move(pop));
+    base_.emplace(config_, pop_.get());
+  }
+
   ppm::PopularityPpmConfig config_;
   /// Heap-held so its address survives the swap a regrade makes.
   std::unique_ptr<popularity::PopularityTable> pop_;
   std::optional<ppm::PbBase> base_;  ///< unpruned; reads *pop_
+  static constexpr std::uint32_t kNoList = ~std::uint32_t{0};
+  /// URL id -> its entry in lists_, or kNoList: 4 B per URL id, as the
+  /// base's root table and the trainer's counts pay.
+  std::vector<std::uint32_t> list_of_;
+  /// Ids of the retained sessions that hold a URL, in window order; one
+  /// list per URL any absorbed session held.
+  std::vector<std::vector<std::uint32_t>> lists_;
+  std::uint32_t first_id_ = 0;  ///< id of the window's oldest session
+  std::uint32_t next_id_ = 0;   ///< id the next absorbed session gets
 };
 
 std::unique_ptr<ShadowModel> make_shadow(
@@ -361,6 +443,36 @@ void OnlineTrainer::feed_locked(std::span<const Observation> batch) {
   }
   since_publish_ += batch.size();
   c_.observations.add(batch.size());
+  if (sessionizer_.closed().size() >= kAbsorbBatch) absorb_closed_locked();
+}
+
+void OnlineTrainer::absorb_closed_locked() {
+  auto fresh = sessionizer_.take_closed();
+  if (fresh.empty()) return;
+  shadow_->absorb(fresh, counts_);
+  for (const auto& s : fresh) retained_bytes_ += session_bytes(s);
+  if (retained_.empty()) {
+    // The first absorb of a catch-up can be tens of thousands of sessions:
+    // taking the vector whole keeps a second copy off the peak.
+    retained_ = std::move(fresh);
+  } else {
+    retained_.insert(retained_.end(), std::make_move_iterator(fresh.begin()),
+                     std::make_move_iterator(fresh.end()));
+  }
+  // The oldest sessions past the cap leave the window, and a PB base
+  // retracts them, here where they are absorbed.
+  if (config_.max_retained_sessions != 0 &&
+      retained_.size() > config_.max_retained_sessions) {
+    const std::size_t excess =
+        retained_.size() - config_.max_retained_sessions;
+    shadow_->evict(std::span(retained_).first(excess));
+    for (std::size_t i = 0; i < excess; ++i) {
+      retained_bytes_ -= session_bytes(retained_[i]);
+    }
+    retained_.erase(retained_.begin(),
+                    retained_.begin() + static_cast<std::ptrdiff_t>(excess));
+  }
+  c_.retained.set(static_cast<std::int64_t>(retained_.size()));
 }
 
 void OnlineTrainer::policy_after_batch_locked() {
@@ -386,10 +498,11 @@ void OnlineTrainer::policy_after_batch_locked() {
 }
 
 bool OnlineTrainer::publish_locked(TimeSec settle_ts, PublishTrigger why) {
-  // The fault fires before *anything* is absorbed: sessionizer, retained
-  // window, shadow base and the serving snapshot are exactly as they were,
-  // so the next publish (covering a superset of this window) heals the
-  // gap — a failed publish can never corrupt serving.
+  // The fault fires before the publish settles anything: the sessionizer,
+  // the retained window, the shadow base (with what earlier steps absorbed
+  // into it) and the serving snapshot are exactly as they were, so the
+  // next publish (covering a superset of this window) heals the gap — a
+  // failed publish can never corrupt serving.
   if (WEBPPM_FAULT_INJECT("learn.publish")) {
     c_.publish_failures.add();
     obs::log_event(obs::Severity::kWarn, "learn.publish_failed",
@@ -407,40 +520,20 @@ bool OnlineTrainer::publish_locked(TimeSec settle_ts, PublishTrigger why) {
     lap = now;
   };
 
+  // The steps since the last publish absorbed what their feeds closed, in
+  // batches; the settle closes what idled out before the boundary. The
+  // base moves to the new grades before the sessions still waiting and
+  // the settled ones join it under them.
   sessionizer_.settle_before(settle_ts);
-  auto fresh = sessionizer_.take_closed();
-  for (auto& s : fresh) {
-    retained_bytes_ += session_bytes(s);
-    retained_.push_back(std::move(s));
-  }
-
   auto pop = popularity::PopularityTable::from_counts(counts_);
-  const std::size_t regraded = shadow_->absorb(retained_, absorbed_, pop);
+  const std::size_t regraded = shadow_->regrade(pop, retained_);
   if (regraded != 0) c_.regraded_sessions.add(regraded);
-  absorbed_ = retained_.size();
+  absorb_closed_locked();
 
-  // The base now holds every retained session under the current grades,
-  // so the evicted ones can leave it before the emit.
-  if (config_.max_retained_sessions != 0 &&
-      retained_.size() > config_.max_retained_sessions) {
-    const std::size_t excess =
-        retained_.size() - config_.max_retained_sessions;
-    shadow_->evict(std::span(retained_).first(excess));
-    for (std::size_t i = 0; i < excess; ++i) {
-      retained_bytes_ -= session_bytes(retained_[i]);
-    }
-    retained_.erase(retained_.begin(),
-                    retained_.begin() + static_cast<std::ptrdiff_t>(excess));
-    absorbed_ -= excess;
-  }
-
-  if (config_.policy.rebuild_every_publishes != 0) {
-    if (++publishes_since_rebuild_ >= config_.policy.rebuild_every_publishes) {
-      publishes_since_rebuild_ = 0;
-      shadow_->rebuild(retained_, pop);
-      absorbed_ = retained_.size();
-      c_.rebuilds.add();
-    }
+  if (config_.policy.rebuild_every_publishes != 0 &&
+      ++publishes_since_rebuild_ >= config_.policy.rebuild_every_publishes) {
+    publishes_since_rebuild_ = 0;
+    if (shadow_->rebuild(retained_)) c_.rebuilds.add();
   }
 
   const auto tails = sessionizer_.open_snapshot();
@@ -475,9 +568,8 @@ bool OnlineTrainer::publish_locked(TimeSec settle_ts, PublishTrigger why) {
 
   c_.version.set(static_cast<std::int64_t>(version_counter_));
   if (config_.metrics != nullptr) {
-    // Scrape-only summaries (the accessors compute their own); the byte
+    // A scrape-only summary (the accessor computes its own): the byte
     // count walks the whole shadow base.
-    c_.retained.set(static_cast<std::int64_t>(retained_.size()));
     c_.storage_bytes.set(static_cast<std::int64_t>(storage_bytes_locked()));
   }
   last_trigger_.store(why, std::memory_order_relaxed);

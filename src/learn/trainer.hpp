@@ -21,13 +21,22 @@
 // snapshot is never mutated. It is extended with exactly the machinery the
 // offline SweepEngine uses: closed sessions append via train_more (exact
 // for Standard/LRS/Top-N), and PB-PPM keeps an unpruned ppm::PbBase
-// reading the current popularity grades, regraded in place when grades
-// drift. Publishing settles the sessionizer, applies the open tails (to a
+// reading the popularity grades of the last publish, regraded in place
+// when grades drift. Steps absorb the sessions their feeds close, in
+// batches of kAbsorbBatch as they close (catch-up steps included): they
+// join the retained window and the shadow, a PB base inserting them under
+// the grades it holds (the first absorb creates the base under a table
+// built from the counts seen so far). A publish then settles its
+// boundary, regrades a PB base to the new table (re-walking only the
+// retained sessions that hold a URL whose grade moved, found through the
+// PB shadow's URL -> session index), absorbs the sessions still waiting
+// and those the settle closed, applies the open tails (to a
 // copy, or for PB inserted into the base for the pruned emit and
 // retracted after it), wraps the model with the cumulative popularity
 // table via make_snapshot, optionally freezes it (a PB model is emitted
 // frozen), optionally persists it through a SnapshotStore, and
-// RCU-publishes into the target server.
+// RCU-publishes into the target server. So a publish costs what changed
+// since the last one, not the window.
 //
 // Determinism contract (the convergence gate in bench/online_training):
 // fed the same request stream the offline oracle trained on — errors
@@ -37,29 +46,35 @@
 // trainer performs the identical operation history on an identical
 // IncrementalSessionizer (feeds split at each boundary before settling,
 // so closed-session order matches the oracle's feed-then-settle order)
-// and the identical train calls in the identical order. Mid-day publishes
+// and the identical train calls in the identical order (a step absorbs a
+// prefix of what the next publish would, in the same order: sessions still
+// settle only at publishes). Mid-day publishes
 // (drift/interval/threshold triggers) insert extra settle points, which
 // may reorder session closing — deliberate freshness at the cost of
 // replay-exactness, which is why the gate pins day_boundaries only.
 //
 // Old-window decay: retention is bounded by max_retained_sessions. After
-// each absorb the oldest sessions past the bound leave the window, and a
-// PB base retracts them before the emit, so a capped PB trainer publishes
-// PB over exactly its window. The append-only shadows keep evicted
-// history until policy.rebuild_every_publishes rebuilds them from the
-// retained window. Popularity counts stay cumulative (they are cheap and
-// error-inclusive; a rotating head re-grades itself by accumulation).
+// each absorb the oldest sessions past the bound leave the window there,
+// and a PB base retracts them (and the index drops them) at once, so a
+// capped PB trainer holds and publishes PB over exactly its window. The
+// append-only shadows keep evicted history until
+// policy.rebuild_every_publishes rebuilds them from the retained window;
+// PB ignores that option. Popularity counts stay cumulative (they are
+// cheap and error-inclusive; a rotating head re-grades itself by
+// accumulation).
 //
 // Observations whose URL id exceeds kMaxTrainedUrl are dropped and counted
 // (rejected()): URL ids size the popularity count table, and the serve tap
 // passes on whatever a client sent.
 //
 // Fault site (chaos suite): learn.publish — a firing rule aborts the
-// publish *before* any state is absorbed: the sessionizer, retained
-// window, shadow base and serving snapshot are all untouched, and the next
-// publish covers the skipped one. A trainer crash or failed publish can
-// therefore never corrupt serving — the server just keeps answering from
-// the last good snapshot.
+// publish *before* it settles anything: the sessionizer, retained window,
+// shadow base and serving snapshot are all as the last step left them,
+// and the next publish covers the skipped one. What earlier steps
+// absorbed stays absorbed: those sessions had closed, and every later
+// publish includes them. A trainer crash or failed publish can therefore
+// never corrupt serving — the server just keeps answering from the last
+// good snapshot.
 #pragma once
 
 #include <atomic>
@@ -85,6 +100,14 @@ namespace webppm::learn {
 /// caps that table at 64 MiB.
 inline constexpr UrlId kMaxTrainedUrl = (UrlId{1} << 24) - 1;
 
+/// Closed sessions a step lets wait before it absorbs them into the window
+/// and the shadow; a publish absorbs whatever waits. A PB base takes a
+/// batch this size with its hot nodes cached from one session to the
+/// next, and an LRS or Top-N shadow re-derives its model once per batch,
+/// not once per step. On a CPU shared with serving, absorbing at every
+/// step put a cache-cold insert inside most served frames (DESIGN.md §15).
+inline constexpr std::size_t kAbsorbBatch = 1024;
+
 /// When the trainer freezes-and-publishes its shadow. Time here is *trace
 /// time* (observation timestamps), not wall clock: the trainer serves
 /// replayed history and live traffic with the same code.
@@ -104,8 +127,9 @@ struct PublishPolicy {
   /// Every Nth publish, rebuild the shadow from the *retained* session
   /// window only (0 = never). With bounded retention this is the
   /// Standard/LRS/Top-N decay mechanism: evicted history is forgotten by
-  /// the rebuilt base. A PB base retracts evicted sessions as they leave,
-  /// so its rebuild reproduces the base it replaces.
+  /// the rebuilt base. PB ignores it and counts no rebuild: its base
+  /// retracts evicted sessions as they leave, so it already holds exactly
+  /// the window.
   std::uint32_t rebuild_every_publishes = 0;
 };
 
@@ -135,11 +159,11 @@ struct OnlineTrainerConfig {
   /// buffers; pushes past it drop. A bound, not a reservation: the
   /// queue's buffer grows with its backlog (learn/observation.hpp).
   std::size_t queue_capacity = 1 << 16;
-  /// Closed sessions kept for shadow rebuilds (0 = unbounded — required
-  /// for the convergence gate; bound it in production). A PB model covers
-  /// exactly the retained window; the other families forget evicted
-  /// history at their next rebuild_every_publishes rebuild. Counted in
-  /// storage_bytes().
+  /// Closed sessions kept in the window (0 = unbounded — required for the
+  /// convergence gate; bound it in production). The cap holds after every
+  /// absorb. A PB model covers exactly the retained window; the other
+  /// families forget evicted history at their next
+  /// rebuild_every_publishes rebuild. Counted in storage_bytes().
   std::size_t max_retained_sessions = 0;
   /// Pre-size the popularity count vector (0 = grow on demand). Matching
   /// the trace's URL-space size makes the published popularity table
@@ -194,13 +218,15 @@ class OnlineTrainer {
   // convergence gate and most tests drive the trainer this way). Safe to
   // interleave with a running trainer thread, though pointless.
 
-  /// Drains the queue, absorbs the batch (sessionize + count + shadow
-  /// append), and runs the publish policy. Returns observations absorbed.
+  /// Drains the queue, absorbs the batch (count + sessionize, and, once
+  /// kAbsorbBatch closed sessions wait, those into the window and the
+  /// shadow), and runs the publish policy. Returns observations absorbed.
   std::size_t step();
 
   /// Publishes at `settle_ts`: sessions idle since before it close into
-  /// the shadow, sessions still open apply to a copy as tails. False when
-  /// an injected learn.publish fault aborted (state unchanged). For
+  /// the shadow (after a PB base moved to the new grades), sessions still
+  /// open apply to the published model as tails. False when an injected
+  /// learn.publish fault aborted (state as the last step left it). For
   /// replay-exactness settle only at day boundaries (header comment).
   bool publish_at(TimeSec settle_ts);
 
@@ -227,10 +253,11 @@ class OnlineTrainer {
   std::uint64_t publish_failures() const { return c_.publish_failures.value(); }
   std::uint64_t store_failures() const { return c_.store_failures.value(); }
   /// Full rebuilds of the shadow from the retained window
-  /// (rebuild_every_publishes). The first publish's cold build is not one.
+  /// (rebuild_every_publishes; never for PB, which has nothing to rebuild).
   std::uint64_t rebuilds() const { return c_.rebuilds.value(); }
   /// Sessions whose branches PB regrades re-derived (grade drift applied
-  /// in place).
+  /// in place): at each publish, the sessions of the base that hold a URL
+  /// whose grade moved.
   std::uint64_t regraded_sessions() const { return c_.regraded_sessions.value(); }
   /// Observations dropped for a URL id past kMaxTrainedUrl.
   std::uint64_t rejected() const { return c_.rejected.value(); }
@@ -240,13 +267,14 @@ class OnlineTrainer {
   }
   PublishTrigger last_trigger() const { return last_trigger_.load(std::memory_order_relaxed); }
 
-  /// Closed sessions currently retained for rebuilds.
+  /// Closed sessions in the window, every one absorbed into the shadow
+  /// (fewer than kAbsorbBatch more may wait in the sessionizer).
   std::size_t retained_sessions() const;
   /// Sessions still open inside the trainer's sessionizer.
   std::size_t open_sessions() const;
-  /// Trainer-side resident bytes: shadow base + retained sessions +
-  /// popularity counts + the buffer the observation queue holds (its
-  /// backlog, not queue_capacity).
+  /// Trainer-side resident bytes: shadow (for PB: base, grade table and
+  /// URL index) + retained sessions + popularity counts + the buffer the
+  /// observation queue holds (its backlog, not queue_capacity).
   std::size_t storage_bytes() const;
 
   const OnlineTrainerConfig& config() const { return config_; }
@@ -257,8 +285,12 @@ class OnlineTrainer {
   /// keeps sessionizer operation history identical to the offline
   /// engine's), counts popularity, and feeds the sessionizer.
   void absorb_locked(std::vector<Observation>& batch);
-  /// Feeds a timestamp-ordered sub-batch that crosses no publish boundary.
+  /// Feeds a timestamp-ordered sub-batch that crosses no publish boundary,
+  /// then absorbs the closed sessions once kAbsorbBatch wait.
   void feed_locked(std::span<const Observation> batch);
+  /// Moves the sessions the sessionizer closed into the retained window
+  /// and the shadow, evicting the oldest past max_retained_sessions.
+  void absorb_closed_locked();
   void policy_after_batch_locked();
   bool publish_locked(TimeSec settle_ts, PublishTrigger why);
   std::size_t storage_bytes_locked() const;
@@ -284,8 +316,7 @@ class OnlineTrainer {
   mutable std::mutex mu_;  ///< trainer state below
   session::IncrementalSessionizer sessionizer_;
   std::unique_ptr<ShadowModel> shadow_;
-  std::vector<session::Session> retained_;
-  std::size_t absorbed_ = 0;        ///< retained_[0..absorbed_) is in the base
+  std::vector<session::Session> retained_;  ///< all in the shadow
   std::size_t retained_bytes_ = 0;  ///< resident bytes of retained_
   std::vector<std::uint32_t> counts_;  ///< cumulative per-URL (errors incl.)
   TimeSec max_seen_ts_ = 0;

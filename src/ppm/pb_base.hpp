@@ -23,8 +23,9 @@
 //
 // Every trainer keeps a PbBase: core::train_model (one insert, one emit),
 // the sweep engine (one base grown day by day) and the online trainer
-// (one base grown publish by publish, its evicted sessions retracted).
-// The base is training-only state and never serves.
+// (one base grown as sessions close, regraded at each publish, its
+// evicted sessions retracted). The base is training-only state and never
+// serves.
 //
 // Why a base can be edited in place: rules 1-2 make every branch a run of
 // consecutive clicks. A session's branch heads are its first click and
@@ -38,7 +39,10 @@
 //     change only when click i's or click i-1's URL changed grade, so for
 //     each such click it retracts the branch the old grades made there and
 //     inserts the one the new grades make. The result equals a rebuild of
-//     the whole window under the new table (tests/ppm_pb_base_test.cpp);
+//     the whole window under the new table (tests/ppm_pb_base_test.cpp).
+//     Only the sessions that hold a moved URL have such clicks, so a
+//     caller that can find them (the online trainer keeps a URL -> session
+//     index) passes just those, and the sweep engine its whole window;
 //   * open session tails are inserted before emit() and retracted after
 //     it, so publishing copies nothing.
 // Rule 3's links are not stored: a node is a link target of its root
@@ -151,9 +155,10 @@ class PbBase {
   void retract(std::span<const session::Session> sessions);
 
   /// Moves the base to `grades` (same lifetime contract as the
-  /// constructor). `window` must be exactly the sessions the base holds.
-  /// Only the branches next to a URL whose grade moved are re-walked.
-  /// Returns how many sessions hold such a URL.
+  /// constructor). `window` must hold every session of the base that
+  /// holds a URL whose grade moved, and nothing the base does not hold;
+  /// the whole window qualifies. Only the branches next to a moved URL
+  /// are re-walked. Returns how many sessions of `window` hold one.
   std::size_t regrade(const popularity::PopularityTable* grades,
                       std::span<const session::Session> window);
 

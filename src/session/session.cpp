@@ -6,16 +6,22 @@
 
 namespace webppm::session {
 
+namespace {
+
+/// The closed copy of an open session, its URLs exactly sized: the open
+/// buffer stays with its client for the next session.
+Session closed_copy(const Session& s) {
+  return Session{s.client, s.start, s.end,
+                 std::vector<UrlId>(s.urls.begin(), s.urls.end())};
+}
+
+}  // namespace
+
 std::vector<Session> extract_sessions(std::span<const trace::Request> requests,
                                       const SessionizerOptions& opt) {
   // Open session per client; closed sessions accumulate in order of close.
   std::unordered_map<ClientId, Session> open;
   std::vector<Session> done;
-
-  auto close = [&](Session& s) {
-    if (!s.urls.empty()) done.push_back(std::move(s));
-    s = Session{};
-  };
 
   [[maybe_unused]] TimeSec prev_ts = 0;
   for (const auto& r : requests) {
@@ -26,7 +32,8 @@ std::vector<Session> extract_sessions(std::span<const trace::Request> requests,
     auto& s = open[r.client];
     if (!s.urls.empty() && r.timestamp > s.end &&
         r.timestamp - s.end > opt.idle_timeout) {
-      close(s);
+      done.push_back(closed_copy(s));
+      s.urls.clear();
     }
     if (s.urls.empty()) {
       s.client = r.client;
@@ -38,7 +45,9 @@ std::vector<Session> extract_sessions(std::span<const trace::Request> requests,
     s.urls.push_back(r.url);
     s.end = r.timestamp;
   }
-  for (auto& [client, s] : open) close(s);
+  for (const auto& [client, s] : open) {
+    if (!s.urls.empty()) done.push_back(closed_copy(s));
+  }
 
   // Deterministic order: by (client, start).
   std::sort(done.begin(), done.end(), [](const Session& a, const Session& b) {
@@ -64,8 +73,8 @@ void IncrementalSessionizer::feed_one(TimeSec timestamp, ClientId client,
   auto& s = open_[client];
   if (!s.urls.empty() && timestamp > s.end &&
       timestamp - s.end > opt_.idle_timeout) {
-    closed_.push_back(std::move(s));
-    s = Session{};
+    closed_.push_back(closed_copy(s));
+    s.urls.clear();
   }
   if (s.urls.empty()) {
     s.client = client;
@@ -85,6 +94,9 @@ void IncrementalSessionizer::settle_before(TimeSec next_ts) {
   for (auto it = open_.begin(); it != open_.end();) {
     auto& s = it->second;
     if (!s.urls.empty() && s.end + opt_.idle_timeout < next_ts) {
+      // The client's entry goes, so its buffer goes with the session:
+      // settling runs inside a publish, where a trimming copy per session
+      // would cost more than the slack it frees.
       closed_.push_back(std::move(s));
       it = open_.erase(it);
     } else {

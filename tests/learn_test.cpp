@@ -13,8 +13,13 @@
 //     untouched; a snapshot-store failure costs durability, not freshness;
 //   * publish-stage histograms — one sample per stage per publish, none
 //     for an aborted one;
+//   * absorbing as sessions close — steps move closed sessions into the
+//     window and the shadow, and the first publish still emits what a
+//     fresh base over the window emits;
 //   * decay — bounded retention plus periodic rebuild forgets evicted
-//     history without breaking serving;
+//     history without breaking serving; a capped PB trainer publishes PB
+//     over exactly its window, ignores rebuilds, and its bytes stay flat
+//     over a month of traffic;
 //   * mobile-style churn — high client turnover against per-shard caps and
 //     idle eviction racing the trainer thread's settlement (the tsan
 //     preset's main course).
@@ -29,6 +34,7 @@
 #include <filesystem>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -419,10 +425,13 @@ void expect_identical_service(std::shared_ptr<const serve::Snapshot> a,
 enum class Feed {
   kObserve,     ///< one ModelServer::observe per request
   kQueryBatch,  ///< query_batch chunks (the batch tap)
+  /// query_batch chunks, the trainer stepping after each: sessions are
+  /// absorbed over many steps, and a day's first step publishes.
+  kQueryBatchStepped,
 };
 
 void feed_day(serve::ModelServer& target, std::span<const trace::Request> day,
-              Feed feed) {
+              Feed feed, OnlineTrainer* trainer = nullptr) {
   if (feed == Feed::kObserve) {
     for (const auto& r : day) target.observe(r);
     return;
@@ -434,6 +443,7 @@ void feed_day(serve::ModelServer& target, std::span<const trace::Request> day,
   for (std::size_t i = 0; i < day.size(); i += kChunk) {
     target.query_batch(day.subspan(i, std::min(kChunk, day.size() - i)),
                        scratch);
+    if (feed == Feed::kQueryBatchStepped) trainer->step();
   }
 }
 
@@ -453,7 +463,7 @@ void run_convergence(const core::ModelSpec& spec,
   const std::uint32_t days = trace.day_count();
   ASSERT_GE(days, 3u);
   for (std::uint32_t d = 0; d < days; ++d) {
-    feed_day(target, trace.day_slice(d), feed);
+    feed_day(target, trace.day_slice(d), feed, &trainer);
     trainer.step();
     if (d == 0) {
       // No boundary crossed yet: nothing published.
@@ -494,6 +504,75 @@ TEST(OnlineTrainer, ConvergesToOracleUcbPb) {
 TEST(OnlineTrainer, ConvergesToOracleThroughQueryBatch) {
   run_convergence(core::ModelSpec::pb_model_aggressive(),
                   workload::ucb_like(3, 0.15), Feed::kQueryBatch);
+}
+
+TEST(OnlineTrainer, ConvergesToOracleSteppingEveryChunk) {
+  // Enough traffic that steps absorb batches mid-day.
+  run_convergence(core::ModelSpec::pb_model_aggressive(),
+                  workload::ucb_like(3, 1.0), Feed::kQueryBatchStepped);
+}
+
+std::string_view payload_of(const serve::Snapshot& snap) {
+  return dynamic_cast<const frozen::FrozenModel&>(*snap.model).payload();
+}
+
+TEST(OnlineTrainer, StepsAbsorbSettledSessionsBeforeAnyPublish) {
+  // Steps absorb the sessions their feeds closed into the window and the
+  // PB base, once kAbsorbBatch wait, with no publish yet. The first
+  // publish settles, regrades and inserts what waits and what the settle
+  // closed, and emits what a fresh base over the whole window plus the
+  // open tails emits.
+  const trace::Trace trace =
+      workload::generate_page_trace(workload::ucb_like(3, 1.0));
+  serve::ModelServer target;
+  OnlineTrainerConfig tc;
+  tc.spec = core::ModelSpec::pb_model_aggressive();
+  tc.policy.day_boundaries = false;
+  tc.url_count_hint = trace.urls.size();
+  tc.queue_capacity = trace.requests.size() + 1;
+  OnlineTrainer trainer(target, tc);
+
+  // Days 0-1 in two steps, as a catch-up feeds its window, mirrored.
+  session::IncrementalSessionizer mirror(tc.session);
+  std::vector<session::Session> closed;
+  const auto take_closed = [&] {
+    auto fresh = mirror.take_closed();
+    closed.insert(closed.end(), std::make_move_iterator(fresh.begin()),
+                  std::make_move_iterator(fresh.end()));
+  };
+  const auto window = trace.day_range(0, 1);
+  const std::size_t half = window.size() / 2;
+  for (const auto part : {window.first(half), window.subspan(half)}) {
+    for (const auto& r : part) {
+      ASSERT_TRUE(trainer.queue().push(Observation::from(r)));
+    }
+    trainer.step();
+    mirror.feed(part);
+    if (mirror.closed().size() >= kAbsorbBatch) take_closed();
+  }
+  ASSERT_GE(closed.size(), kAbsorbBatch);
+  EXPECT_EQ(trainer.publishes(), 0u);
+  EXPECT_EQ(trainer.retained_sessions(), closed.size());
+  // The trainer holds more than its counts, its queue buffer and its
+  // window: the base is built.
+  std::size_t held = tc.url_count_hint * sizeof(std::uint32_t) +
+                     trainer.queue().memory_bytes();
+  for (const auto& s : closed) {
+    held += sizeof(session::Session) + s.urls.capacity() * sizeof(UrlId);
+  }
+  EXPECT_GT(trainer.storage_bytes(), held);
+
+  const TimeSec boundary = 2 * kSecondsPerDay;
+  ASSERT_TRUE(trainer.publish_at(boundary));
+  mirror.settle_before(boundary);
+  take_closed();
+  EXPECT_EQ(trainer.retained_sessions(), closed.size());
+  const auto snap = target.snapshot();
+  ASSERT_NE(snap, nullptr);
+  ppm::PbBase fresh(tc.spec.pb, &snap->popularity);
+  fresh.insert(closed);
+  fresh.insert(mirror.open_snapshot());
+  EXPECT_TRUE(payload_of(*snap) == fresh.emit());
 }
 
 // ---------------------------------------------------------------------------
@@ -825,7 +904,7 @@ TEST(OnlineTrainer, RetentionCapAndRebuildDecay) {
       workload::generate_page_trace(workload::nasa_like(4, 0.15));
   serve::ModelServer target;
   OnlineTrainerConfig tc;
-  tc.spec = core::ModelSpec::pb_model();
+  tc.spec = core::ModelSpec::standard_fixed(3);
   tc.max_retained_sessions = 40;
   tc.policy.rebuild_every_publishes = 2;
   OnlineTrainer trainer(target, tc);
@@ -855,57 +934,120 @@ TEST(OnlineTrainer, RetentionCapAndRebuildDecay) {
 
 TEST(OnlineTrainer, CappedPbPublishesPbOverExactlyItsWindow) {
   // A drifting trace (grades move at the day boundaries) under a cap that
-  // evicts at most of them. At every publish the trainer's payload must be
-  // what a fresh base emits over exactly the retained window plus the open
-  // tails, under the published table.
+  // evicts at most of them. A step absorbs the sessions its feed closed
+  // once kAbsorbBatch wait, and evicts past the cap there; a publish
+  // absorbs what waits and what its settle closed. At every publish the
+  // trainer's payload must be what a fresh base emits over exactly the
+  // retained window plus the open tails, under the published table. A
+  // twin trainer asks for a rebuild at every publish: PB skips it, so its
+  // payloads are the same and it counts none.
   const trace::Trace trace =
-      workload::generate_page_trace(workload::ucb_like(6, 0.25));
-  constexpr std::size_t kCap = 1000;
-  serve::ModelServer target;
+      workload::generate_page_trace(workload::ucb_like(6, 1.0));
+  constexpr std::size_t kCap = 2000;
   OnlineTrainerConfig tc;
   tc.spec = core::ModelSpec::pb_model_aggressive();
   tc.url_count_hint = trace.urls.size();
   tc.queue_capacity = trace.requests.size() + 1;
   tc.max_retained_sessions = kCap;
+  serve::ModelServer target;
   OnlineTrainer trainer(target, tc);
   trainer.attach();
+  OnlineTrainerConfig rebuild_tc = tc;
+  rebuild_tc.policy.rebuild_every_publishes = 1;
+  serve::ModelServer rebuild_target;
+  OnlineTrainer rebuilding(rebuild_target, rebuild_tc);
+  rebuilding.attach();
 
-  // The trainer's sessions, replayed: the same clicks, settled at the same
-  // boundaries, evicted oldest first.
+  // The trainer's sessions, replayed: the same clicks, closed by the same
+  // feeds and settles, absorbed at the same steps, evicted oldest first.
   session::IncrementalSessionizer mirror(tc.session);
   std::vector<session::Session> closed;
   std::size_t capped = 0;
+  const auto take_closed = [&] {
+    auto fresh = mirror.take_closed();
+    closed.insert(closed.end(), std::make_move_iterator(fresh.begin()),
+                  std::make_move_iterator(fresh.end()));
+    if (closed.size() > kCap) {
+      closed.erase(closed.begin(), closed.end() - kCap);
+      ++capped;
+    }
+  };
   for (std::uint32_t d = 0; d < trace.day_count(); ++d) {
     const auto day = trace.day_slice(d);
     feed_day(target, day, Feed::kObserve);
+    feed_day(rebuild_target, day, Feed::kObserve);
     trainer.step();
+    rebuilding.step();
     if (d > 0) {
       ASSERT_EQ(trainer.publishes(), d);
       mirror.settle_before(static_cast<TimeSec>(d) * kSecondsPerDay);
-      auto fresh = mirror.take_closed();
-      closed.insert(closed.end(), std::make_move_iterator(fresh.begin()),
-                    std::make_move_iterator(fresh.end()));
-      if (closed.size() > kCap) {
-        closed.erase(closed.begin(), closed.end() - kCap);
-        ++capped;
-      }
-      EXPECT_EQ(trainer.retained_sessions(), closed.size());
+      take_closed();
 
       const auto snap = target.snapshot();
       ASSERT_NE(snap, nullptr);
       ppm::PbBase fresh_base(tc.spec.pb, &snap->popularity);
       fresh_base.insert(closed);
       fresh_base.insert(mirror.open_snapshot());
-      EXPECT_TRUE(
-          dynamic_cast<const frozen::FrozenModel&>(*snap->model).payload() ==
-          fresh_base.emit())
+      EXPECT_TRUE(payload_of(*snap) == fresh_base.emit())
           << "publish at boundary " << d;
+      ASSERT_NE(rebuild_target.snapshot(), nullptr);
+      EXPECT_TRUE(payload_of(*rebuild_target.snapshot()) == payload_of(*snap))
+          << "rebuilding twin at boundary " << d;
     }
     mirror.feed(day);
+    if (mirror.closed().size() >= kAbsorbBatch) take_closed();
+    EXPECT_EQ(trainer.retained_sessions(), closed.size()) << "day " << d;
+    EXPECT_LE(trainer.retained_sessions(), kCap);
   }
-  EXPECT_GE(capped, 3u);
+  EXPECT_GE(capped, 6u);
   EXPECT_GT(trainer.regraded_sessions(), 0u);
   EXPECT_EQ(trainer.rebuilds(), 0u);
+  EXPECT_EQ(rebuilding.publishes(), trainer.publishes());
+  EXPECT_EQ(rebuilding.rebuilds(), 0u);
+}
+
+TEST(OnlineTrainer, CappedPbStorageStaysFlatOverAMonth) {
+  // A capped PB trainer's bytes follow its window, not its history: once
+  // the window is full, storage_bytes() at each publish (the
+  // webppm_learn_storage_bytes gauge) stays within 2x its value at the
+  // first publish that evicts. The base retracts what leaves the window,
+  // and the URL index drops its postings.
+  const trace::Trace trace =
+      workload::generate_page_trace(workload::ucb_like(30, 0.04));
+  constexpr std::size_t kCap = 300;
+  constexpr std::size_t kChunk = 256;  // keeps the queue's buffer small
+  obs::MetricsRegistry reg;
+  serve::ModelServer target;
+  OnlineTrainerConfig tc;
+  tc.spec = core::ModelSpec::pb_model_aggressive();
+  tc.url_count_hint = trace.urls.size();
+  tc.queue_capacity = kChunk;
+  tc.max_retained_sessions = kCap;
+  tc.metrics = &reg;
+  OnlineTrainer trainer(target, tc);
+  const obs::Gauge* bytes = reg.find_gauge("webppm_learn_storage_bytes");
+  ASSERT_NE(bytes, nullptr);
+
+  const std::span<const trace::Request> reqs = trace.requests;
+  std::int64_t first = 0;
+  std::uint64_t checked = 0;
+  for (std::size_t i = 0; i < reqs.size(); i += kChunk) {
+    const std::uint64_t before = trainer.publishes();
+    for (const auto& r : reqs.subspan(i, std::min(kChunk, reqs.size() - i))) {
+      ASSERT_TRUE(trainer.queue().push(Observation::from(r)));
+    }
+    trainer.step();
+    if (trainer.publishes() == before) continue;
+    if (first == 0) {
+      if (trainer.retained_sessions() == kCap) first = bytes->value();
+      continue;
+    }
+    ++checked;
+    EXPECT_LE(bytes->value(), 2 * first)
+        << "publish " << trainer.publishes() << " against " << first;
+  }
+  EXPECT_EQ(trainer.publishes(), trace.day_count() - 1u);
+  EXPECT_GE(checked, 20u);
 }
 
 // ---------------------------------------------------------------------------

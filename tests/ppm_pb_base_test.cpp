@@ -1,9 +1,10 @@
 // PbBase, PB-PPM's training base: retract undoes insert exactly, a regrade
-// equals a rebuild of the window under the new grades, and emit() equals
-// pruning a copy of the base by rule 4 with rule-3 links ranked. The tail
-// form: under any sequence of edits the base expands to the tree a plain
-// node-per-node PredictionTree holds, and stores the shape a fresh base
-// holding the same sessions stores.
+// equals a rebuild of the window under the new grades (and a regrade given
+// only the sessions that hold a moved URL equals one given the whole
+// window), and emit() equals pruning a copy of the base by rule 4 with
+// rule-3 links ranked. The tail form: under any sequence of edits the base
+// expands to the tree a plain node-per-node PredictionTree holds, and
+// stores the shape a fresh base holding the same sessions stores.
 #include "ppm/pb_base.hpp"
 
 #include <gtest/gtest.h>
@@ -128,6 +129,12 @@ void expect_emit_matches_reference(const PbBase& base) {
   EXPECT_EQ(got.links, want.links);
 }
 
+/// {materialised nodes, tails, live pool words}.
+std::array<std::size_t, 3> shape_of(const PbBase& base) {
+  const PbBase::Shape shape = base.shape();
+  return {shape.nodes, shape.tails, shape.pooled};
+}
+
 class PbBaseTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PbBaseTest, RegradeEqualsRebuildUnderRandomGradeDrift) {
@@ -144,6 +151,10 @@ TEST_P(PbBaseTest, RegradeEqualsRebuildUnderRandomGradeDrift) {
         popularity::PopularityTable::from_counts(counts)));
     PbBase base(cfg, tables.back().get());
     base.insert(window);
+    // A twin regraded through only the sessions that hold a moved URL, as
+    // the online trainer's URL index finds them.
+    PbBase indexed(cfg, tables.back().get());
+    indexed.insert(window);
 
     std::size_t local_rounds = 0;
     for (int round = 0; round < 8; ++round) {
@@ -158,10 +169,22 @@ TEST_P(PbBaseTest, RegradeEqualsRebuildUnderRandomGradeDrift) {
       tables.push_back(std::make_unique<popularity::PopularityTable>(
           popularity::PopularityTable::from_counts(counts)));
       const auto* next = tables.back().get();
-      const bool drifted = grades_differ(base.grades(), *next);
+      const popularity::PopularityTable& prev = base.grades();
+      const bool drifted = grades_differ(prev, *next);
+      std::vector<session::Session> holding;
+      for (const auto& s : window) {
+        if (std::any_of(s.urls.begin(), s.urls.end(), [&](UrlId u) {
+              return prev.grade(u) != next->grade(u);
+            })) {
+          holding.push_back(s);
+        }
+      }
       const std::size_t regraded = base.regrade(next, window);
       EXPECT_EQ(regraded != 0, drifted);
       if (regraded != 0 && regraded < window.size()) ++local_rounds;
+      EXPECT_EQ(indexed.regrade(next, holding), regraded);
+      EXPECT_EQ(shape_of(indexed), shape_of(base));
+      EXPECT_EQ(indexed.emit(), base.emit());
 
       PbBase rebuilt(cfg, next);
       rebuilt.insert(window);
@@ -172,6 +195,7 @@ TEST_P(PbBaseTest, RegradeEqualsRebuildUnderRandomGradeDrift) {
       // Grow the window under the new grades, as a trainer's next day does.
       const auto day = random_sessions(rng, 10);
       base.insert(day);
+      indexed.insert(day);
       window.insert(window.end(), day.begin(), day.end());
     }
     // The local path ran: some drifts re-walked part of the window only.
@@ -334,12 +358,6 @@ class TreeOracle {
   PopularityPpmConfig cfg_;
   PredictionTree tree_;
 };
-
-/// {materialised nodes, tails, live pool words}.
-std::array<std::size_t, 3> shape_of(const PbBase& base) {
-  const PbBase::Shape shape = base.shape();
-  return {shape.nodes, shape.tails, shape.pooled};
-}
 
 /// What every edit leaves: the base expands to the oracle's tree and
 /// stores the shape of a fresh base holding `held`.
