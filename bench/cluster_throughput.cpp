@@ -1,48 +1,39 @@
-// Cluster-tier bench for cluster::PredictRouter + ShardSupervisor, plus the
-// ISSUE 9 acceptance gates.
+// Chaos gate for cluster::PredictRouter + ShardSupervisor (DESIGN.md §14).
 //
 // Protocol: train PB-PPM on days 1..7 of the nasa-like trace, distribute
 // the snapshot into a 4-shard in-process cluster fronted by the
-// consistent-hash router, and replay slices of day 8 through
-// net::LoadClient against BOTH the router and one big PredictServer
-// serving the same snapshot. Each phase's recorded frames are compared
-// element-for-element — the cluster must be indistinguishable from one
-// big server, byte for byte.
+// consistent-hash router, and replay the middle third of day 8 through
+// net::LoadClient (2 connections) with seeded cluster.upstream.connect /
+// cluster.upstream.send / cluster.probe faults armed AND one shard killed
+// and supervisor-restarted mid-replay. One big PredictServer serving the
+// same snapshot then replays the same slice.
 //
-// Phases / gates (any failure exits nonzero):
-//   * identity — v1 and v2-batch replays through the 4-shard router are
-//     byte-identical to the big server's (verbatim forwarding for v1 and
-//     single-shard batches, split/reassemble for mixed batches);
-//   * chaos — with seeded cluster.upstream.connect / cluster.upstream.send
-//     / cluster.probe faults armed AND one shard killed and
-//     supervisor-restarted mid-replay, the replay is still byte-identical,
-//     zero predictions degrade to kRetryLater, responses == requests, and
-//     every retry/failover is accounted (webppm_cluster_* registry values
-//     agree with the exact per-shard counters);
-//   * upgrade — distribute version 2, rolling-restart all 4 shards:
-//     version skew returns to 0 and a post-roll replay matches the big
-//     server after it publishes v2 at the same stream boundary (session
-//     contexts survived every restart);
-//   * scaling — predictions/s through the router vs the big server is
-//     reported (routing adds a hop; the ratio is informational, not
-//     gated).
+// Gate (failure exits nonzero): the cluster's recorded frames are
+// byte-identical to the big server's, zero predictions degrade to
+// kRetryLater (zero give-ups), responses == requests, at least one retry
+// was taken, and the webppm_cluster_* registry values agree with the exact
+// per-shard counters.
 //
-// Artifacts: BENCH_cluster.json (phase results + gates) and
-// BENCH_cluster_metrics.prom (a real GET /metrics scrape from the router
-// after the chaos phase).
+// This phase stays a bench rather than a ctest because its verdict is not
+// yet one verdict: a round trip that draws ten failed attempts in a row
+// (each retry reconnects, and 40% of reconnecting attempts fail under this
+// plan) gives up, and which round trip draws which failure is scheduling.
+// The cluster's identity and rolling-upgrade contracts run in ctest
+// (ClusterFixture.*).
 //
-// --quick (or WEBPPM_BENCH_QUICK=1) shrinks the replayed slices.
+// Artifacts: BENCH_cluster.json (gate results) and
+// BENCH_cluster_metrics.prom (the router registry after the chaos replay).
+//
+// --quick (or WEBPPM_BENCH_QUICK=1) shrinks the replayed slice.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <memory>
 #include <span>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "bench_common.hpp"
 #include "cluster/router.hpp"
@@ -58,14 +49,11 @@ namespace {
 using namespace webppm;
 
 net::LoadClientResult replay(std::uint16_t port,
-                             std::span<const trace::Request> reqs,
-                             std::size_t connections, std::size_t batch_size,
-                             bool record) {
+                             std::span<const trace::Request> reqs) {
   net::LoadClientConfig cfg;
   cfg.port = port;
-  cfg.connections = connections;
-  cfg.batch_size = batch_size;
-  cfg.record_responses = record;
+  cfg.connections = 2;
+  cfg.record_responses = true;
   return net::LoadClient(cfg).run(reqs);
 }
 
@@ -94,10 +82,6 @@ long long metric_value(const std::string& text, const std::string& name) {
   return std::atoll(text.c_str() + at + needle.size());
 }
 
-std::uint64_t retry_later_count(const net::LoadClientResult& r) {
-  return r.status_counts[static_cast<std::size_t>(net::Status::kRetryLater)];
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -108,39 +92,27 @@ int main(int argc, char** argv) {
   }
 
   const auto& trace = nasa_trace();
-  print_header("=== cluster_throughput: 4-shard consistent-hash router vs "
-               "one big server (nasa-like day 8) ===",
+  print_header("=== cluster_throughput: 4-shard router chaos gate "
+               "(nasa-like day 8) ===",
                trace);
-  if (quick) std::printf("quick mode: reduced stream sizes\n\n");
 
   constexpr std::uint32_t kTrainDays = 7;
-  constexpr std::size_t kShards = 4;
-  constexpr std::size_t kConns = 2;
-  const auto spec = core::ModelSpec::pb_model();
-  auto trained = core::train_model(spec, trace, 0, kTrainDays - 1);
+  auto trained =
+      core::train_model(core::ModelSpec::pb_model(), trace, 0, kTrainDays - 1);
   auto eval = trace.day_slice(kTrainDays);
   if (quick && eval.size() > 6000) eval = eval.first(6000);
+  const auto part = eval.subspan(eval.size() / 3, eval.size() / 3);
   auto snap = serve::make_snapshot(std::move(trained.predictor),
                                    std::move(trained.popularity), 1);
-  std::printf("model: %s, %zu nodes; eval stream: %zu requests\n\n",
-              snap->model->name().data(), snap->model->node_count(),
-              eval.size());
+  std::printf("chaos replay: %zu requests\n\n", part.size());
 
-  // Three consecutive slices; both sides replay them in the same order, so
-  // per-client session contexts stay aligned phase to phase.
-  const std::size_t third = eval.size() / 3;
-  const auto part_a = eval.first(third);
-  const auto part_b = eval.subspan(third, third);
-  const auto part_c = eval.subspan(2 * third);
-
-  // The 4-shard cluster.
   const std::string store_dir =
       (std::filesystem::temp_directory_path() / "webppm_cluster_bench")
           .string();
   std::filesystem::remove_all(store_dir);
   cluster::SupervisorConfig scfg;
   scfg.store_dir = store_dir;
-  scfg.shards = kShards;
+  scfg.shards = 4;
   cluster::ShardSupervisor sup(scfg);
   std::string err;
   if (!sup.distribute(*snap, &err) || !sup.start(&err)) {
@@ -159,7 +131,25 @@ int main(int argc, char** argv) {
   }
   sup.attach_router(&router);
 
-  // The referee: one big server, same snapshot, same replay sharding.
+  // Only pre-send sites are armed (a fault after the request byte reaches
+  // the shard would make a retry double-feed that session and identity
+  // could not gate exactly).
+  fault::arm(fault::Plan{}
+                 .fail_with_probability("cluster.upstream.connect", 0.25)
+                 .fail_with_probability("cluster.upstream.send", 0.20)
+                 .fail_with_probability("cluster.probe", 0.30));
+  net::LoadClientResult c_chaos;
+  std::thread replayer([&] { c_chaos = replay(router.port(), part); });
+  // Kill one shard ungracefully mid-replay, then supervisor-restart it:
+  // its clients' round trips park at the router's gate and complete
+  // against the restarted shard.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  sup.server(1)->shutdown();
+  const bool restart_ok = sup.restart_shard(1, &err);
+  if (!restart_ok) std::fprintf(stderr, "restart: %s\n", err.c_str());
+  replayer.join();
+  fault::disarm();
+
   serve::ModelServer big_model;
   big_model.publish(snap);
   net::PredictServer big_server(big_model);
@@ -167,46 +157,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "big server start failed: %s\n", err.c_str());
     return 1;
   }
-
-  // --- Phase 1: identity (v1, then mixed v2 batches). --------------------
-  const auto c_v1 = replay(router.port(), part_a, kConns, 0, true);
-  const auto b_v1 = replay(big_server.port(), part_a, kConns, 0, true);
-  const std::size_t v1_bad = frame_mismatches(c_v1, b_v1);
-  // Batch 16 on the same slice: contexts already diverge? No — both sides
-  // replay the identical slice again, so both advance identically.
-  const auto c_b = replay(router.port(), part_a, kConns, 16, true);
-  const auto b_b = replay(big_server.port(), part_a, kConns, 16, true);
-  const std::size_t batch_bad = frame_mismatches(c_b, b_b);
-  const bool identity_ok = v1_bad == 0 && batch_bad == 0 && c_v1.ok && c_b.ok;
-  std::printf("phase 1  identity: v1 %zu mismatches, batch %zu mismatches "
-              "-> %s\n",
-              v1_bad, batch_bad, identity_ok ? "OK" : "FAIL");
-
-  // --- Phase 2: chaos — IO faults + kill/restart mid-replay. -------------
-  // Only pre-send sites are armed (a fault after the request byte reaches
-  // the shard would make a retry double-feed that session and identity
-  // could not gate exactly); read-after-send faults are covered by the
-  // cluster test suite instead.
-  fault::arm(fault::Plan{}
-                 .fail_with_probability("cluster.upstream.connect", 0.25)
-                 .fail_with_probability("cluster.upstream.send", 0.20)
-                 .fail_with_probability("cluster.probe", 0.30));
-  net::LoadClientResult c_chaos;
-  std::thread replayer([&] {
-    c_chaos = replay(router.port(), part_b, kConns, 0, true);
-  });
-  // Kill one shard ungracefully mid-replay, then supervisor-restart it:
-  // its clients' round trips park at the router's gate and complete
-  // against the restarted shard.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  sup.server(1)->shutdown();
-  bool restart_ok = sup.restart_shard(1, &err);
-  if (!restart_ok) std::fprintf(stderr, "restart: %s\n", err.c_str());
-  replayer.join();
-  fault::disarm();
-
-  const auto b_chaos = replay(big_server.port(), part_b, kConns, 0, true);
-  const std::size_t chaos_bad = frame_mismatches(c_chaos, b_chaos);
+  const std::size_t bad =
+      frame_mismatches(c_chaos, replay(big_server.port(), part));
   std::uint64_t retries = 0, give_ups = 0, connect_failures = 0;
   for (std::size_t s = 0; s < router.shard_count(); ++s) {
     const auto& c = router.upstream(s).counters();
@@ -214,6 +166,8 @@ int main(int argc, char** argv) {
     give_ups += c.give_ups.load();
     connect_failures += c.connect_failures.load();
   }
+  const std::uint64_t dropped =
+      c_chaos.status_counts[static_cast<std::size_t>(net::Status::kRetryLater)];
   const std::string prom = registry.prometheus_text();
   const bool accounted =
       metric_value(prom, "webppm_cluster_retries_total") ==
@@ -222,93 +176,32 @@ int main(int argc, char** argv) {
           static_cast<long long>(connect_failures) &&
       metric_value(prom, "webppm_cluster_give_ups_total") ==
           static_cast<long long>(give_ups);
-  const bool chaos_ok = restart_ok && chaos_bad == 0 && c_chaos.ok &&
-                        retry_later_count(c_chaos) == 0 &&
-                        c_chaos.responses == part_b.size() && accounted &&
-                        retries > 0;
-  std::printf("phase 2  chaos+failover: %zu mismatches, %llu retries, "
-              "%llu give-ups, %llu dropped, accounting %s -> %s\n",
-              chaos_bad, static_cast<unsigned long long>(retries),
+  const bool ok = restart_ok && bad == 0 && c_chaos.ok && dropped == 0 &&
+                  c_chaos.responses == part.size() && accounted &&
+                  retries > 0;
+  std::printf("chaos+failover: %zu mismatches, %llu retries, %llu give-ups, "
+              "%llu dropped, accounting %s -> %s\n",
+              bad, static_cast<unsigned long long>(retries),
               static_cast<unsigned long long>(give_ups),
-              static_cast<unsigned long long>(retry_later_count(c_chaos)),
-              accounted ? "OK" : "FAIL", chaos_ok ? "OK" : "FAIL");
-  if (FILE* f = std::fopen("BENCH_cluster_metrics.prom", "w")) {
+              static_cast<unsigned long long>(dropped),
+              accounted ? "OK" : "FAIL", ok ? "OK" : "FAIL");
+
+  if (std::FILE* f = std::fopen("BENCH_cluster_metrics.prom", "w")) {
     std::fwrite(prom.data(), 1, prom.size(), f);
     std::fclose(f);
   }
-
-  // --- Phase 3: rolling upgrade to version 2. ----------------------------
-  bool upgrade_ok = false;
-  std::size_t roll_bad = SIZE_MAX;
-  std::uint64_t skew_after = ~0ull;
-  // Version 2 = the same trained model re-wrapped (what a retrain that
-  // converged to the same tree would publish): predictions stay
-  // comparable, only the version stamp moves.
-  auto retrained = core::train_model(spec, trace, 0, kTrainDays - 1);
-  const auto v2 = serve::make_snapshot(std::move(retrained.predictor),
-                                       std::move(retrained.popularity), 2);
-  if (!sup.distribute(*v2, &err)) {
-    std::fprintf(stderr, "distribute v2: %s\n", err.c_str());
-  } else if (!sup.rolling_restart(&err)) {
-    std::fprintf(stderr, "rolling restart: %s\n", err.c_str());
-  } else {
-    // The big server publishes v2 at the same stream boundary.
-    big_model.publish(v2);
-    const auto c_v2 = replay(router.port(), part_c, kConns, 0, true);
-    const auto b_v2 = replay(big_server.port(), part_c, kConns, 0, true);
-    roll_bad = frame_mismatches(c_v2, b_v2);
-    // Wait for the prober to observe every restarted shard.
-    for (int i = 0; i < 200 && router.version_skew() != 0; ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    skew_after = router.version_skew();
-    upgrade_ok = roll_bad == 0 && skew_after == 0 && c_v2.ok &&
-                 retry_later_count(c_v2) == 0;
-    std::printf("phase 3  rolling upgrade: %zu mismatches, final skew "
-                "%llu -> %s\n",
-                roll_bad, static_cast<unsigned long long>(skew_after),
-                upgrade_ok ? "OK" : "FAIL");
-  }
-
-  // --- Phase 4: scaling ratio (informational). ---------------------------
-  const auto c_perf = replay(router.port(), eval, 4, 0, false);
-  const auto b_perf = replay(big_server.port(), eval, 4, 0, false);
-  const double ratio = b_perf.qps > 0 ? c_perf.qps / b_perf.qps : 0.0;
-  std::printf("phase 4  throughput: router %.0f q/s vs direct %.0f q/s "
-              "(ratio %.2f, hop overhead expected)\n\n",
-              c_perf.qps, b_perf.qps, ratio);
-
-  const bool ok = identity_ok && chaos_ok && upgrade_ok;
-  std::printf("gates: identity %s, chaos %s, upgrade %s -> %s\n",
-              identity_ok ? "OK" : "FAIL", chaos_ok ? "OK" : "FAIL",
-              upgrade_ok ? "OK" : "FAIL", ok ? "ALL OK" : "FAIL");
-
-  if (FILE* f = std::fopen("BENCH_cluster.json", "w")) {
-    std::fprintf(
-        f,
-        "{\n"
-        "  \"benchmark\": \"4-shard PredictRouter vs one big "
-        "PredictServer, nasa-like day 8, pb-ppm\",\n"
-        "  \"quick\": %s,\n"
-        "  \"shards\": %zu,\n"
-        "  \"identity_ok\": %s,\n"
-        "  \"chaos_ok\": %s,\n"
-        "  \"upgrade_ok\": %s,\n"
-        "  \"chaos\": {\"retries\": %llu, \"give_ups\": %llu, "
-        "\"connect_failures\": %llu, \"dropped\": %llu},\n"
-        "  \"final_version_skew\": %llu,\n"
-        "  \"router_qps\": %.0f,\n"
-        "  \"direct_qps\": %.0f,\n"
-        "  \"qps_ratio\": %.3f\n"
-        "}\n",
-        quick ? "true" : "false", kShards, identity_ok ? "true" : "false",
-        chaos_ok ? "true" : "false", upgrade_ok ? "true" : "false",
-        static_cast<unsigned long long>(retries),
-        static_cast<unsigned long long>(give_ups),
-        static_cast<unsigned long long>(connect_failures),
-        static_cast<unsigned long long>(retry_later_count(c_chaos)),
-        static_cast<unsigned long long>(skew_after), c_perf.qps, b_perf.qps,
-        ratio);
+  if (std::FILE* f = std::fopen("BENCH_cluster.json", "w")) {
+    std::fprintf(f,
+                 "{\n  \"benchmark\": \"4-shard PredictRouter chaos replay "
+                 "vs one big PredictServer, nasa-like day 8, pb-ppm\",\n"
+                 "  \"quick\": %s,\n  \"chaos_ok\": %s,\n"
+                 "  \"chaos\": {\"retries\": %llu, \"give_ups\": %llu, "
+                 "\"connect_failures\": %llu, \"dropped\": %llu}\n}\n",
+                 quick ? "true" : "false", ok ? "true" : "false",
+                 static_cast<unsigned long long>(retries),
+                 static_cast<unsigned long long>(give_ups),
+                 static_cast<unsigned long long>(connect_failures),
+                 static_cast<unsigned long long>(dropped));
     std::fclose(f);
     std::printf("wrote BENCH_cluster.json, BENCH_cluster_metrics.prom\n");
   }

@@ -1,235 +1,84 @@
-// Socket throughput/latency bench for net::PredictServer, plus the ISSUE 5
-// acceptance gates.
+// Batch gate for net::PredictServer: v2 batch frames must reach >= 3x the
+// predictions/s of some v1 row at no more than that row's p99.
 //
 // Protocol: train PB-PPM on days 1..7 of the nasa-like trace, publish it
-// into a ModelServer fronted by the epoll PredictServer on 127.0.0.1, then
-// replay day 8 through net::LoadClient closed-loop over 1/2/4 connections.
-// Reported: predictions/sec over the wire and p50/p99 round-trip latency,
-// written to BENCH_net.json.
+// into a ModelServer fronted by the epoll PredictServer on 127.0.0.1, and
+// replay day 8 through net::LoadClient closed-loop. The rows are v1 frames
+// over 1, 2 and 4 connections plus the batch sweep's own v1 row, and v2
+// batches of 8, 32 and 128 on one connection. The work runs on server
+// threads, so the thread CPU clock cannot price it: a row is measured in
+// walltime predictions/s and round-trip p99. Each round runs every row
+// once on a fresh server, v1 and batch rows alternating, so host drift
+// lands on both sides; the gate compares each row's medians over the
+// rounds. A batch row passes when its median predictions/s is >= 3x some
+// v1 row's and its median p99 is <= that row's (batch latency is the whole
+// frame's round trip recorded once per sub-request, so the fair tail
+// comparison is against any v1 configuration one would run, not only the
+// same connection count).
 //
-// Gates (any failure exits nonzero):
-//   * byte identity — with responses recorded, every frame the socket
-//     returns is byte-identical to what an in-process ModelServer replay of
-//     the same client-sharded stream produces through the shared
-//     make_wire_response + encode_response path, for 1, 2 and 4
-//     connections;
-//   * batch gate — a v2 batch sweep (batch sizes 8/32/128 vs the v1
-//     baseline at the same connection count): every batch frame, exploded
-//     into per-sub v1 frames, stays byte-identical, and at least one batch
-//     size reaches >= 3x the v1 baseline's predictions/s at
-//     equal-or-better p99;
-//   * chaos variant — with net.conn.read / net.conn.write short-IO faults
-//     armed, plus a slow client that never reads and a connection flood
-//     past max_connections, the replay stays byte-identical, the shed /
-//     slow-disconnect / short-IO counters account for every injected
-//     event, and no connection leaks
-//     (accepted == closed, active == 0 after the storm);
-//   * recovery — a clean replay after disarm is byte-identical again.
+// Byte identity of v1 and v2 answers, the chaos storm and recovery run in
+// ctest (NetLoopback.*, NetLoopbackBatch.*).
 //
-// Artifacts: BENCH_net.json (rows + gate results) and
-// BENCH_net_metrics.prom (a real GET /metrics scrape taken from the chaos
-// server after the storm — the CI-uploaded evidence for the accounting).
-//
-// --quick (or WEBPPM_BENCH_QUICK=1) shrinks the stream and burst sizes.
-// --batch-check runs only the batch identity half of the batch gate (small
-// batch sizes, quick stream, no speed gate, no chaos) — the fast CI probe.
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <algorithm>
+// Artifact: BENCH_net.json (per-row medians, every round's readings, and
+// the verdict). --quick (or WEBPPM_BENCH_QUICK=1) shortens the stream.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <functional>
-#include <span>
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
-
 #include "bench_common.hpp"
-#include "fault/fault.hpp"
 #include "net/load_client.hpp"
 #include "net/server.hpp"
 #include "serve/model_server.hpp"
+#include "timing.hpp"
 
 namespace {
 
 using namespace webppm;
 
-std::shared_ptr<const serve::Snapshot> borrow(const serve::Snapshot& snap) {
-  return {&snap, [](const serve::Snapshot*) {}};  // bench-scoped, never freed
-}
-
-/// Replays `shards` against a fresh in-process ModelServer holding `snap`
-/// and byte-compares every recorded socket frame against the locally
-/// encoded answer (shared make_wire_response + encode_response path).
-/// `warm` (optional) is replayed first without comparison — it reproduces
-/// per-client context state a longer-lived server already accumulated
-/// before the recorded exchange (the chaos gate's recovery replay runs on
-/// a server that already served the storm). Returns mismatching frames.
-std::size_t count_frame_mismatches(
-    const serve::Snapshot& snap,
-    const std::vector<std::vector<net::WireRequest>>& shards,
-    const std::vector<std::vector<std::vector<std::uint8_t>>>& frames,
-    const std::vector<std::vector<net::WireRequest>>* warm = nullptr) {
-  std::size_t mismatches = 0;
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    if (s >= frames.size() || frames[s].size() != shards[s].size()) {
-      ++mismatches;
-    }
-  }
-  // One shared local server replayed shard by shard reproduces exactly what
-  // the event-loop workers computed: contexts are per-client and the shards
-  // are client-disjoint, so cross-shard interleaving cannot matter.
-  serve::ModelServer local;
-  local.publish(borrow(snap));
-  if (warm != nullptr) {
-    std::vector<ppm::Prediction> preds;
-    for (const auto& shard : *warm) {
-      for (const auto& req : shard) {
-        (void)local.query_ex(net::to_trace_request(req), preds);
-      }
-    }
-  }
-  for (std::size_t s = 0; s < shards.size() && s < frames.size(); ++s) {
-    for (std::size_t i = 0;
-         i < shards[s].size() && i < frames[s].size(); ++i) {
-      std::vector<ppm::Prediction> preds;
-      const auto qr =
-          local.query_ex(net::to_trace_request(shards[s][i]), preds);
-      std::vector<std::uint8_t> expected;
-      net::encode_response(net::make_wire_response(qr, shards[s][i],
-                                                   local.version(),
-                                                   std::move(preds)),
-                           expected);
-      if (frames[s][i] != expected) ++mismatches;
-    }
-  }
-  return mismatches;
-}
-
-/// Decodes every recorded v2 batch frame and re-encodes each sub-response
-/// as a v1 single frame, so a batched recording can be byte-compared by
-/// the same count_frame_mismatches path as a v1 run. The sub-response
-/// payload is the v1 body minus the version byte, so this re-encoding is
-/// exact, not approximate. Returns false if any frame fails to decode.
-bool explode_batch_frames(
-    const std::vector<std::vector<std::vector<std::uint8_t>>>& batch_frames,
-    std::vector<std::vector<std::vector<std::uint8_t>>>& out) {
-  out.assign(batch_frames.size(), {});
-  std::vector<net::WireResponse> subs;
-  for (std::size_t c = 0; c < batch_frames.size(); ++c) {
-    for (const auto& frame : batch_frames[c]) {
-      const auto err = net::decode_batch_response(
-          std::span<const std::uint8_t>(frame).subspan(
-              net::kFrameHeaderBytes),
-          subs);
-      if (!err.ok()) return false;
-      for (const auto& sub : subs) {
-        std::vector<std::uint8_t> single;
-        net::encode_response(sub, single);
-        out[c].push_back(std::move(single));
-      }
-    }
-  }
-  return true;
-}
-
-/// A raw client for the chaos storm: connects (optionally with a tiny
-/// receive buffer), writes `burst` and never reads.
-int raw_connect(std::uint16_t port, int rcvbuf) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) return -1;
-  if (rcvbuf > 0) {
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof addr) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
-bool wait_for(const std::function<bool()>& cond, int deadline_ms) {
-  for (int waited = 0; waited < deadline_ms; waited += 5) {
-    if (cond()) return true;
-    ::usleep(5'000);
-  }
-  return cond();
-}
-
 struct Row {
-  std::size_t connections = 0;
-  std::size_t batch_size = 0;  ///< 0 = v1 single-query frames
-  std::uint64_t responses = 0;
-  double qps = 0.0;
-  double p50_us = 0.0;
-  double p99_us = 0.0;
-  bool identical = false;
+  const char* label;
+  std::size_t connections;
+  std::size_t batch_size;  ///< 0 = v1 single-query frames
+  std::vector<double> qps;
+  std::vector<double> p99_us;
 };
 
-/// One replay at (connections, batch_size) against a fresh server, with
-/// byte identity checked through the exploded-batch path for v2 runs.
-/// Returns false on infrastructure failure (server start, replay error,
-/// connection leak) — identity failures land in `row.identical` instead.
-bool run_replay_row(const serve::Snapshot& snap,
-                    std::span<const trace::Request> eval, std::size_t conns,
-                    std::size_t batch_size, Row& row) {
+/// One replay of `eval` at the row's shape against a fresh server.
+bool run_row(std::shared_ptr<const serve::Snapshot> snap,
+             std::span<const trace::Request> eval, Row& row) {
   serve::ModelServer model;
-  model.publish(borrow(snap));
+  model.publish(std::move(snap));
   net::PredictServer server(model, {});
   std::string err;
   if (!server.start(&err)) {
     std::fprintf(stderr, "server start failed: %s\n", err.c_str());
     return false;
   }
-
-  const auto shards = net::LoadClient::shard(eval, conns);
   net::LoadClientConfig lc;
   lc.port = server.port();
-  lc.connections = conns;
-  lc.record_responses = true;
-  lc.batch_size = batch_size;
-  const auto res = net::LoadClient(lc).run_sharded(shards);
-  if (!res.ok) {
-    std::fprintf(stderr, "replay failed: %s\n", res.error.c_str());
-    return false;
-  }
-
-  std::size_t mismatches = 0;
-  if (batch_size == 0) {
-    mismatches = count_frame_mismatches(snap, shards, res.frames);
-  } else {
-    std::vector<std::vector<std::vector<std::uint8_t>>> exploded;
-    mismatches = explode_batch_frames(res.frames, exploded)
-                     ? count_frame_mismatches(snap, shards, exploded)
-                     : shards.size();
-  }
-
-  row.connections = conns;
-  row.batch_size = batch_size;
-  row.responses = res.responses;
-  row.qps = res.qps;
-  row.p50_us = res.p50_us;
-  row.p99_us = res.p99_us;
-  row.identical = mismatches == 0;
-
+  lc.connections = row.connections;
+  lc.batch_size = row.batch_size;
+  const auto res = net::LoadClient(lc).run(eval);
   server.shutdown();
-  if (server.active_connections() != 0 ||
-      server.accepted() != server.closed()) {
-    std::fprintf(stderr, "connection leak at %zu connections\n", conns);
+  if (!res.ok || res.responses != eval.size()) {
+    std::fprintf(stderr, "%s replay failed: %s\n", row.label,
+                 res.error.c_str());
     return false;
   }
+  row.qps.push_back(res.qps);
+  row.p99_us.push_back(res.p99_us);
   return true;
+}
+
+void write_series(std::FILE* f, const char* key,
+                  const std::vector<double>& v) {
+  std::fprintf(f, "\"%s\": [", key);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    std::fprintf(f, "%s%.2f", i == 0 ? "" : ", ", v[i]);
+  }
+  std::fprintf(f, "]");
 }
 
 }  // namespace
@@ -237,305 +86,90 @@ bool run_replay_row(const serve::Snapshot& snap,
 int main(int argc, char** argv) {
   using namespace webppm::bench;
   bool quick = std::getenv("WEBPPM_BENCH_QUICK") != nullptr;
-  bool batch_check = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    // Identity-only batch gate for CI: small batch sizes, byte identity
-    // of exploded v2 frames, no speed gate, no chaos storm.
-    if (std::strcmp(argv[i], "--batch-check") == 0) {
-      batch_check = true;
-      quick = true;
-    }
   }
 
   const auto& trace = nasa_trace();
-  print_header("=== net_throughput: epoll PredictServer over loopback, "
-               "closed loop (nasa-like day 8) ===",
+  print_header("=== net_throughput: v2 batch gate, epoll PredictServer over "
+               "loopback (nasa-like day 8) ===",
                trace);
-  if (quick) std::printf("quick mode: reduced stream/burst sizes\n\n");
 
   constexpr std::uint32_t kTrainDays = 7;
-  const auto spec = core::ModelSpec::pb_model();
-  auto trained = core::train_model(spec, trace, 0, kTrainDays - 1);
+  auto trained =
+      core::train_model(core::ModelSpec::pb_model(), trace, 0, kTrainDays - 1);
   auto eval = trace.day_slice(kTrainDays);
   if (quick && eval.size() > 4000) eval = eval.first(4000);
+  const auto snap = serve::make_snapshot(std::move(trained.predictor),
+                                         std::move(trained.popularity), 1);
 
-  auto snap = serve::make_snapshot(std::move(trained.predictor),
-                                   std::move(trained.popularity), 1);
-  std::printf("model: %s, %zu nodes; eval stream: %zu requests\n\n",
-              snap->model->name().data(), snap->model->node_count(),
-              eval.size());
-
-  // --- Gate 1: byte identity over 1 / 2 / 4 connections (v1 frames). -----
-  std::vector<Row> rows;
-  bool identity_ok = true;
-  if (!batch_check) {
-    std::printf("%12s %12s %14s %10s %10s %10s\n", "connections",
-                "responses", "predictions/s", "p50 (us)", "p99 (us)",
-                "identity");
-    for (const std::size_t conns : {1u, 2u, 4u}) {
-      Row row;
-      if (!run_replay_row(*snap, eval, conns, /*batch_size=*/0, row)) {
-        return 1;
-      }
-      identity_ok = identity_ok && row.identical;
-      rows.push_back(row);
-      std::printf("%12zu %12llu %14.0f %10.2f %10.2f %10s\n", conns,
-                  static_cast<unsigned long long>(row.responses), row.qps,
-                  row.p50_us, row.p99_us,
-                  row.identical ? "IDENTICAL" : "MISMATCH");
-    }
-    std::printf("\nbyte identity vs in-process ModelServer: %s\n\n",
-                identity_ok ? "OK" : "FAIL");
-  }
-
-  // --- Gate 2: batched replay — identity and speedup. --------------------
-  // Identity: every v2 batch frame, exploded into per-sub v1 frames, must
-  // byte-match the in-process replay. Speed: at least one batch row must
-  // reach >= 3x the predictions/s of the *best* v1 row at equal-or-better
-  // p99 — batch mode vs single-frame mode, each at its own operating
-  // point. (Batch latency is the whole frame's round trip recorded once
-  // per sub-request, so a batch row can never beat the same-connections v1
-  // p99; the fair tail comparison is against the v1 configuration you
-  // would actually run for throughput.)
-  const std::size_t batch_conns = 1;
-  const std::vector<std::size_t> batch_sizes =
-      batch_check ? std::vector<std::size_t>{3, 8}
-                  : std::vector<std::size_t>{0, 8, 32, 128};
-  std::vector<Row> batch_rows;
-  bool batch_identity_ok = true;
-  std::printf("%12s %12s %12s %14s %10s %10s %10s\n", "connections",
-              "batch", "responses", "predictions/s", "p50 (us)", "p99 (us)",
-              "identity");
-  for (const std::size_t bsz : batch_sizes) {
-    Row row;
-    if (!run_replay_row(*snap, eval, batch_conns, bsz, row)) return 1;
-    batch_identity_ok = batch_identity_ok && row.identical;
-    batch_rows.push_back(row);
-    std::printf("%12zu %12s %12llu %14.0f %10.2f %10.2f %10s\n",
-                batch_conns, bsz == 0 ? "v1" : std::to_string(bsz).c_str(),
-                static_cast<unsigned long long>(row.responses), row.qps,
-                row.p50_us, row.p99_us,
-                row.identical ? "IDENTICAL" : "MISMATCH");
-  }
-  bool batch_speed_ok = true;
-  if (!batch_check) {
-    // A batch row passes if it dominates some v1 configuration (gate-1
-    // connection sweep or this sweep's own v1 baseline): >= 3x that row's
-    // predictions/s at equal-or-better p99. All v1 rows sit within ~1.5x
-    // of each other in throughput here, so the 3x bar is real whichever
-    // row a batch run beats.
-    std::vector<const Row*> v1_rows{&batch_rows.front()};  // batch_size 0
-    for (const Row& r : rows) v1_rows.push_back(&r);
-    batch_speed_ok = false;
-    for (const Row& r : batch_rows) {
-      if (r.batch_size == 0) continue;
-      for (const Row* v1 : v1_rows) {
-        if (r.qps >= 3.0 * v1->qps && r.p99_us <= v1->p99_us) {
-          std::printf("\nbatch %zu (%.0f predictions/s, p99 %.2f us) "
-                      "dominates v1 at %zu connections "
-                      "(%.0f predictions/s, p99 %.2f us)\n",
-                      r.batch_size, r.qps, r.p99_us, v1->connections,
-                      v1->qps, v1->p99_us);
-          batch_speed_ok = true;
-          break;
-        }
-      }
-      if (batch_speed_ok) break;
-    }
-  }
-  const bool batch_ok = batch_identity_ok && batch_speed_ok;
-  std::printf("%sbatch gate: identity %s, speedup %s\n\n",
-              batch_speed_ok && !batch_check ? "" : "\n",
-              batch_identity_ok ? "OK" : "FAIL",
-              batch_check          ? "SKIPPED (identity-only check)"
-              : batch_speed_ok     ? "OK (>=3x a v1 row at <= its p99)"
-                                   : "FAIL (no batch row at >=3x and <=p99)");
-  if (batch_check) return batch_identity_ok ? 0 : 1;
-
-  // --- Gate 2: chaos variant. --------------------------------------------
-  // Short reads/writes on every fifth IO, a slow client that never reads,
-  // and a connection flood past the cap — replay must stay byte-identical,
-  // every injected event must be accounted, and nothing may leak.
-  obs::MetricsRegistry registry;
-  serve::ModelServer chaos_model;
-  chaos_model.publish(borrow(*snap));
-  net::NetServerConfig chaos_cfg;
-  chaos_cfg.max_connections = 6;
-  chaos_cfg.max_write_queue_bytes = 4 * 1024;
-  chaos_cfg.sndbuf_bytes = 4 * 1024;
-  chaos_cfg.metrics = &registry;
-  net::PredictServer chaos_server(chaos_model, chaos_cfg);
-  std::string err;
-  if (!chaos_server.start(&err)) {
-    std::fprintf(stderr, "chaos server start failed: %s\n", err.c_str());
-    return 1;
-  }
-
-  fault::arm(fault::Plan{}
-                 .fail_with_probability("net.conn.read", 0.2)
-                 .fail_with_probability("net.conn.write", 0.2));
-
-  // Storm part 1: byte-identical replay through short-IO faults.
-  const auto chaos_shards = net::LoadClient::shard(eval, 2);
-  net::LoadClientConfig chaos_lc;
-  chaos_lc.port = chaos_server.port();
-  chaos_lc.connections = 2;
-  chaos_lc.record_responses = true;
-  const auto chaos_res = net::LoadClient(chaos_lc).run_sharded(chaos_shards);
-  const bool chaos_replay_ok = chaos_res.ok;
-  const std::size_t chaos_mismatches =
-      chaos_res.ok
-          ? count_frame_mismatches(*snap, chaos_shards, chaos_res.frames)
-          : chaos_shards.size();
-
-  // Storm part 2: a slow client pipelines a burst and never reads a byte.
-  // The fd stays open until the shed is observed — closing early would
-  // race an RST into the server's write path and turn the slow-client
-  // disconnect into a plain write error.
-  bool slow_shed = false;
-  {
-    const int fd = raw_connect(chaos_server.port(), /*rcvbuf=*/2048);
-    if (fd >= 0) {
-      std::vector<std::uint8_t> burst;
-      const int burst_reqs = quick ? 2000 : 6000;
-      for (int i = 0; i < burst_reqs; ++i) {
-        net::WireRequest r;
-        r.client = 999'999;
-        r.url = 1;
-        r.timestamp = static_cast<TimeSec>(i);
-        net::encode_request(r, burst);
-      }
-      std::size_t done = 0;
-      while (done < burst.size()) {
-        const ssize_t n = ::send(fd, burst.data() + done,
-                                 burst.size() - done, MSG_NOSIGNAL);
-        if (n <= 0) break;  // server shed us mid-burst: exactly the point
-        done += static_cast<std::size_t>(n);
-      }
-      slow_shed = wait_for(
-          [&] { return chaos_server.slow_client_disconnects() >= 1; },
-          10'000);
-      ::close(fd);
+  constexpr std::size_t kRounds = 9;
+  // Run order within a round: v1 and batch rows alternate.
+  std::vector<Row> rows{
+      {"v1 x1", 1, 0, {}, {}},    {"batch 8", 1, 8, {}, {}},
+      {"v1 x2", 2, 0, {}, {}},    {"batch 32", 1, 32, {}, {}},
+      {"v1 x4", 4, 0, {}, {}},    {"batch 128", 1, 128, {}, {}},
+      {"v1 x1 (sweep)", 1, 0, {}, {}}};
+  std::printf("eval stream: %zu requests; %zu rounds of %zu rows\n\n",
+              eval.size(), kRounds, rows.size());
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    for (Row& row : rows) {
+      if (!run_row(snap, eval, row)) return 1;
     }
   }
 
-  // Storm part 3: flood past max_connections; extras get one kRetryLater
-  // frame and a close.
-  std::vector<int> flood;
-  for (std::size_t i = 0; i < chaos_cfg.max_connections + 4; ++i) {
-    const int fd = raw_connect(chaos_server.port(), 0);
-    if (fd >= 0) flood.push_back(fd);
+  std::printf("%-14s %12s %14s %16s\n", "row", "connections",
+              "predictions/s", "p99 (us)");
+  for (const Row& row : rows) {
+    std::printf("%-14s %12zu %14.0f %16.2f\n", row.label, row.connections,
+                median(row.qps), median(row.p99_us));
   }
-  const bool flood_shed =
-      wait_for([&] { return chaos_server.shed() >= 4; }, 10'000);
-  for (const int fd : flood) ::close(fd);
-
-  fault::disarm();
-  const bool no_leak = wait_for(
-      [&] {
-        return chaos_server.active_connections() == 0 &&
-               chaos_server.accepted() == chaos_server.closed();
-      },
-      10'000);
-
-  // Storm part 4: recovery — a clean replay is byte-identical again.
-  net::LoadClientConfig rec_lc;
-  rec_lc.port = chaos_server.port();
-  rec_lc.connections = 1;
-  rec_lc.record_responses = true;
-  const auto rec_shards = net::LoadClient::shard(eval, 1);
-  const auto rec_res = net::LoadClient(rec_lc).run_sharded(rec_shards);
-  const std::size_t rec_mismatches =
-      rec_res.ok ? count_frame_mismatches(*snap, rec_shards, rec_res.frames,
-                                          &chaos_shards)
-                 : 1;
-
-  // Accounting: the injected faults show up in the counters (the
-  // accessors read the registry's webppm_net_* counters).
-  const bool short_io_seen =
-      chaos_server.short_reads() >= 1 && chaos_server.short_writes() >= 1;
-
-  // The CI-uploaded scrape artifact: a real GET /metrics from the chaos
-  // server, post-storm — the accounting above, as a scraper would see it.
-  std::string scrape_err;
-  const std::string scrape = net::fetch_admin(
-      "127.0.0.1", chaos_server.admin_port(), "/metrics", &scrape_err);
-  if (scrape_err.empty()) {
-    std::ofstream out("BENCH_net_metrics.prom", std::ios::trunc);
-    out << scrape;
+  const Row* win_batch = nullptr;
+  const Row* win_v1 = nullptr;
+  for (const Row& b : rows) {
+    if (b.batch_size == 0 || win_batch != nullptr) continue;
+    for (const Row& v : rows) {
+      if (v.batch_size == 0 && median(b.qps) >= 3.0 * median(v.qps) &&
+          median(b.p99_us) <= median(v.p99_us)) {
+        win_batch = &b;
+        win_v1 = &v;
+        break;
+      }
+    }
   }
-  chaos_server.shutdown();
+  const bool ok = win_batch != nullptr;
+  if (ok) {
+    std::printf("\nbatch gate: OK — %s dominates %s (medians over %zu "
+                "rounds)\n",
+                win_batch->label, win_v1->label, kRounds);
+  } else {
+    std::printf("\nbatch gate: FAIL — no batch row reaches >= 3x a v1 row's "
+                "predictions/s at <= its p99 (medians over %zu rounds)\n",
+                kRounds);
+  }
 
-  const bool chaos_ok = chaos_replay_ok && chaos_mismatches == 0 &&
-                        slow_shed && flood_shed && no_leak &&
-                        rec_res.ok && rec_mismatches == 0 && short_io_seen &&
-                        scrape_err.empty();
-  std::printf("chaos variant:\n");
-  std::printf("  short-IO replay identical:  %s (%zu mismatches)\n",
-              chaos_replay_ok && chaos_mismatches == 0 ? "OK" : "FAIL",
-              chaos_mismatches);
-  std::printf("  slow client shed:           %s (%llu disconnects)\n",
-              slow_shed ? "OK" : "FAIL",
-              static_cast<unsigned long long>(
-                  chaos_server.slow_client_disconnects()));
-  std::printf("  flood shed (cap %zu):        %s (%llu shed)\n",
-              chaos_cfg.max_connections, flood_shed ? "OK" : "FAIL",
-              static_cast<unsigned long long>(chaos_server.shed()));
-  std::printf("  short IO accounted:         %s (%llu reads, %llu writes)\n",
-              short_io_seen ? "OK" : "FAIL",
-              static_cast<unsigned long long>(chaos_server.short_reads()),
-              static_cast<unsigned long long>(chaos_server.short_writes()));
-  std::printf("  no connection leak:         %s (accepted %llu, "
-              "closed %llu, active %zu)\n",
-              no_leak ? "OK" : "FAIL",
-              static_cast<unsigned long long>(chaos_server.accepted()),
-              static_cast<unsigned long long>(chaos_server.closed()),
-              chaos_server.active_connections());
-  std::printf("  post-chaos replay identical: %s (%zu mismatches)\n\n",
-              rec_res.ok && rec_mismatches == 0 ? "OK" : "FAIL",
-              rec_mismatches);
-
-  if (FILE* f = std::fopen("BENCH_net.json", "w")) {
+  if (std::FILE* f = std::fopen("BENCH_net.json", "w")) {
     std::fprintf(f,
-                 "{\n"
-                 "  \"benchmark\": \"PredictServer loopback replay, "
-                 "nasa-like day 8, pb-ppm\",\n"
-                 "  \"quick\": %s,\n"
-                 "  \"byte_identity_ok\": %s,\n"
-                 "  \"batch_ok\": %s,\n"
-                 "  \"chaos_ok\": %s,\n"
-                 "  \"runs\": [\n",
-                 quick ? "true" : "false", identity_ok ? "true" : "false",
-                 batch_ok ? "true" : "false", chaos_ok ? "true" : "false");
+                 "{\n  \"benchmark\": \"PredictServer loopback replay, "
+                 "nasa-like day 8, pb-ppm\",\n  \"quick\": %s,\n"
+                 "  \"rounds\": %zu,\n  \"batch_ok\": %s,\n  \"rows\": [\n",
+                 quick ? "true" : "false", kRounds, ok ? "true" : "false");
     for (std::size_t i = 0; i < rows.size(); ++i) {
-      const auto& r = rows[i];
+      const Row& r = rows[i];
       std::fprintf(f,
-                   "    {\"connections\": %zu, \"responses\": %llu, "
-                   "\"predictions_per_sec\": %.0f, \"p50_us\": %.2f, "
-                   "\"p99_us\": %.2f, \"byte_identical\": %s}%s\n",
-                   r.connections,
-                   static_cast<unsigned long long>(r.responses), r.qps,
-                   r.p50_us, r.p99_us, r.identical ? "true" : "false",
-                   i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n  \"batch_runs\": [\n");
-    for (std::size_t i = 0; i < batch_rows.size(); ++i) {
-      const auto& r = batch_rows[i];
-      std::fprintf(f,
-                   "    {\"connections\": %zu, \"batch_size\": %zu, "
-                   "\"responses\": %llu, \"predictions_per_sec\": %.0f, "
-                   "\"p50_us\": %.2f, \"p99_us\": %.2f, "
-                   "\"byte_identical\": %s}%s\n",
-                   r.connections, r.batch_size,
-                   static_cast<unsigned long long>(r.responses), r.qps,
-                   r.p50_us, r.p99_us, r.identical ? "true" : "false",
-                   i + 1 < batch_rows.size() ? "," : "");
+                   "    {\"row\": \"%s\", \"connections\": %zu, "
+                   "\"batch_size\": %zu, \"median_predictions_per_sec\": "
+                   "%.0f, \"median_p99_us\": %.2f, ",
+                   r.label, r.connections, r.batch_size, median(r.qps),
+                   median(r.p99_us));
+      write_series(f, "predictions_per_sec", r.qps);
+      std::fprintf(f, ", ");
+      write_series(f, "p99_us", r.p99_us);
+      std::fprintf(f, "}%s\n", i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
-    std::printf("wrote BENCH_net.json, BENCH_net_metrics.prom\n");
+    std::printf("wrote BENCH_net.json\n");
   }
-
-  return identity_ok && batch_ok && chaos_ok ? 0 : 1;
+  return ok ? 0 : 1;
 }

@@ -1,7 +1,6 @@
 #include "ppm/top_n.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 namespace webppm::ppm {
 
@@ -10,13 +9,14 @@ TopNPredictor::TopNPredictor(const TopNConfig& config) : config_(config) {}
 TopNPredictor TopNPredictor::from_popularity(
     const popularity::PopularityTable& table, const TopNConfig& config) {
   TopNPredictor p(config);
+  std::vector<std::pair<UrlId, std::uint64_t>> counted;
   for (UrlId u = 0; u < table.url_count(); ++u) {
-    const auto c = table.accesses(u);
+    const std::uint64_t c = table.accesses(u);
     if (c == 0) continue;
-    p.counts_[u] = c;
+    counted.emplace_back(u, c);
     p.total_ += c;
   }
-  p.rebuild_push_set();
+  p.rank(std::move(counted));
   return p;
 }
 
@@ -33,19 +33,23 @@ void TopNPredictor::train_more(std::span<const session::Session> sessions) {
       ++total_;
     }
   }
-  rebuild_push_set();
+  rank({counts_.begin(), counts_.end()});
 }
 
-void TopNPredictor::rebuild_push_set() {
-  std::vector<std::pair<UrlId, std::uint64_t>> ranked(counts_.begin(),
-                                                      counts_.end());
-  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-    return a.second != b.second ? a.second > b.second : a.first < b.first;
-  });
-  if (ranked.size() > config_.n) ranked.resize(config_.n);
-
+void TopNPredictor::rank(std::vector<std::pair<UrlId, std::uint64_t>> counted) {
+  // Count descending, URL ascending: a total order, so the first n of a
+  // partial sort are exactly those of a full one.
+  const std::size_t n = std::min(config_.n, counted.size());
+  std::partial_sort(counted.begin(),
+                    counted.begin() + static_cast<std::ptrdiff_t>(n),
+                    counted.end(),
+                    [](const auto& a, const auto& b) {
+                      return a.second != b.second ? a.second > b.second
+                                                  : a.first < b.first;
+                    });
   push_set_.clear();
-  for (const auto& [url, count] : ranked) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto [url, count] = counted[i];
     push_set_.push_back(
         {url, total_ > 0 ? static_cast<float>(static_cast<double>(count) /
                                               static_cast<double>(total_))

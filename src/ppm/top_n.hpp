@@ -27,7 +27,10 @@ class TopNPredictor final : public Predictor {
   /// Builds the push set straight from a popularity table's access counts —
   /// no sessions needed. This is the serve layer's graceful-degradation
   /// fallback: when the full Markov model is unavailable, the server can
-  /// still push the N most popular documents of the training window.
+  /// still push the N most popular documents of the training window. The
+  /// result keeps only the push set and the total, not the table's counts,
+  /// so its storage does not grow with the URL count; it is not meant to be
+  /// trained further (train() starts over).
   static TopNPredictor from_popularity(
       const popularity::PopularityTable& table, const TopNConfig& config = {});
 
@@ -71,7 +74,9 @@ class TopNPredictor final : public Predictor {
   const std::vector<Prediction>& push_set() const { return push_set_; }
 
  private:
-  void rebuild_push_set();
+  /// Fixes the push set to the config_.n highest of `counted` (ties
+  /// broken by URL id), each with its share of total_.
+  void rank(std::vector<std::pair<UrlId, std::uint64_t>> counted);
 
   TopNConfig config_;
   std::unordered_map<UrlId, std::uint64_t> counts_;

@@ -4,7 +4,9 @@
 // byte-identity with one big server (v1 and mixed v2 batches), failover
 // through the circuit breaker onto a killed-and-restarted shard, scripted
 // cluster.* IO faults retried away invisibly, zero-drop rolling restarts
-// under live replay, and the version-skew gauge across a staged upgrade.
+// under live replay, the version-skew gauge across a staged upgrade, and a
+// rolling upgrade of a PB-PPM model that matches one big server publishing
+// the new version at the same stream boundary.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -24,12 +26,15 @@
 #include "cluster/hash_ring.hpp"
 #include "cluster/router.hpp"
 #include "cluster/supervisor.hpp"
+#include "core/experiment.hpp"
 #include "fault/fault.hpp"
 #include "net/backoff.hpp"
 #include "net/load_client.hpp"
 #include "obs/metrics.hpp"
 #include "ppm/standard_ppm.hpp"
+#include "serve/frozen_snapshot.hpp"
 #include "session/online.hpp"
+#include "workload/generator.hpp"
 
 namespace webppm::cluster {
 namespace {
@@ -259,13 +264,14 @@ class ClusterFixture : public ::testing::Test {
   }
 
   void bring_up(std::size_t shards,
-                const std::function<void(RouterConfig&)>& tweak = {}) {
+                const std::function<void(RouterConfig&)>& tweak = {},
+                const serve::Snapshot& snap = *tiny_snapshot()) {
     SupervisorConfig scfg;
     scfg.store_dir = dir_;
     scfg.shards = shards;
     sup_ = std::make_unique<ShardSupervisor>(scfg);
     std::string err;
-    ASSERT_TRUE(sup_->distribute(*tiny_snapshot(), &err)) << err;
+    ASSERT_TRUE(sup_->distribute(snap, &err)) << err;
     ASSERT_TRUE(sup_->start(&err)) << err;
 
     RouterConfig rcfg;
@@ -299,8 +305,9 @@ class ClusterFixture : public ::testing::Test {
 
 /// One big server serving the same snapshot — the identity baseline.
 struct BigServer {
-  explicit BigServer(std::uint64_t version = 1) {
-    model.publish(tiny_snapshot(version));
+  explicit BigServer(std::shared_ptr<const serve::Snapshot> snap =
+                         tiny_snapshot()) {
+    model.publish(std::move(snap));
     server = std::make_unique<net::PredictServer>(model);
     std::string err;
     if (!server->start(&err)) ADD_FAILURE() << err;
@@ -392,8 +399,9 @@ TEST_F(ClusterFixture, ScriptedIoFaultsAreRetriedAwayInvisibly) {
   bring_up(4, [](RouterConfig& r) {
     r.upstream.backoff = {.initial_ms = 1, .max_ms = 4};
   });
-  // Every 3rd connect and every 4th send attempt dies. These sites fire
-  // before any request byte reaches a shard, so a retry can never
+  // Each connect attempt dies with probability 0.34 and each send attempt
+  // with 0.25, drawn from the plan's seeded per-rule streams. These sites
+  // fire before any request byte reaches a shard, so a retry can never
   // double-feed a session — answers must stay byte-identical.
   fault::arm(fault::Plan{}
                  .fail_with_probability("cluster.upstream.connect", 0.34)
@@ -654,6 +662,41 @@ TEST_F(ClusterFixture, PerShardTrainersLearnFromOwnClientsAndPublish) {
   sup_->stop_trainers();
   EXPECT_EQ(sup_->trainer(0), nullptr);
   sup_->stop_trainers();  // idempotent
+}
+
+TEST_F(ClusterFixture, RollingUpgradeMatchesOneBigServerPublishingAtOnce) {
+  // PB-PPM trained on days 1-2 of a nasa-like trace, serving day 3.
+  const auto trace =
+      workload::generate_page_trace(workload::nasa_like(3, 0.5));
+  auto tm = core::train_model(core::ModelSpec::pb_model(), trace, 0, 1);
+  const auto v1 = serve::make_snapshot(std::move(tm.predictor),
+                                       std::move(tm.popularity), 1);
+  const auto day = trace.day_slice(2);
+  ASSERT_GE(day.size(), 4000u);
+  bring_up(4, {}, *v1);
+  BigServer big(v1);
+  expect_identical_frames(replay(router_->port(), day.first(2000)),
+                          replay(big.server->port(), day.first(2000)));
+
+  // Version 2 is the same model re-wrapped (what a retrain that converged
+  // to the same tree would publish): only the version stamp moves.
+  const auto payload = std::make_shared<const std::string>(
+      serve::serialize_snapshot_frozen(*v1));
+  const auto v2 = serve::open_frozen_snapshot(payload, *payload, 2).snapshot;
+  ASSERT_NE(v2, nullptr);
+  std::string err;
+  ASSERT_TRUE(sup_->distribute(*v2, &err)) << err;
+  ASSERT_TRUE(sup_->rolling_restart(&err)) << err;
+  big.model.publish(v2);  // at the same stream boundary
+
+  // Session contexts survived every restart: the next slice still matches.
+  const auto via_cluster = replay(router_->port(), day.subspan(2000, 2000));
+  expect_identical_frames(via_cluster,
+                          replay(big.server->port(), day.subspan(2000, 2000)));
+  EXPECT_EQ(via_cluster.status_counts[static_cast<std::size_t>(
+                net::Status::kRetryLater)],
+            0u);
+  EXPECT_TRUE(eventually([&] { return router_->version_skew() == 0; }));
 }
 
 }  // namespace

@@ -4,9 +4,13 @@
 //     accounting, close, and the learn.queue.push fault site, for single
 //     pushes and for the batch tap query_batch feeds (on_requests);
 //   * the convergence contract — an OnlineTrainer fed the same stream the
-//     offline SweepEngine trained on (through observe or query_batch)
-//     publishes models that answer byte-identically to the oracle at every
-//     day boundary;
+//     offline SweepEngine trained on (through observe, query_batch, or v3
+//     observe frames over a socket) publishes models that answer
+//     byte-identically to the oracle at every day boundary, and an
+//     attached, draining trainer never changes an answer;
+//   * drift recovery — on the rotating-head nasa_drift workload a frozen
+//     offline snapshot's next-click precision collapses while a trainer
+//     republishing on the drift alert and on an interval recovers it;
 //   * publish-policy triggers (threshold, interval, manual) and the
 //     drift_alert_epoch edge-triggered API;
 //   * chaos — learn.publish aborts leave trainer and serving state
@@ -36,6 +40,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -43,6 +48,8 @@
 #include "fault/fault.hpp"
 #include "frozen/frozen.hpp"
 #include "learn/observation.hpp"
+#include "net/load_client.hpp"
+#include "net/server.hpp"
 #include "serve/model_server.hpp"
 #include "serve/scoreboard.hpp"
 #include "serve/snapshot_store.hpp"
@@ -400,16 +407,11 @@ TEST(ObservationQueue, TapSeesErrorRequests) {
 // ---------------------------------------------------------------------------
 // Convergence: online == offline oracle, byte for byte, at day boundaries.
 
-/// Replays `eval` through two fresh servers (one per snapshot) and asserts
-/// every query answers identically: same predicted/served flags, same
-/// prediction list (UrlId + float probability compared exactly).
-void expect_identical_service(std::shared_ptr<const serve::Snapshot> a,
-                              std::shared_ptr<const serve::Snapshot> b,
+/// Replays `eval` through two servers and asserts every query answers
+/// identically: same predicted/served flags, same prediction list (UrlId +
+/// float probability compared exactly).
+void expect_identical_service(serve::ModelServer& sa, serve::ModelServer& sb,
                               std::span<const trace::Request> eval) {
-  serve::ModelServer sa;
-  serve::ModelServer sb;
-  sa.publish(std::move(a));
-  sb.publish(std::move(b));
   std::vector<ppm::Prediction> pa;
   std::vector<ppm::Prediction> pb;
   for (const auto& r : eval) {
@@ -419,6 +421,17 @@ void expect_identical_service(std::shared_ptr<const serve::Snapshot> a,
     ASSERT_EQ(static_cast<int>(ra.served), static_cast<int>(rb.served));
     ASSERT_EQ(pa, pb);
   }
+}
+
+/// The same, through two fresh servers holding one snapshot each.
+void expect_identical_service(std::shared_ptr<const serve::Snapshot> a,
+                              std::shared_ptr<const serve::Snapshot> b,
+                              std::span<const trace::Request> eval) {
+  serve::ModelServer sa;
+  serve::ModelServer sb;
+  sa.publish(std::move(a));
+  sb.publish(std::move(b));
+  expect_identical_service(sa, sb, eval);
 }
 
 /// How run_convergence feeds each day to the served ModelServer.
@@ -510,6 +523,166 @@ TEST(OnlineTrainer, ConvergesToOracleSteppingEveryChunk) {
   // Enough traffic that steps absorb batches mid-day.
   run_convergence(core::ModelSpec::pb_model_aggressive(),
                   workload::ucb_like(3, 1.0), Feed::kQueryBatchStepped);
+}
+
+TEST(OnlineTrainer, ConvergesToOracleOverObserveFrames) {
+  // The stream arrives as v3 observe frames through a real PredictServer
+  // socket; one connection preserves its order end to end.
+  const auto spec = core::ModelSpec::pb_model();
+  const trace::Trace trace =
+      workload::generate_page_trace(workload::nasa_like(3, 0.2));
+  serve::ModelServer target;
+  OnlineTrainerConfig tc;
+  tc.spec = spec;
+  tc.url_count_hint = trace.urls.size();
+  tc.queue_capacity = trace.requests.size() + 1;
+  OnlineTrainer trainer(target, tc);
+  trainer.attach();
+  net::PredictServer server(target, net::NetServerConfig{});
+  ASSERT_TRUE(server.start());
+  net::LoadClientConfig lc;
+  lc.port = server.port();
+  lc.connections = 1;
+  lc.batch_size = 512;
+  lc.observe = true;
+  const auto res = net::LoadClient(lc).run(trace.requests);
+  server.shutdown();
+  ASSERT_TRUE(res.ok) << res.error;
+  trainer.step();  // absorbs the whole stream; publishes at every boundary
+
+  const std::uint32_t last = trace.day_count() - 1;
+  ASSERT_EQ(trainer.publishes(), last);
+  EXPECT_EQ(trainer.dropped(), 0u);
+  auto online = target.snapshot();
+  ASSERT_NE(online, nullptr);
+  core::TrainedModel oracle = core::SweepEngine(trace).train(spec, last);
+  auto oracle_snap = serve::make_snapshot(std::move(oracle.predictor),
+                                          std::move(oracle.popularity),
+                                          online->version, tc.fallback_top_n);
+  expect_identical_service(std::move(oracle_snap), std::move(online),
+                           trace.day_slice(last));
+}
+
+TEST(OnlineTrainer, AttachedDrainingTrainerNeverChangesAnswers) {
+  const auto spec = core::ModelSpec::pb_model();
+  const trace::Trace trace =
+      workload::generate_page_trace(workload::nasa_like(3, 0.2));
+  core::TrainedModel tm = core::SweepEngine(trace).train(spec, 2);
+  const auto snap = serve::make_snapshot(std::move(tm.predictor),
+                                         std::move(tm.popularity), 1);
+  serve::ModelServer plain;
+  serve::ModelServer observed;
+  plain.publish(snap);
+  observed.publish(snap);
+  OnlineTrainerConfig tc;
+  tc.spec = spec;
+  tc.policy.day_boundaries = false;  // absorb only, never republish
+  OnlineTrainer trainer(observed, tc);
+  trainer.attach();
+  ASSERT_TRUE(trainer.start());
+  expect_identical_service(plain, observed, trace.day_slice(2));
+  trainer.detach();
+  trainer.stop();
+  EXPECT_GT(trainer.observations(), 0u);
+}
+
+/// Next-click hit rate: a query's top-4 predictions score a hit when the
+/// same client's next request is among them. Every consecutive same-client
+/// transition is scored; a query with no predictions scores its successor
+/// as a miss, so a model that rarely predicts cannot look better than one
+/// that predicts and is sometimes wrong.
+struct PrecisionProbe {
+  std::unordered_map<ClientId, std::vector<UrlId>> last;
+  std::uint64_t hits = 0;
+  std::uint64_t scored = 0;
+
+  void feed(const trace::Request& r, bool predicted,
+            const std::vector<ppm::Prediction>& preds) {
+    if (const auto it = last.find(r.client); it != last.end()) {
+      ++scored;
+      if (std::find(it->second.begin(), it->second.end(), r.url) !=
+          it->second.end()) {
+        ++hits;
+      }
+    }
+    auto& v = last[r.client];
+    v.clear();
+    for (std::size_t i = 0; predicted && i < preds.size() && i < 4; ++i) {
+      v.push_back(preds[i].url);
+    }
+  }
+  double precision() const {
+    return scored == 0 ? 0.0
+                       : static_cast<double>(hits) /
+                             static_cast<double>(scored);
+  }
+};
+
+TEST(OnlineTrainer, RecoversDriftAFrozenSnapshotCannot) {
+  // The nasa_drift head rotates mid-day 2: days 0-1 are history, days 2-3
+  // are live. Standard 3-PPM, deliberately: PB-PPM's grade machinery backs
+  // off to shorter, still-valid contexts and blunts the collapse, while the
+  // fixed-order model leans fully on exact learned contexts.
+  const double rotate_days = 2.5;
+  const trace::Trace trace = workload::generate_page_trace(
+      workload::nasa_drift(4, rotate_days, 0.3));
+  const auto rotate_at = static_cast<TimeSec>(rotate_days * kSecondsPerDay);
+  // The online side gets half a day after the rotation to settle.
+  const TimeSec settle_until = rotate_at + kSecondsPerDay / 2;
+  const auto spec = core::ModelSpec::standard_fixed(3);
+  core::SweepEngine engine(trace);
+  // Both sides start from the day-boundary model trained on days 0-1.
+  auto offline = [&] {
+    core::TrainedModel tm = engine.train(spec, 2);
+    return serve::make_snapshot(std::move(tm.predictor),
+                                std::move(tm.popularity), 1);
+  };
+  const auto live = trace.day_range(2, 3);
+  std::vector<ppm::Prediction> preds;
+
+  PrecisionProbe frozen_pre, frozen_late;
+  {  // The paper's deployment: a frozen offline snapshot, never retrained.
+    serve::ModelServer server;
+    server.publish(offline());
+    for (const auto& r : live) {
+      const bool predicted = server.query_ex(r, preds).predicted;
+      if (r.timestamp < rotate_at) frozen_pre.feed(r, predicted, preds);
+      if (r.timestamp >= settle_until) frozen_late.feed(r, predicted, preds);
+    }
+  }
+
+  PrecisionProbe online_late;
+  serve::ModelServerConfig mc;
+  mc.scoreboard.enabled = true;
+  serve::ModelServer server(mc);
+  OnlineTrainerConfig tc;
+  tc.spec = spec;
+  tc.url_count_hint = trace.urls.size();
+  tc.queue_capacity = trace.requests.size() + 1;
+  tc.policy.interval_sec = 6 * 3600;  // observed-time refresh cadence
+  tc.policy.on_drift_alert = true;
+  OnlineTrainer trainer(server, tc);
+  trainer.attach();
+  // A trainer that was running all along saw the same history; the replay
+  // then starts from the exact frozen model.
+  for (const auto& r : trace.day_range(0, 1)) server.observe(r);
+  trainer.step();
+  server.publish(offline());
+  std::size_t since_step = 0;
+  for (const auto& r : live) {
+    const bool predicted = server.query_ex(r, preds).predicted;
+    if (r.timestamp >= settle_until) online_late.feed(r, predicted, preds);
+    if (++since_step == 256) {  // the trainer thread's poll cadence
+      since_step = 0;
+      trainer.step();
+    }
+  }
+  trainer.step();
+  trainer.detach();
+
+  EXPECT_LT(frozen_late.precision(), 0.75 * frozen_pre.precision());
+  EXPECT_GE(trainer.drift_republishes(), 1u);
+  EXPECT_GE(online_late.precision(), 1.5 * frozen_late.precision());
 }
 
 std::string_view payload_of(const serve::Snapshot& snap) {

@@ -1,8 +1,10 @@
 // Loopback integration suite for net::PredictServer (ISSUE 5): real
 // sockets on 127.0.0.1 — connect/predict/drain/shutdown, slow-client shed,
 // idle timeout, connection-cap shed with a retryable status, protocol
-// errors answered then closed, admin /metrics + /healthz, and the golden
-// exposition-identity test (MetricsReporter sink vs GET /metrics body).
+// errors answered then closed, admin /metrics + /healthz, the golden
+// exposition-identity test (MetricsReporter sink vs GET /metrics body),
+// and a chaos storm (short IO, a slow client and a connection flood at
+// once) that must leave answers byte-identical and leak no connection.
 // Labelled "net" so the asan/tsan net presets target exactly this binary.
 #include "net/server.hpp"
 
@@ -13,6 +15,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -24,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/experiment.hpp"
 #include "fault/fault.hpp"
 #include "learn/trainer.hpp"
 #include "net/load_client.hpp"
@@ -31,6 +35,7 @@
 #include "ppm/standard_ppm.hpp"
 #include "serve/metrics_reporter.hpp"
 #include "session/online.hpp"
+#include "workload/generator.hpp"
 
 namespace webppm::net {
 namespace {
@@ -214,6 +219,29 @@ TEST(NetLoopback, ConnectPredictDrainShutdown) {
   EXPECT_EQ(server.accepted(), server.closed());
 }
 
+/// Replays `shards` shard by shard against `local`, through the same
+/// response builder and encoder the server uses, and expects every
+/// recorded frame to be byte-identical. Contexts are per client and the
+/// shards are client-disjoint, so cross-shard interleaving cannot matter.
+void expect_frames_match(
+    serve::ModelServer& local,
+    const std::vector<std::vector<WireRequest>>& shards,
+    const std::vector<std::vector<std::vector<std::uint8_t>>>& frames) {
+  ASSERT_EQ(frames.size(), shards.size());
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    ASSERT_EQ(frames[s].size(), shards[s].size());
+    for (std::size_t i = 0; i < shards[s].size(); ++i) {
+      std::vector<ppm::Prediction> preds;
+      const auto qr = local.query_ex(to_trace_request(shards[s][i]), preds);
+      std::vector<std::uint8_t> expected;
+      encode_response(make_wire_response(qr, shards[s][i], local.version(),
+                                         std::move(preds)),
+                      expected);
+      EXPECT_EQ(frames[s][i], expected) << "shard " << s << " response " << i;
+    }
+  }
+}
+
 TEST(NetLoopback, AnswersMatchInProcessModelServerByteForByte) {
   serve::ModelServer model;
   model.publish(tiny_snapshot(7));
@@ -231,25 +259,9 @@ TEST(NetLoopback, AnswersMatchInProcessModelServerByteForByte) {
   const auto res = LoadClient(lc).run_sharded(shards);
   ASSERT_TRUE(res.ok) << res.error;
 
-  // Replay the same shards against a fresh in-process ModelServer with the
-  // same snapshot, through the same response builder + encoder the server
-  // uses: every frame must be byte-identical.
   serve::ModelServer local;
   local.publish(tiny_snapshot(7));
-  ASSERT_EQ(res.frames.size(), shards.size());
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    ASSERT_EQ(res.frames[s].size(), shards[s].size());
-    for (std::size_t i = 0; i < shards[s].size(); ++i) {
-      std::vector<ppm::Prediction> preds;
-      const auto qr = local.query_ex(to_trace_request(shards[s][i]), preds);
-      std::vector<std::uint8_t> expected;
-      encode_response(make_wire_response(qr, shards[s][i], local.version(),
-                                         std::move(preds)),
-                      expected);
-      EXPECT_EQ(res.frames[s][i], expected)
-          << "shard " << s << " response " << i;
-    }
-  }
+  expect_frames_match(local, shards, res.frames);
 }
 
 /// The newest version a publisher has finished publishing.
@@ -586,6 +598,79 @@ TEST(NetLoopback, ShortReadWriteFaultsPreserveAnswers) {
             reqs.size());
   EXPECT_GE(server.short_reads(), 1u);
   EXPECT_GE(server.short_writes(), 1u);
+}
+
+TEST(NetLoopback, ChaosStormStaysByteIdenticalAndLeaksNothing) {
+  // PB-PPM trained on day 1 of a small nasa-like trace, serving day 2.
+  const auto trace =
+      workload::generate_page_trace(workload::nasa_like(2, 0.2));
+  auto tm = core::train_model(core::ModelSpec::pb_model(), trace, 0, 0);
+  const auto snap = serve::make_snapshot(std::move(tm.predictor),
+                                         std::move(tm.popularity), 1);
+  const auto eval = trace.day_slice(1);
+  serve::ModelServer model;
+  model.publish(snap);
+  obs::MetricsRegistry registry;
+  NetServerConfig cfg;
+  cfg.max_connections = 6;
+  cfg.max_write_queue_bytes = 4 * 1024;
+  cfg.sndbuf_bytes = 4 * 1024;
+  cfg.metrics = &registry;
+  PredictServer server(model, cfg);
+  ASSERT_TRUE(server.start());
+
+  // The storm: a fifth of all reads and writes come up short while a
+  // replay runs, a slow client pipelines a burst and never reads, and a
+  // flood of connections passes the cap.
+  fault::arm(fault::Plan{}
+                 .fail_with_probability("net.conn.read", 0.2)
+                 .fail_with_probability("net.conn.write", 0.2));
+  const auto shards = LoadClient::shard(eval, 2);
+  LoadClientConfig lc;
+  lc.port = server.port();
+  lc.connections = 2;
+  lc.record_responses = true;
+  const auto storm = LoadClient(lc).run_sharded(shards);
+  {
+    RawConn slow;  // stays open until the shed is seen: closing early
+                   // would race an RST into the server's write path
+    ASSERT_TRUE(slow.connect_to(server.port(), /*rcvbuf=*/2048));
+    std::vector<std::uint8_t> burst;
+    for (int i = 0; i < 2000; ++i) {
+      encode_request(
+          LoadClient::to_wire(click(999'999, 1, static_cast<TimeSec>(i))),
+          burst);
+    }
+    (void)slow.send_all(burst);  // may fail once the server sheds us
+    EXPECT_TRUE(eventually(
+        [&] { return server.slow_client_disconnects() >= 1; }, 10s));
+
+    std::array<RawConn, 10> flood;  // the cap plus four
+    for (RawConn& c : flood) (void)c.connect_to(server.port());
+    EXPECT_TRUE(eventually([&] { return server.shed() >= 4; }, 10s));
+  }
+  fault::disarm();
+  EXPECT_TRUE(eventually(
+      [&] {
+        return server.active_connections() == 0 &&
+               server.accepted() == server.closed();
+      },
+      10s));
+
+  // Recovery: a clean replay on the same server is byte-identical again.
+  lc.connections = 1;
+  const auto rec_shards = LoadClient::shard(eval, 1);
+  const auto recovered = LoadClient(lc).run_sharded(rec_shards);
+  ASSERT_TRUE(storm.ok) << storm.error;
+  ASSERT_TRUE(recovered.ok) << recovered.error;
+  serve::ModelServer local;
+  local.publish(snap);
+  expect_frames_match(local, shards, storm.frames);
+  expect_frames_match(local, rec_shards, recovered.frames);
+#ifndef WEBPPM_FAULT_DISABLED
+  EXPECT_GE(server.short_reads(), 1u);
+  EXPECT_GE(server.short_writes(), 1u);
+#endif
 }
 
 TEST(NetLoopback, AdminHealthzTracksModelState) {

@@ -102,5 +102,26 @@ TEST(TopNPredictor, Retraining) {
   EXPECT_EQ(m.push_set()[0].url, 7u);
 }
 
+TEST(TopNPredictor, FromPopularityKeepsOnlyThePushSet) {
+  // Tied and zero counts over `urls` URLs; the fallback built from the
+  // table must push exactly what a TopNPredictor trained on the same
+  // counts pushes, and store the same bytes whatever the URL count.
+  const auto build = [](std::size_t urls) {
+    std::vector<std::uint32_t> counts(urls);
+    std::vector<session::Session> sessions;
+    for (UrlId u = 0; u < urls; ++u) {
+      counts[u] = u % 5 == 0 ? 0 : 1 + (u * 37) % 11;
+      sessions.push_back(make_session(std::vector<UrlId>(counts[u], u)));
+    }
+    TopNPredictor trained;
+    trained.train(sessions);
+    auto fallback = TopNPredictor::from_popularity(
+        popularity::PopularityTable::from_counts(std::move(counts)));
+    EXPECT_EQ(fallback.push_set(), trained.push_set());
+    return fallback.storage_bytes();
+  };
+  EXPECT_EQ(build(100), build(10'000));
+}
+
 }  // namespace
 }  // namespace webppm::ppm
