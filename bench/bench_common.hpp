@@ -40,7 +40,8 @@ inline void print_header(const char* title, const trace::Trace& trace) {
 
 /// Process-wide SweepEngine per trace (default simulation config, shared
 /// thread pool): every sweep in a bench binary reuses the prepared per-day
-/// caches, incremental trainers, and the baseline memo.
+/// caches (sessions, popularity prefixes, client classes) and the baseline
+/// memo. Each sweep trains its own models.
 inline core::SweepEngine& engine_for(const trace::Trace& trace) {
   static std::map<const trace::Trace*, std::unique_ptr<core::SweepEngine>>
       engines;

@@ -70,11 +70,10 @@ int main() {
 
   const std::size_t client_counts[] = {1, 2, 4, 8, 16, 24, 32};
 
-  // Train each model once (from the engine's cached sessions and
-  // popularity prefixes); reuse across group sizes.
+  // Train each model once; reuse across group sizes.
   std::vector<core::TrainedModel> trained;
   for (const auto& spec : specs) {
-    trained.push_back(engine_for(trace).train(spec, kTrainDays));
+    trained.push_back(core::train_model(spec, trace, 0, kTrainDays - 1));
   }
 
   std::printf("-- Fig 5 (left): total proxy hit ratio --\n");

@@ -17,7 +17,7 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "core/sweep.hpp"
+#include "core/experiment.hpp"
 #include "learn/trainer.hpp"
 #include "serve/model_server.hpp"
 #include "timing.hpp"
@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
       workload::nasa_like(quick ? 3 : 5, quick ? 0.2 : 0.5));
   const core::ModelSpec spec = core::ModelSpec::pb_model();
   const std::uint32_t last = trace.day_count() - 1;
-  core::TrainedModel tm = core::SweepEngine(trace).train(spec, last);
+  core::TrainedModel tm = core::train_model(spec, trace, 0, last - 1);
   const auto snap = serve::make_snapshot(std::move(tm.predictor),
                                          std::move(tm.popularity), 1);
   const auto eval = trace.day_slice(last);

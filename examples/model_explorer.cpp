@@ -94,14 +94,10 @@ int main(int argc, char** argv) {
   std::printf("trace: %zu page requests, %zu URLs; training on %u days\n\n",
               trace.requests.size(), trace.urls.size(), train);
 
-  // One engine sessionises the trace and builds the per-day popularity
-  // prefixes once; each spec trains from the shared caches.
-  core::SweepEngine engine(trace);
-
   for (const auto& spec :
        {core::ModelSpec::standard_fixed(3), core::ModelSpec::lrs_model(),
         core::ModelSpec::pb_model()}) {
-    auto trained = engine.train(spec, train);
+    auto trained = core::train_model(spec, trace, 0, train - 1);
     std::printf("=== %s ===\n", spec.label.c_str());
 
     const std::string payload = serve::serialize_snapshot_frozen(

@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
               sweep.back().with_prefetch.hit_ratio());
 
   // 2. Instrumented evaluation-day simulation (webppm_sim_*).
-  auto trained = engine.train(spec, opt.train);
+  auto trained = core::train_model(spec, trace, 0, opt.train - 1);
   sim::SimHooks hooks;
   sim::PredictionLog plog;
   hooks.prediction_log = &plog;

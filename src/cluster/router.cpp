@@ -19,14 +19,6 @@ namespace {
 using net::now_ms;
 using net::send_all;
 
-constexpr int kTickMs = 100;  ///< upper bound on stop-flag latency
-constexpr std::size_t kReadChunkBytes = 16 * 1024;
-constexpr std::size_t kAdminRequestCapBytes = 4 * 1024;
-/// Budget for one whole admin request: it is read on the acceptor thread,
-/// so a client trickling bytes holds up accepts (and shutdown) this long
-/// at most.
-constexpr std::uint64_t kAdminDeadlineMs = 1000;
-
 /// The router's own degraded answer for one query: kRetryLater with
 /// snapshot version 0 (the router serves no snapshot — version 0 marks
 /// the answer as router-degraded, distinguishable from any shard's).
@@ -147,7 +139,7 @@ void PredictRouter::acceptor_main() {
     nfds_t nfds = 0;
     fds[nfds++] = {listen_fd_.get(), POLLIN, 0};
     if (admin_fd_.valid()) fds[nfds++] = {admin_fd_.get(), POLLIN, 0};
-    const int r = ::poll(fds, nfds, kTickMs);
+    const int r = ::poll(fds, nfds, net::kLoopTickMs);
     if (r < 0 && errno != EINTR) break;
     if (r <= 0) {
       reap_finished(/*all=*/false);
@@ -170,7 +162,7 @@ void PredictRouter::acceptor_main() {
         } else {
           const int one = 1;
           ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-          net::set_socket_timeout(fd, SO_RCVTIMEO, kTickMs);
+          net::set_socket_timeout(fd, SO_RCVTIMEO, net::kLoopTickMs);
           auto conn = std::make_unique<DownConn>();
           conn->fd = fd;
           DownConn* raw = conn.get();
@@ -218,7 +210,7 @@ void PredictRouter::conn_main(DownConn* c) {
   std::vector<std::uint8_t> out;
   std::size_t parsed = 0;  // bytes of `in` already consumed by frames
   net::FrameParser parser(config_.max_frame_bytes);
-  std::uint8_t chunk[kReadChunkBytes];
+  std::uint8_t chunk[net::kReadChunkBytes];
   bool close_conn = false;
 
   while (!close_conn && !stopping_.load(std::memory_order_acquire)) {
@@ -476,12 +468,12 @@ void PredictRouter::handle_admin(int fd) {
   // One deadline for the whole request, not per read: a client sending a
   // byte just inside every read timeout would otherwise hold the acceptor
   // thread (new accepts, shutdown's join) for as long as it likes.
-  const std::uint64_t deadline = now_ms() + kAdminDeadlineMs;
-  net::set_socket_timeout(fd, SO_SNDTIMEO, kAdminDeadlineMs);  // the reply
+  const std::uint64_t deadline = now_ms() + net::kAdminDeadlineMs;
+  net::set_socket_timeout(fd, SO_SNDTIMEO, net::kAdminDeadlineMs);  // the reply
   std::string in;
   char buf[1024];
   while (in.find("\r\n\r\n") == std::string::npos &&
-         in.size() <= kAdminRequestCapBytes) {
+         in.size() <= net::kAdminRequestCapBytes) {
     const std::uint64_t now = now_ms();
     if (now >= deadline) break;
     pollfd p{fd, POLLIN, 0};

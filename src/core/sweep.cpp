@@ -2,14 +2,11 @@
 
 #include <cassert>
 #include <chrono>
-#include <cmath>
-#include <optional>
 #include <string>
 #include <utility>
 
-#include "frozen/frozen.hpp"
+#include "core/incremental_model.hpp"
 #include "obs/trace_event.hpp"
-#include "ppm/pb_base.hpp"
 
 namespace webppm::core {
 namespace {
@@ -26,165 +23,15 @@ void record_seconds(obs::LogHistogram* h, double seconds) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Per-model incremental trainers.
-//
-// A trainer owns one growing base model trained on the *closed* sessions of
-// the current window (sessions still open at the window edge would be
-// re-fed in extended form by the next day, so they never enter the base).
-// advance(k) appends the closed sessions of the newly covered days;
-// eval_predictor/snapshot produce the exact window-k model by applying the
-// open tails — on the base itself when there are none (the common case:
-// the synthetic workloads never span midnight), on a copy otherwise (PB
-// inserts them into its base for the emit and retracts them after).
-
-class ModelTrainer {
- public:
-  ModelTrainer(const SweepEngine& eng, const ModelSpec& spec)
-      : eng_(eng), spec_(spec) {}
-  virtual ~ModelTrainer() = default;
-
-  ModelTrainer(const ModelTrainer&) = delete;
-  ModelTrainer& operator=(const ModelTrainer&) = delete;
-
-  /// Grows the base to cover window k (train_days = k). Calls must use
-  /// non-decreasing k.
-  virtual void advance(std::uint32_t k) = 0;
-
-  /// Borrowed read-only predictor evaluating window k; valid until the next
-  /// advance/eval_predictor call on this trainer.
-  virtual const ppm::Predictor& eval_predictor(std::uint32_t k) = 0;
-
-  /// Self-contained window-k model for parallel simulation. Shared and
-  /// const: the query path never mutates, so simulation cells reference the
-  /// snapshot instead of each holding a private copy. With `last` set the
-  /// trainer will not be advanced again, so a trainer whose base already
-  /// *is* the window-k model may return a non-owning alias of it — the one
-  /// copy that used to hurt (the largest window) is skipped entirely.
-  virtual std::shared_ptr<const ppm::Predictor> snapshot(std::uint32_t k,
-                                                         bool last) = 0;
-
-  /// PB sessions that held a URL whose grade moved, summed over regrades
-  /// (0 for other models).
-  std::size_t pb_regraded() const { return pb_regraded_; }
-
- protected:
-  const SweepEngine& eng_;
-  ModelSpec spec_;
-  std::uint32_t trained_ = 0;  ///< window the base currently covers
-  std::size_t pb_regraded_ = 0;
-};
-
-/// Standard PPM, LRS PPM and Top-N all expose an exact train_more() append
-/// path, so one trainer template covers them.
-template <typename Model>
-class AppendTrainer final : public ModelTrainer {
- public:
-  AppendTrainer(const SweepEngine& eng, const ModelSpec& spec, Model base)
-      : ModelTrainer(eng, spec), base_(std::move(base)) {}
-
-  void advance(std::uint32_t k) override {
-    assert(k >= trained_);
-    base_.train_more(eng_.closed_delta(trained_, k));
-    trained_ = k;
-  }
-
-  const ppm::Predictor& eval_predictor(std::uint32_t k) override {
-    assert(k == trained_);
-    const auto tails = eng_.open_tails(k);
-    if (tails.empty()) {
-      holder_.reset();
-      return base_;
-    }
-    holder_ = std::make_unique<Model>(base_);
-    holder_->train_more(tails);
-    return *holder_;
-  }
-
-  std::shared_ptr<const ppm::Predictor> snapshot(std::uint32_t k,
-                                                 bool last) override {
-    assert(k == trained_);
-    const auto tails = eng_.open_tails(k);
-    if (last && tails.empty()) {
-      // The base is exactly the window-k model and will never be advanced
-      // again: alias it instead of copying the biggest tree of the sweep.
-      return {std::shared_ptr<const ppm::Predictor>(), &base_};
-    }
-    auto copy = std::make_shared<Model>(base_);
-    copy->train_more(tails);
-    return copy;
-  }
-
- private:
-  Model base_;
-  std::unique_ptr<Model> holder_;
-};
-
-/// PB-PPM: one PbBase over the window's closed sessions, reading the
-/// current window's popularity table. Advancing a day regrades the base to
-/// the new table (only branches next to a URL whose grade moved are
-/// re-walked) and inserts the day's closed sessions. Each sweep point
-/// emits the pruned model, frozen, with the open tails inserted for the
-/// emit and retracted after it.
-class PbTrainer final : public ModelTrainer {
- public:
-  PbTrainer(const SweepEngine& eng, const ModelSpec& spec)
-      : ModelTrainer(eng, spec) {}
-
-  void advance(std::uint32_t k) override {
-    assert(k >= trained_);
-    const auto& pop = eng_.window_popularity(k);
-    if (!base_) {
-      base_.emplace(spec_.pb, &pop);
-      base_->insert(eng_.closed_through(k));
-    } else {
-      pb_regraded_ += base_->regrade(&pop, eng_.closed_through(trained_));
-      base_->insert(eng_.closed_delta(trained_, k));
-    }
-    trained_ = k;
-  }
-
-  const ppm::Predictor& eval_predictor(std::uint32_t k) override {
-    holder_ = emit(k);
-    return *holder_;
-  }
-
-  std::shared_ptr<const ppm::Predictor> snapshot(std::uint32_t k,
-                                                 bool /*last*/) override {
-    return emit(k);
-  }
-
- private:
-  std::shared_ptr<const ppm::Predictor> emit(std::uint32_t k) {
-    assert(k == trained_);
-    const auto tails = eng_.open_tails(k);
-    base_->insert(tails);
-    std::shared_ptr<const ppm::Predictor> model =
-        frozen::FrozenModel::open(base_->emit());
-    base_->retract(tails);
-    return model;
-  }
-
-  std::optional<ppm::PbBase> base_;
-  std::shared_ptr<const ppm::Predictor> holder_;
-};
-
-std::unique_ptr<ModelTrainer> make_trainer(const SweepEngine& eng,
-                                           const ModelSpec& spec) {
-  switch (spec.kind) {
-    case ModelKind::kStandard:
-      return std::make_unique<AppendTrainer<ppm::StandardPpm>>(
-          eng, spec, ppm::StandardPpm(spec.standard));
-    case ModelKind::kLrs:
-      return std::make_unique<AppendTrainer<ppm::LrsPpm>>(
-          eng, spec, ppm::LrsPpm(spec.lrs));
-    case ModelKind::kTopN:
-      return std::make_unique<AppendTrainer<ppm::TopNPredictor>>(
-          eng, spec, ppm::TopNPredictor(spec.top_n));
-    case ModelKind::kPopularity:
-      return std::make_unique<PbTrainer>(eng, spec);
-  }
-  return nullptr;  // unreachable
+/// Grows `model` from window `from` to window `to`: moves it to window
+/// `to`'s table over the window it holds, then absorbs the sessions that
+/// closed in between. Returns the sessions a PB regrade re-walked.
+std::size_t advance(const SweepEngine& eng, IncrementalModel& model,
+                    std::uint32_t from, std::uint32_t to) {
+  const std::size_t regraded =
+      model.regrade(eng.window_popularity(to), eng.closed_through(from));
+  model.absorb(eng.closed_delta(from, to), {});
+  return regraded;
 }
 
 }  // namespace
@@ -343,20 +190,21 @@ std::vector<std::vector<DayEvalResult>> SweepEngine::sweep_models(
   std::vector<std::vector<DayEvalResult>> results(specs.size());
   for (auto& rows : results) rows.resize(max_train_days);
 
-  std::vector<std::unique_ptr<ModelTrainer>> trainers;
-  trainers.reserve(specs.size());
-  for (const auto& spec : specs) trainers.push_back(make_trainer(*this, spec));
+  std::vector<std::unique_ptr<IncrementalModel>> models;
+  models.reserve(specs.size());
+  for (const auto& spec : specs) models.push_back(IncrementalModel::make(spec));
+  std::vector<std::size_t> regraded(specs.size(), 0);
 
   if (pool_ == nullptr || pool_->thread_count() <= 1) {
-    // Serial mode: interleave training and evaluation in place — no model
-    // snapshots unless a window has open tails (or the model is PB, whose
-    // pruning must not touch the base).
+    // Serial mode: interleave training and evaluation in place, each cell
+    // borrowing its model — no copy unless a window has open tails (or the
+    // model is PB, which emits).
     for (std::uint32_t k = 1; k <= max_train_days; ++k) {
       for (std::size_t s = 0; s < specs.size(); ++s) {
         WEBPPM_TRACE("sweep.train_cell");
         const auto t0 = Clock::now();
-        trainers[s]->advance(k);
-        auto& model = trainers[s]->eval_predictor(k);
+        regraded[s] += advance(*this, *models[s], k - 1, k);
+        auto& model = models[s]->view(open_tails(k));
         const double dt = seconds_since(t0);
         if (ins_) record_seconds(ins_->train_cell, dt);
         {
@@ -369,8 +217,12 @@ std::vector<std::vector<DayEvalResult>> SweepEngine::sweep_models(
   } else {
     // Parallel mode: each model's incremental pass is sequential in k, but
     // models are independent of each other, as are the per-cell
-    // simulations (each runs on an owned snapshot) and the per-day
-    // baselines.
+    // simulations and the per-day baselines. Every model reads the
+    // engine's one window and writes none of it. A cell simulates on an
+    // owned model, except in the last window: the model is not advanced
+    // again, so its cells borrow it (an append base with no tails is the
+    // window model itself, so the biggest tree of the sweep is not
+    // copied).
     const auto t0 = Clock::now();
     std::vector<std::vector<std::shared_ptr<const ppm::Predictor>>> snaps(
         specs.size());
@@ -379,8 +231,14 @@ std::vector<std::vector<DayEvalResult>> SweepEngine::sweep_models(
       for (std::uint32_t k = 1; k <= max_train_days; ++k) {
         WEBPPM_TRACE("sweep.train_cell");
         const auto tc = Clock::now();
-        trainers[s]->advance(k);
-        snaps[s][k - 1] = trainers[s]->snapshot(k, k == max_train_days);
+        regraded[s] += advance(*this, *models[s], k - 1, k);
+        const auto tails = open_tails(k);
+        if (k < max_train_days) {
+          snaps[s][k - 1] = models[s]->model(tails);
+        } else {  // a non-owning alias of the borrowed model
+          snaps[s][k - 1] = {std::shared_ptr<const ppm::Predictor>(),
+                             &models[s]->view(tails)};
+        }
         if (ins_) record_seconds(ins_->train_cell, seconds_since(tc));
       }
     });
@@ -395,28 +253,28 @@ std::vector<std::vector<DayEvalResult>> SweepEngine::sweep_models(
         *pool_, specs.size() * max_train_days, [&](std::size_t idx) {
           const std::size_t s = idx / max_train_days;
           const auto k = static_cast<std::uint32_t>(idx % max_train_days) + 1;
-          // Take the cell's reference so the snapshot's memory is released
-          // as soon as its last cell finishes, not at end of sweep.
+          // Take the cell's reference so an owned model's memory is
+          // released as soon as its last cell finishes, not at end of sweep.
           const auto model = std::move(snaps[s][k - 1]);
           results[s][k - 1] = evaluate_cell(specs[s], *model, k);
         });
   }
 
-  std::size_t regraded = 0;
-  for (const auto& t : trainers) regraded += t->pb_regraded();
-  if (ins_ && regraded != 0) ins_->pb_regraded->add(regraded);
+  std::size_t total = 0;
+  for (const std::size_t r : regraded) total += r;
+  if (ins_ && total != 0) ins_->pb_regraded->add(total);
   std::lock_guard lock(mu_);
-  timings_.pb_regraded_sessions += regraded;
+  timings_.pb_regraded_sessions += total;
   return results;
 }
 
 DayEvalResult SweepEngine::evaluate(const ModelSpec& spec,
                                     std::uint32_t train_days) {
   assert(train_days >= 1 && train_days < trace_.day_count());
-  auto trainer = make_trainer(*this, spec);
+  auto incremental = IncrementalModel::make(spec);
   const auto t0 = Clock::now();
-  trainer->advance(train_days);
-  auto& model = trainer->eval_predictor(train_days);
+  (void)advance(*this, *incremental, 0, train_days);
+  auto& model = incremental->view(open_tails(train_days));
   const double dt = seconds_since(t0);
   if (ins_) record_seconds(ins_->train_cell, dt);
   {
@@ -440,65 +298,17 @@ void SweepEngine::visit_models(
     const ModelSpec& spec, std::uint32_t max_train_days,
     const std::function<void(std::uint32_t, const ppm::Predictor&)>& visit) {
   assert(max_train_days >= 1 && max_train_days <= days_.size());
-  auto trainer = make_trainer(*this, spec);
+  auto model = IncrementalModel::make(spec);
+  std::size_t regraded = 0;
   const auto t0 = Clock::now();
   for (std::uint32_t k = 1; k <= max_train_days; ++k) {
-    trainer->advance(k);
-    visit(k, trainer->eval_predictor(k));
+    regraded += advance(*this, *model, k - 1, k);
+    visit(k, model->view(open_tails(k)));
   }
   const double dt = seconds_since(t0);
   std::lock_guard lock(mu_);
   timings_.train_seconds += dt;
-  timings_.pb_regraded_sessions += trainer->pb_regraded();
-}
-
-TrainedModel SweepEngine::train(const ModelSpec& spec,
-                                std::uint32_t train_days) {
-  assert(train_days >= 1 && train_days <= days_.size());
-  const auto t0 = Clock::now();
-  const auto closed = closed_through(train_days);
-  const auto tails = open_tails(train_days);
-
-  TrainedModel out;
-  out.popularity = window_popularity(train_days);
-  out.training_sessions = closed.size() + tails.size();
-  out.training_requests = trace_.day_range(0, train_days - 1).size();
-
-  switch (spec.kind) {
-    case ModelKind::kStandard: {
-      auto m = std::make_unique<ppm::StandardPpm>(spec.standard);
-      m->train(closed);
-      m->train_more(tails);
-      out.predictor = std::move(m);
-      break;
-    }
-    case ModelKind::kLrs: {
-      auto m = std::make_unique<ppm::LrsPpm>(spec.lrs);
-      m->train(closed);
-      m->train_more(tails);
-      out.predictor = std::move(m);
-      break;
-    }
-    case ModelKind::kPopularity: {
-      ppm::PbBase base(spec.pb, &out.popularity);
-      base.insert(closed);
-      base.insert(tails);
-      out.predictor = frozen::FrozenModel::open(base.emit());
-      break;
-    }
-    case ModelKind::kTopN: {
-      auto m = std::make_unique<ppm::TopNPredictor>(spec.top_n);
-      m->train(closed);
-      m->train_more(tails);
-      out.predictor = std::move(m);
-      break;
-    }
-  }
-
-  const double dt = seconds_since(t0);
-  std::lock_guard lock(mu_);
-  timings_.train_seconds += dt;
-  return out;
+  timings_.pb_regraded_sessions += regraded;
 }
 
 }  // namespace webppm::core

@@ -11,19 +11,20 @@
 //     IncrementalSessionizer into closed sessions + per-day open tails),
 //     client classification, and per-window PopularityTables built from
 //     cumulative day counts;
-//   * incremental training     — each model keeps one growing base trained
-//     on the closed sessions of the window; advancing a sweep point appends
-//     one day (train_more) instead of retraining the window. Sessions still
-//     open at the window edge are applied to a throwaway copy. PB-PPM keeps
-//     an unpruned ppm::PbBase: when the window's popularity grades drift it
-//     re-walks only the branches next to a URL whose grade moved, and each
-//     sweep point emits the pruned model from it (open tails inserted for
-//     the emit and retracted after);
+//   * incremental training     — each model of a sweep is one
+//     core::IncrementalModel (core/incremental_model.hpp), the family the
+//     online trainer drives too, trained on the closed sessions of the
+//     window: advancing a sweep point regrades it to the new window's
+//     table and absorbs one day's closed sessions instead of retraining
+//     the window. Sessions still open at the window edge are applied to
+//     what each sweep point evaluates, never to the base. A PB model
+//     re-walks only the sessions that hold a URL whose grade moved;
 //   * baseline memoisation     — the prefetch-disabled run never consults
 //     the predictor or popularity table, so it is cached per eval day and
 //     shared across all models of a multi-model sweep;
 //   * optional parallelism     — with a ThreadPool, per-cell (model × day)
-//     simulations run concurrently on owned model snapshots.
+//     simulations run concurrently on owned model snapshots; the models
+//     share the engine's window read-only.
 //
 // The naive run_day_experiment stays untouched as the correctness oracle;
 // tests/core_sweep_test.cpp asserts field-for-field equality against it.
@@ -100,11 +101,6 @@ class SweepEngine {
       const ModelSpec& spec, std::uint32_t max_train_days,
       const std::function<void(std::uint32_t, const ppm::Predictor&)>& visit);
 
-  /// train_model(spec, trace, 0, train_days - 1) equivalent built from the
-  /// engine's cached sessions and popularity prefixes. The returned model
-  /// is self-contained (PB grades point into the returned TrainedModel).
-  TrainedModel train(const ModelSpec& spec, std::uint32_t train_days);
-
   /// Client classification of the full trace (computed once, shared).
   const session::ClientClassification& classes() const;
 
@@ -122,9 +118,9 @@ class SweepEngine {
   const trace::Trace& trace() const { return trace_; }
   const sim::SimulationConfig& sim_config() const { return sim_config_; }
 
-  // Session-window internals, exposed for the model trainers and the
-  // equivalence tests. Window k = days [0, k); closed/open refer to the
-  // sessionizer state after feeding exactly those days.
+  // The session window, which the engine hands its IncrementalModels and
+  // the equivalence tests read. Window k = days [0, k); closed/open refer
+  // to the sessionizer state after feeding exactly those days.
   std::span<const session::Session> closed_through(
       std::uint32_t train_days) const;
   std::span<const session::Session> closed_delta(std::uint32_t from_days,

@@ -1,18 +1,11 @@
 #include "learn/trainer.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <iterator>
-#include <optional>
 #include <utility>
 
 #include "fault/fault.hpp"
-#include "frozen/frozen.hpp"
 #include "obs/trace_event.hpp"
-#include "ppm/lrs_ppm.hpp"
-#include "ppm/pb_base.hpp"
-#include "ppm/standard_ppm.hpp"
-#include "ppm/top_n.hpp"
 #include "serve/frozen_snapshot.hpp"
 
 namespace webppm::learn {
@@ -23,246 +16,6 @@ std::size_t session_bytes(const session::Session& s) {
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Shadow models: the trainer-private growing base, mirroring the sweep
-// engine's incremental trainers (core/sweep.cpp) over the trainer's
-// retained-session window instead of the engine's per-day caches. Both
-// build every model the same way, which is what makes the convergence
-// gate's byte-identity hold.
-
-class ShadowModel {
- public:
-  virtual ~ShadowModel() = default;
-
-  /// `fresh`, sessions the sessionizer just closed, join the end of the
-  /// window and are trained in (PB: under the grades its base holds).
-  /// `counts` are the cumulative popularity counts: the first PB absorb
-  /// creates the base under a table built from them.
-  virtual void absorb(std::span<const session::Session> fresh,
-                      const std::vector<std::uint32_t>& counts) = 0;
-
-  /// Moves the model to `pop`, the table a publish carries. `window` is
-  /// the retained window, which absorb() and evict() kept in step with
-  /// the model; PB borrows the sessions it re-walks and puts them back.
-  /// Returns how many sessions a PB regrade re-derived.
-  virtual std::size_t regrade(const popularity::PopularityTable& pop,
-                              std::span<session::Session> window) = 0;
-
-  /// `evicted`, the oldest sessions of the window, leave it. PB retracts
-  /// them, so its base holds exactly the window; the append-only shadows
-  /// keep them until a rebuild.
-  virtual void evict(std::span<const session::Session> evicted) = 0;
-
-  /// Rebuilds the base from `window` alone — the decay path: history
-  /// evicted from the retained window is forgotten. A model that already
-  /// holds exactly its window (PB) has nothing to forget: it returns false.
-  virtual bool rebuild(std::span<const session::Session> /*window*/) {
-    return false;
-  }
-
-  /// Self-contained window model for publishing: the base with the open
-  /// `tails` applied (and, for PB, the lossy pruning pass the base must
-  /// never receive, in the frozen form PB serves in). The base itself ends
-  /// as it began.
-  virtual std::unique_ptr<ppm::Predictor> published_model(
-      std::span<const session::Session> tails) = 0;
-
-  virtual std::size_t storage_bytes() const = 0;
-};
-
-namespace {
-
-/// Standard PPM, LRS PPM and Top-N: train_more() is an exact append, so
-/// absorbing closed sessions incrementally equals batch training.
-template <typename Model>
-class AppendShadow final : public ShadowModel {
- public:
-  explicit AppendShadow(Model base) : base_(std::move(base)), empty_(base_) {}
-
-  void absorb(std::span<const session::Session> fresh,
-              const std::vector<std::uint32_t>& /*counts*/) override {
-    base_.train_more(fresh);
-  }
-
-  std::size_t regrade(const popularity::PopularityTable& /*pop*/,
-                      std::span<session::Session> /*window*/) override {
-    return 0;
-  }
-
-  void evict(std::span<const session::Session> /*evicted*/) override {}
-
-  bool rebuild(std::span<const session::Session> window) override {
-    base_ = empty_;
-    base_.train_more(window);
-    return true;
-  }
-
-  std::unique_ptr<ppm::Predictor> published_model(
-      std::span<const session::Session> tails) override {
-    auto copy = std::make_unique<Model>(base_);
-    copy->train_more(tails);
-    return copy;
-  }
-
-  std::size_t storage_bytes() const override { return base_.storage_bytes(); }
-
- private:
-  Model base_;
-  const Model empty_;  ///< untrained copy holding the config, for rebuilds
-};
-
-/// PB-PPM: a ppm::PbBase over exactly the retained window, reading grades
-/// from a trainer-owned copy of the popularity table — the same recipe as
-/// the sweep engine's PB trainer (core/sweep.cpp). Absorbed sessions are
-/// inserted under the grades the base holds; a publish regrades the base
-/// in place, and evicted sessions are retracted under the grades every
-/// retained session is under.
-///
-/// The regrade re-walks only the sessions that hold a URL whose grade
-/// moved. It finds them through an index from each URL to the retained
-/// sessions that hold it: session k of the trainer's life (absorb order,
-/// modulo 2^32) is posted once under each URL it holds, so each list is
-/// in window order and eviction drops a prefix of it.
-class PbShadow final : public ShadowModel {
- public:
-  explicit PbShadow(const ppm::PopularityPpmConfig& config)
-      : config_(config) {}
-
-  void absorb(std::span<const session::Session> fresh,
-              const std::vector<std::uint32_t>& counts) override {
-    if (!base_) start(popularity::PopularityTable::from_counts(counts));
-    base_->insert(fresh);
-    for (const auto& s : fresh) {
-      for (const UrlId u : s.urls) {
-        if (u >= list_of_.size()) {
-          list_of_.resize(std::size_t{u} + 1, kNoList);
-        }
-        if (list_of_[u] == kNoList) {
-          list_of_[u] = static_cast<std::uint32_t>(lists_.size());
-          lists_.emplace_back();
-        }
-        auto& list = lists_[list_of_[u]];
-        if (list.empty() || list.back() != next_id_) list.push_back(next_id_);
-      }
-      ++next_id_;
-    }
-  }
-
-  std::size_t regrade(const popularity::PopularityTable& pop,
-                      std::span<session::Session> window) override {
-    if (!base_) {  // nothing absorbed yet: the base starts at this table
-      start(pop);
-      return 0;
-    }
-    assert(window.size() == next_id_ - first_id_);
-    // The sessions that hold a URL whose grade moved, in window order.
-    // URLs without a list are in no session.
-    std::vector<std::uint32_t> held;
-    for (UrlId u = 0; u < list_of_.size(); ++u) {
-      if (list_of_[u] == kNoList || pop_->grade(u) == pop.grade(u)) continue;
-      for (const std::uint32_t id : lists_[list_of_[u]]) {
-        held.push_back(id - first_id_);
-      }
-    }
-    std::sort(held.begin(), held.end());
-    held.erase(std::unique(held.begin(), held.end()), held.end());
-    // PbBase::regrade reads a contiguous run of sessions: these move out
-    // of the window and back, so no URL is copied.
-    std::vector<session::Session> touched;
-    touched.reserve(held.size());
-    for (const std::uint32_t i : held) touched.push_back(std::move(window[i]));
-
-    // The new table moves to owned storage first; the old one stays alive
-    // until the regrade, which reads both, is done.
-    auto next = std::make_unique<popularity::PopularityTable>(pop);
-    const std::size_t regraded = base_->regrade(next.get(), touched);
-    pop_ = std::move(next);
-    for (std::size_t k = 0; k < held.size(); ++k) {
-      window[held[k]] = std::move(touched[k]);
-    }
-    return regraded;
-  }
-
-  void evict(std::span<const session::Session> evicted) override {
-    base_->retract(evicted);
-    first_id_ += static_cast<std::uint32_t>(evicted.size());
-    const std::uint32_t live = next_id_ - first_id_;
-    for (const auto& s : evicted) {
-      for (const UrlId u : s.urls) {
-        auto& list = lists_[list_of_[u]];
-        const auto kept =
-            std::find_if(list.begin(), list.end(), [&](std::uint32_t id) {
-              return id - first_id_ < live;
-            });
-        list.erase(list.begin(), kept);
-      }
-    }
-  }
-
-  std::unique_ptr<ppm::Predictor> published_model(
-      std::span<const session::Session> tails) override {
-    assert(base_ && "regrade() runs before every publish");
-    base_->insert(tails);
-    auto model = frozen::FrozenModel::open(base_->emit());
-    base_->retract(tails);
-    return model;
-  }
-
-  std::size_t storage_bytes() const override {
-    std::size_t bytes = (base_ ? base_->memory_bytes() : 0) +
-                        (pop_ ? pop_->memory_bytes() : 0) +
-                        list_of_.capacity() * sizeof(std::uint32_t) +
-                        lists_.capacity() * sizeof(lists_[0]);
-    for (const auto& list : lists_) {
-      bytes += list.capacity() * sizeof(std::uint32_t);
-    }
-    return bytes;
-  }
-
- private:
-  void start(popularity::PopularityTable pop) {
-    pop_ = std::make_unique<popularity::PopularityTable>(std::move(pop));
-    base_.emplace(config_, pop_.get());
-  }
-
-  ppm::PopularityPpmConfig config_;
-  /// Heap-held so its address survives the swap a regrade makes.
-  std::unique_ptr<popularity::PopularityTable> pop_;
-  std::optional<ppm::PbBase> base_;  ///< unpruned; reads *pop_
-  static constexpr std::uint32_t kNoList = ~std::uint32_t{0};
-  /// URL id -> its entry in lists_, or kNoList: 4 B per URL id, as the
-  /// base's root table and the trainer's counts pay.
-  std::vector<std::uint32_t> list_of_;
-  /// Ids of the retained sessions that hold a URL, in window order; one
-  /// list per URL any absorbed session held.
-  std::vector<std::vector<std::uint32_t>> lists_;
-  std::uint32_t first_id_ = 0;  ///< id of the window's oldest session
-  std::uint32_t next_id_ = 0;   ///< id the next absorbed session gets
-};
-
-std::unique_ptr<ShadowModel> make_shadow(
-    const core::ModelSpec& spec) {
-  switch (spec.kind) {
-    case core::ModelKind::kStandard:
-      return std::make_unique<AppendShadow<ppm::StandardPpm>>(
-          ppm::StandardPpm(spec.standard));
-    case core::ModelKind::kLrs:
-      return std::make_unique<AppendShadow<ppm::LrsPpm>>(
-          ppm::LrsPpm(spec.lrs));
-    case core::ModelKind::kTopN:
-      return std::make_unique<AppendShadow<ppm::TopNPredictor>>(
-          ppm::TopNPredictor(spec.top_n));
-    case core::ModelKind::kPopularity:
-      return std::make_unique<PbShadow>(spec.pb);
-  }
-  return nullptr;  // unreachable
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// Trainer.
 
 struct OnlineTrainer::Timing {
   obs::LogHistogram &publish_model, &publish_freeze, &publish_store,
@@ -295,7 +48,7 @@ OnlineTrainer::OnlineTrainer(serve::ModelServer& target,
       queue_(config_.queue_capacity,
              &obs::attached_or_owned(config_.metrics, own_metrics_)),
       sessionizer_(config_.session),
-      shadow_(make_shadow(config_.spec)) {
+      shadow_(core::IncrementalModel::make(config_.spec)) {
   counts_.resize(config_.url_count_hint, 0);
   version_counter_ = target_.version();
   drift_epoch_handled_ = target_.drift_alert_epoch();
@@ -537,7 +290,7 @@ bool OnlineTrainer::publish_locked(TimeSec settle_ts, PublishTrigger why) {
   }
 
   const auto tails = sessionizer_.open_snapshot();
-  auto model = shadow_->published_model(tails);
+  auto model = shadow_->model(tails);
 
   version_counter_ = std::max(version_counter_, target_.version()) + 1;
   auto snap = serve::make_snapshot(std::move(model), std::move(pop),

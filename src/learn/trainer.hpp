@@ -18,40 +18,47 @@
 // sessionizer straight from the drained observations.
 //
 // The *shadow model* is the trainer's private growing base — the serving
-// snapshot is never mutated. It is extended with exactly the machinery the
-// offline SweepEngine uses: closed sessions append via train_more (exact
-// for Standard/LRS/Top-N), and PB-PPM keeps an unpruned ppm::PbBase
-// reading the popularity grades of the last publish, regraded in place
-// when grades drift. Steps absorb the sessions their feeds close, in
-// batches of kAbsorbBatch as they close (catch-up steps included): they
-// join the retained window and the shadow, a PB base inserting them under
-// the grades it holds (the first absorb creates the base under a table
-// built from the counts seen so far). A publish then settles its
-// boundary, regrades a PB base to the new table (re-walking only the
-// retained sessions that hold a URL whose grade moved, found through the
-// PB shadow's URL -> session index), absorbs the sessions still waiting
-// and those the settle closed, applies the open tails (to a
-// copy, or for PB inserted into the base for the pruned emit and
-// retracted after it), wraps the model with the cumulative popularity
-// table via make_snapshot, optionally freezes it (a PB model is emitted
-// frozen), optionally persists it through a SnapshotStore, and
-// RCU-publishes into the target server. So a publish costs what changed
-// since the last one, not the window.
+// snapshot is never mutated. It is a core::IncrementalModel, the one
+// family the offline SweepEngine drives too (core/incremental_model.hpp):
+// closed sessions append via train_more (exact for Standard/LRS/Top-N),
+// and PB-PPM keeps an unpruned ppm::PbBase reading the popularity grades
+// of the last publish, regraded in place when grades drift. Steps absorb
+// the sessions their feeds close, in batches of kAbsorbBatch as they
+// close (catch-up steps included): they join the retained window and the
+// shadow, a PB base inserting them under the grades it holds (the first
+// absorb creates the base under a table built from the counts seen so
+// far). A publish then settles its boundary, regrades a PB base to the
+// new table (re-walking, where they lie, only the retained sessions that
+// hold a URL whose grade moved, found through the PB model's URL ->
+// session index), absorbs the sessions still waiting and those the settle
+// closed, applies the open tails (to a copy, or for PB inserted into the
+// base for the pruned emit and retracted after it), wraps the model with
+// the cumulative popularity table via make_snapshot, optionally freezes
+// it (a PB model is emitted frozen), optionally persists it through a
+// SnapshotStore, and RCU-publishes into the target server. So a publish
+// costs what changed since the last one, not the window.
 //
-// Determinism contract (the convergence gate in bench/online_training):
-// fed the same request stream the offline oracle trained on — errors
-// included, in timestamp order — and publishing only at day boundaries,
-// the trainer's published model answers *byte-identically* to
-// SweepEngine::train(spec, k) at every boundary k. This holds because the
-// trainer performs the identical operation history on an identical
-// IncrementalSessionizer (feeds split at each boundary before settling,
-// so closed-session order matches the oracle's feed-then-settle order)
-// and the identical train calls in the identical order (a step absorbs a
-// prefix of what the next publish would, in the same order: sessions still
-// settle only at publishes). Mid-day publishes
-// (drift/interval/threshold triggers) insert extra settle points, which
-// may reorder session closing — deliberate freshness at the cost of
-// replay-exactness, which is why the gate pins day_boundaries only.
+// Determinism contract (OnlineTrainer.ConvergesToOracle*): fed the same
+// request stream the offline oracle trains on — errors included, in
+// timestamp order — and publishing only at day boundaries, the trainer's
+// published model answers *byte-identically* to
+// core::train_model(spec, trace, 0, k - 1) at every boundary k. It holds
+// because:
+//   * both sides see the same sessions and the same table. The trainer's
+//     feeds are split at each boundary before it settles, so its closed
+//     plus open sessions at boundary k are the multiset extract_sessions
+//     returns for days [0, k), and its counts (errors included) build the
+//     table PopularityTable::build does; the publish regrades the base to
+//     that table before it emits;
+//   * PbBase's stored shape depends only on the multiset of branches it
+//     holds, so batched inserts in closing order, regrades in place and
+//     tails inserted around the emit give what one batch insert gives;
+//   * train_more appends exactly, so an append model absorbed in batches,
+//     with the tails applied to a copy, equals one train() over the
+//     window.
+// Mid-day publishes (drift/interval/threshold triggers) publish windows
+// that end between day boundaries, which no oracle run trains on, so the
+// gate pins day_boundaries only.
 //
 // Old-window decay: retention is bounded by max_retained_sessions. After
 // each absorb the oldest sessions past the bound leave the window there,
@@ -86,6 +93,7 @@
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "core/incremental_model.hpp"
 #include "learn/observation.hpp"
 #include "obs/metrics.hpp"
 #include "serve/model_server.hpp"
@@ -122,7 +130,8 @@ struct PublishPolicy {
   std::uint64_t observation_threshold = 0;
   /// Publish immediately when the target server's DriftWatch raises a new
   /// alert (edge-triggered via ModelServer::drift_alert_epoch) — the
-  /// flash-crowd recovery path bench/online_training demonstrates.
+  /// flash-crowd recovery path OnlineTrainer.RecoversDriftAFrozenSnapshotCannot
+  /// demonstrates.
   bool on_drift_alert = false;
   /// Every Nth publish, rebuild the shadow from the *retained* session
   /// window only (0 = never). With bounded retention this is the
@@ -142,10 +151,6 @@ enum class PublishTrigger : std::uint8_t {
   kThreshold,
   kDriftAlert,
 };
-
-/// Internal: the trainer-private growing base (one concrete shape per
-/// ModelKind, defined in trainer.cpp).
-class ShadowModel;
 
 struct OnlineTrainerConfig {
   /// Model family + parameters the shadow trains; identical role to the
@@ -315,7 +320,7 @@ class OnlineTrainer {
 
   mutable std::mutex mu_;  ///< trainer state below
   session::IncrementalSessionizer sessionizer_;
-  std::unique_ptr<ShadowModel> shadow_;
+  std::unique_ptr<core::IncrementalModel> shadow_;
   std::vector<session::Session> retained_;  ///< all in the shadow
   std::size_t retained_bytes_ = 0;  ///< resident bytes of retained_
   std::vector<std::uint32_t> counts_;  ///< cumulative per-URL (errors incl.)

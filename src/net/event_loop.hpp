@@ -12,6 +12,7 @@
 
 #include <sys/epoll.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -70,6 +71,18 @@ std::string open_listener(const std::string& host, std::uint16_t port,
 /// error, with `*error` (when given) saying why.
 bool send_all(int fd, const void* data, std::size_t len,
               std::string* error = nullptr);
+
+/// Longest a server's or router's loop waits before it checks its stop
+/// flag (and, on the acceptor, its admin connections' deadlines).
+inline constexpr int kLoopTickMs = 100;
+/// What one read() of a prediction connection asks for.
+inline constexpr std::size_t kReadChunkBytes = 16 * 1024;
+/// The largest admin request read; no legitimate scrape is longer.
+inline constexpr std::size_t kAdminRequestCapBytes = 4 * 1024;
+/// An admin connection's budget from accept to close, for reading its
+/// request and writing the reply: a client that goes silent, or stops
+/// mid-request, is closed once it is spent.
+inline constexpr std::uint64_t kAdminDeadlineMs = 1000;
 
 /// The path of an admin request line ("GET /metrics HTTP/1.0" →
 /// "/metrics"); nullopt for any method but GET.

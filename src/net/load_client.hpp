@@ -10,8 +10,9 @@
 // connection; the *server* is the event-driven side under test.
 //
 // With `record_responses` on, every raw response frame is retained per
-// connection, which is what the bench/net_throughput acceptance gate
-// byte-compares against locally encoded in-process answers.
+// connection, which is what
+// NetLoopback.AnswersMatchInProcessModelServerByteForByte byte-compares
+// against locally encoded in-process answers.
 #pragma once
 
 #include <array>

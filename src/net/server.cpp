@@ -23,10 +23,6 @@ struct EvTag {
   Kind kind;
 };
 
-constexpr std::size_t kReadChunkBytes = 16 * 1024;
-constexpr std::size_t kAdminRequestCapBytes = 4 * 1024;
-constexpr int kLoopTickMs = 100;  ///< upper bound on stop-flag latency
-
 /// Per-connection stage-attribution cadence: 1 in this many frames times
 /// every pipeline stage. The first frame of a connection is always sampled
 /// so short-lived test connections land in the histograms.
@@ -53,6 +49,7 @@ struct PredictServer::Connection {
 struct PredictServer::AdminConn {
   EvTag tag{EvTag::Kind::kAdminConn};
   int fd = -1;
+  std::uint64_t deadline_ms = 0;  ///< closed at this time, done or not
   std::string in;
   std::string out;
   std::size_t out_pos = 0;
@@ -257,6 +254,15 @@ void PredictServer::acceptor_main() {
           break;  // connections never live on the acceptor loop
       }
     }
+    // An admin connection past its deadline (kAdminDeadlineMs from
+    // accept) is closed, whether it is still reading or still writing.
+    const std::uint64_t now = now_ms();
+    std::erase_if(admin_conns_, [&](const auto& entry) {
+      if (now < entry.second->deadline_ms) return false;
+      accept_loop_->del(entry.first);
+      ::close(entry.first);
+      return true;
+    });
   }
   // Stop accepting immediately; pending admin conversations just close
   // (scrapers retry; the drain budget belongs to prediction clients).
@@ -290,6 +296,7 @@ void PredictServer::handle_accept(int listen_fd) {
     if (is_admin) {
       auto a = std::make_unique<AdminConn>();
       a->fd = fd;
+      a->deadline_ms = now_ms() + kAdminDeadlineMs;
       accept_loop_->add(fd, EPOLLIN, &a->tag);
       admin_conns_.emplace(fd, std::move(a));
       continue;

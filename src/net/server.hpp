@@ -101,11 +101,12 @@ Status wire_status(const serve::QueryResult& qr, std::uint8_t flags,
                    std::uint64_t snapshot_version);
 
 /// The request→response mapping for anything reproducing server answers
-/// in-process (the net_throughput byte-identity gate): given what
-/// ModelServer said about a query, build the wire response — wire_status,
-/// plus the predictions when a pass ran. Encoded as a v1 frame, it is the
-/// bytes the server writes for the same query. Pass qr.snapshot_version as
-/// the version to label the answer with the snapshot that produced it.
+/// in-process (NetLoopback.AnswersMatchInProcessModelServerByteForByte):
+/// given what ModelServer said about a query, build the wire response —
+/// wire_status, plus the predictions when a pass ran. Encoded as a v1
+/// frame, it is the bytes the server writes for the same query. Pass
+/// qr.snapshot_version as the version to label the answer with the
+/// snapshot that produced it.
 WireResponse make_wire_response(const serve::QueryResult& qr,
                                 const WireRequest& req,
                                 std::uint64_t snapshot_version,

@@ -41,7 +41,7 @@
 // one malformed or refused entry degrades that slot to kBadRequest/kError
 // instead of killing the batch, and re-encoding a sub-response as a v1
 // frame reproduces the exact bytes a v1 replay of the same query yields
-// (the batch byte-identity gate in bench/net_throughput).
+// (NetLoopbackBatch.BatchAnswersMatchV1SingleFrameReplayByteForByte).
 //
 // Hardening rules (ISSUE 5 satellite, extended to v2 by ISSUE 7): a frame
 // header claiming zero bytes, or more than the configured cap, is rejected

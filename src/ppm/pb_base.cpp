@@ -247,7 +247,8 @@ void PbBase::retract(std::span<const session::Session> sessions) {
 }
 
 std::size_t PbBase::regrade(const popularity::PopularityTable* grades,
-                            std::span<const session::Session> window) {
+                            std::span<const session::Session> window,
+                            std::span<const std::uint32_t> held) {
   assert(grades != nullptr);
   const popularity::PopularityTable& before = *grades_;
   const popularity::PopularityTable& after = *grades;
@@ -263,8 +264,8 @@ std::size_t PbBase::regrade(const popularity::PopularityTable* grades,
 
   const auto is_moved = [&](UrlId u) { return u < n && moved[u] != 0; };
   std::size_t touched = 0;
-  for (const auto& s : window) {
-    const std::span<const UrlId> urls = s.urls;
+  for (const std::uint32_t pos : held) {
+    const std::span<const UrlId> urls = window[pos].urls;
     bool hit = false;
     for (std::size_t i = 0; i < urls.size(); ++i) {
       // The branch at click i reads the grades of clicks i and i-1 only.

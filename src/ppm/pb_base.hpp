@@ -21,11 +21,11 @@
 // payload (frozen/format.hpp); every PB producer serves that payload as a
 // frozen::FrozenModel, and no other PB model form exists.
 //
-// Every trainer keeps a PbBase: core::train_model (one insert, one emit),
-// the sweep engine (one base grown day by day) and the online trainer
-// (one base grown as sessions close, regraded at each publish, its
-// evicted sessions retracted). The base is training-only state and never
-// serves.
+// Two trainers keep a PbBase: core::train_model (one insert, one emit)
+// and core::IncrementalModel's PB model (one base grown as sessions close,
+// regraded when the window's table changes, its evicted sessions
+// retracted), which both the sweep engine and the online trainer drive.
+// The base is training-only state and never serves.
 //
 // Why a base can be edited in place: rules 1-2 make every branch a run of
 // consecutive clicks. A session's branch heads are its first click and
@@ -40,9 +40,10 @@
 //     each such click it retracts the branch the old grades made there and
 //     inserts the one the new grades make. The result equals a rebuild of
 //     the whole window under the new table (tests/ppm_pb_base_test.cpp).
-//     Only the sessions that hold a moved URL have such clicks, so a
-//     caller that can find them (the online trainer keeps a URL -> session
-//     index) passes just those, and the sweep engine its whole window;
+//     Only the sessions that hold a moved URL have such clicks, so the
+//     caller names just those (IncrementalModel's PB model finds them
+//     through a URL -> session index) and the base re-walks them where
+//     they lie in the window;
 //   * open session tails are inserted before emit() and retracted after
 //     it, so publishing copies nothing.
 // Rule 3's links are not stored: a node is a link target of its root
@@ -155,12 +156,15 @@ class PbBase {
   void retract(std::span<const session::Session> sessions);
 
   /// Moves the base to `grades` (same lifetime contract as the
-  /// constructor). `window` must hold every session of the base that
-  /// holds a URL whose grade moved, and nothing the base does not hold;
-  /// the whole window qualifies. Only the branches next to a moved URL
-  /// are re-walked. Returns how many sessions of `window` hold one.
+  /// constructor), re-walking the sessions `window[i]` for each position
+  /// i of `held`, where they lie, in the order given. `held` must name
+  /// every session of the base that holds a URL whose grade moved, once,
+  /// and no session the base does not hold; naming the whole window
+  /// qualifies. Only the branches next to a moved URL are re-walked.
+  /// Returns how many of the named sessions hold one.
   std::size_t regrade(const popularity::PopularityTable* grades,
-                      std::span<const session::Session> window);
+                      std::span<const session::Session> window,
+                      std::span<const std::uint32_t> held);
 
   /// The published model as a frozen v2 payload (frozen/format.hpp)
   /// carrying the base's current grade table. One breadth-first walk lists

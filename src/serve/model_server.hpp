@@ -172,8 +172,9 @@ struct ModelServerConfig {
   /// nothing is allocated and the query path is unchanged. When enabled,
   /// ring state lives in the context shards (under the shard mutexes) and
   /// the webppm_serve_scoreboard_* metrics register into the server's
-  /// registry. Scoring never changes predictions — the serve bench
-  /// gates byte identity with the scoreboard armed.
+  /// registry. Scoring never changes predictions —
+  /// ServePiggyback.ScoringServerMatchesSimulator checks byte identity
+  /// with the scoreboard armed.
   ScoreboardOptions scoreboard;
 };
 

@@ -75,7 +75,7 @@ struct PredictionLog {
 /// mutates the model; callers who want the paper's path-utilisation metric
 /// pass a UsageScratch here and read model.path_usage(scratch) (or fold it
 /// in with apply_usage) afterwards. The prediction log records every
-/// piggyback predict() for external replay verification (bench/serve).
+/// piggyback predict() for external replay verification (ServePiggyback.*).
 struct SimHooks {
   ppm::UsageScratch* usage = nullptr;
   PredictionLog* prediction_log = nullptr;

@@ -103,6 +103,15 @@ TEST(SweepEngine, MatchesNaiveParallelUcb) {
   check_engine_matches_naive(ucb_small(), ucb_specs(), 3, &pool);
 }
 
+TEST(SweepEngine, TwoPbSpecsInOneParallelSweepMatchNaive) {
+  // Two PB models, each with its own URL index, regrade over the engine's
+  // one window at once; neither may write it.
+  util::ThreadPool pool(3);
+  check_engine_matches_naive(
+      ucb_small(), {ModelSpec::pb_model(), ModelSpec::pb_model_aggressive()},
+      3, &pool);
+}
+
 TEST(SweepEngine, SingleModelSweepMatchesNaive) {
   SweepEngine engine(nasa_small());
   const auto rows = engine.sweep(ModelSpec::pb_model(), 4);
@@ -133,30 +142,6 @@ TEST(SweepEngine, NodeCountSweepMatchesTrainModel) {
       EXPECT_EQ(nodes[k - 1], trained.predictor->node_count())
           << spec.label << " k=" << k;
     }
-  }
-}
-
-TEST(SweepEngine, TrainMatchesTrainModel) {
-  SweepEngine engine(nasa_small());
-  const auto& classes = cached_client_classes(nasa_small());
-  for (const auto& spec : nasa_specs()) {
-    SCOPED_TRACE(spec.label);
-    const auto direct = train_model(spec, nasa_small(), 0, 2);
-    auto cached = engine.train(spec, 3);
-    EXPECT_EQ(direct.predictor->node_count(), cached.predictor->node_count());
-    EXPECT_EQ(direct.training_sessions, cached.training_sessions);
-    EXPECT_EQ(direct.training_requests, cached.training_requests);
-    // Strongest observable check: both models drive an identical simulation.
-    const auto cfg = apply_prefetch_policy({}, spec, /*enabled=*/true);
-    const auto a =
-        sim::simulate_direct(nasa_small(), nasa_small().day_slice(3),
-                             *direct.predictor, direct.popularity, classes,
-                             cfg);
-    const auto b =
-        sim::simulate_direct(nasa_small(), nasa_small().day_slice(3),
-                             *cached.predictor, cached.popularity, classes,
-                             cfg);
-    expect_metrics_eq(a, b);
   }
 }
 

@@ -4,10 +4,10 @@
 //     accounting, close, and the learn.queue.push fault site, for single
 //     pushes and for the batch tap query_batch feeds (on_requests);
 //   * the convergence contract — an OnlineTrainer fed the same stream the
-//     offline SweepEngine trained on (through observe, query_batch, or v3
-//     observe frames over a socket) publishes models that answer
-//     byte-identically to the oracle at every day boundary, and an
-//     attached, draining trainer never changes an answer;
+//     offline oracle (core::train_model) trains on, through observe,
+//     query_batch, or v3 observe frames over a socket, publishes models
+//     that answer byte-identically to the oracle at every day boundary,
+//     and an attached, draining trainer never changes an answer;
 //   * drift recovery — on the rotating-head nasa_drift workload a frozen
 //     offline snapshot's next-click precision collapses while a trainer
 //     republishing on the drift alert and on an interval recovers it;
@@ -44,7 +44,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/sweep.hpp"
+#include "core/experiment.hpp"
 #include "fault/fault.hpp"
 #include "frozen/frozen.hpp"
 #include "learn/observation.hpp"
@@ -464,7 +464,6 @@ void run_convergence(const core::ModelSpec& spec,
                      const workload::GeneratorConfig& wcfg,
                      Feed feed = Feed::kObserve) {
   const trace::Trace trace = workload::generate_page_trace(wcfg);
-  core::SweepEngine engine(trace);
 
   serve::ModelServer target;
   OnlineTrainerConfig tc;
@@ -484,13 +483,13 @@ void run_convergence(const core::ModelSpec& spec,
       continue;
     }
     // Feeding day d crossed boundary d: the published window is days
-    // [0, d), exactly the oracle's train(spec, d).
+    // [0, d), exactly what the oracle trains on.
     ASSERT_EQ(trainer.publishes(), d);
     EXPECT_EQ(trainer.last_trigger(), PublishTrigger::kDayBoundary);
     auto online = target.snapshot();
     ASSERT_NE(online, nullptr);
 
-    core::TrainedModel oracle = engine.train(spec, d);
+    core::TrainedModel oracle = core::train_model(spec, trace, 0, d - 1);
     auto oracle_snap = serve::make_snapshot(
         std::move(oracle.predictor), std::move(oracle.popularity),
         online->version, tc.fallback_top_n);
@@ -509,6 +508,15 @@ TEST(OnlineTrainer, ConvergesToOracleNasaStandard) {
                   workload::nasa_like(3, 0.15));
 }
 
+TEST(OnlineTrainer, ConvergesToOracleNasaLrs) {
+  run_convergence(core::ModelSpec::lrs_model(), workload::nasa_like(3, 0.15));
+}
+
+TEST(OnlineTrainer, ConvergesToOracleNasaTopN) {
+  run_convergence(core::ModelSpec::top_n_model(),
+                  workload::nasa_like(3, 0.15));
+}
+
 TEST(OnlineTrainer, ConvergesToOracleUcbPb) {
   run_convergence(core::ModelSpec::pb_model_aggressive(),
                   workload::ucb_like(3, 0.15));
@@ -523,6 +531,12 @@ TEST(OnlineTrainer, ConvergesToOracleSteppingEveryChunk) {
   // Enough traffic that steps absorb batches mid-day.
   run_convergence(core::ModelSpec::pb_model_aggressive(),
                   workload::ucb_like(3, 1.0), Feed::kQueryBatchStepped);
+}
+
+TEST(OnlineTrainer, ConvergesToOracleLrsSteppingEveryChunk) {
+  // The append path absorbing batches mid-day, as PB does above.
+  run_convergence(core::ModelSpec::lrs_model(), workload::ucb_like(3, 1.0),
+                  Feed::kQueryBatchStepped);
 }
 
 TEST(OnlineTrainer, ConvergesToOracleOverObserveFrames) {
@@ -555,7 +569,7 @@ TEST(OnlineTrainer, ConvergesToOracleOverObserveFrames) {
   EXPECT_EQ(trainer.dropped(), 0u);
   auto online = target.snapshot();
   ASSERT_NE(online, nullptr);
-  core::TrainedModel oracle = core::SweepEngine(trace).train(spec, last);
+  core::TrainedModel oracle = core::train_model(spec, trace, 0, last - 1);
   auto oracle_snap = serve::make_snapshot(std::move(oracle.predictor),
                                           std::move(oracle.popularity),
                                           online->version, tc.fallback_top_n);
@@ -567,7 +581,7 @@ TEST(OnlineTrainer, AttachedDrainingTrainerNeverChangesAnswers) {
   const auto spec = core::ModelSpec::pb_model();
   const trace::Trace trace =
       workload::generate_page_trace(workload::nasa_like(3, 0.2));
-  core::TrainedModel tm = core::SweepEngine(trace).train(spec, 2);
+  core::TrainedModel tm = core::train_model(spec, trace, 0, 1);
   const auto snap = serve::make_snapshot(std::move(tm.predictor),
                                          std::move(tm.popularity), 1);
   serve::ModelServer plain;
@@ -630,10 +644,9 @@ TEST(OnlineTrainer, RecoversDriftAFrozenSnapshotCannot) {
   // The online side gets half a day after the rotation to settle.
   const TimeSec settle_until = rotate_at + kSecondsPerDay / 2;
   const auto spec = core::ModelSpec::standard_fixed(3);
-  core::SweepEngine engine(trace);
   // Both sides start from the day-boundary model trained on days 0-1.
   auto offline = [&] {
-    core::TrainedModel tm = engine.train(spec, 2);
+    core::TrainedModel tm = core::train_model(spec, trace, 0, 1);
     return serve::make_snapshot(std::move(tm.predictor),
                                 std::move(tm.popularity), 1);
   };
@@ -1262,8 +1275,7 @@ TEST(OnlineTrainer, MobileChurnAgainstCapsAndEviction) {
   {
     const trace::Trace warm =
         workload::generate_page_trace(workload::nasa_like(1, 0.1));
-    core::SweepEngine engine(warm);
-    auto tm = engine.train(core::ModelSpec::pb_model(), 1);
+    auto tm = core::train_model(core::ModelSpec::pb_model(), warm, 0, 0);
     target.publish(serve::make_snapshot(std::move(tm.predictor),
                                         std::move(tm.popularity), 1));
   }

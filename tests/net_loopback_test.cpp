@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -720,6 +721,47 @@ TEST(NetLoopback, AdminHealthzTracksModelState) {
   ASSERT_TRUE(err.empty()) << err;
   EXPECT_NE(status_line.find("404"), std::string::npos) << status_line;
   EXPECT_TRUE(eventually([&] { return server.admin_requests() == 4; }));
+}
+
+/// True when the peer closes `fd` (EOF or reset) before `until`.
+bool closed_by(int fd, std::chrono::steady_clock::time_point until) {
+  while (true) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        until - std::chrono::steady_clock::now());
+    if (left.count() <= 0) return false;
+    pollfd p{fd, POLLIN, 0};
+    if (::poll(&p, 1, static_cast<int>(left.count())) <= 0) continue;
+    char b;
+    const ssize_t n = ::read(fd, &b, 1);
+    if (n == 0 || (n < 0 && errno != EINTR && errno != EAGAIN)) return true;
+  }
+}
+
+TEST(NetLoopback, AdminConnectionsCloseAtTheirDeadline) {
+  serve::ModelServer model;
+  model.publish(tiny_snapshot());
+  PredictServer server(model, {});
+  ASSERT_TRUE(server.start());
+
+  // One admin client sends nothing, another stops mid-request.
+  const auto until = std::chrono::steady_clock::now() + 2500ms;
+  RawConn silent;
+  RawConn partial;
+  ASSERT_TRUE(silent.connect_to(server.admin_port()));
+  ASSERT_TRUE(partial.connect_to(server.admin_port()));
+  const std::string head = "GET /metr";
+  ASSERT_TRUE(partial.send_all({head.begin(), head.end()}));
+
+  // Meanwhile a whole request on a fresh connection is answered.
+  std::string err, status_line;
+  fetch_admin("127.0.0.1", server.admin_port(), "/healthz", &err,
+              &status_line);
+  ASSERT_TRUE(err.empty()) << err;
+  EXPECT_NE(status_line.find("200"), std::string::npos) << status_line;
+
+  EXPECT_TRUE(closed_by(silent.fd, until));
+  EXPECT_TRUE(closed_by(partial.fd, until));
+  EXPECT_EQ(server.admin_requests(), 1u);
 }
 
 TEST(NetLoopback, MetricsEndpointMatchesReporterByteForByte) {

@@ -1,7 +1,7 @@
 // PbBase, PB-PPM's training base: retract undoes insert exactly, a regrade
-// equals a rebuild of the window under the new grades (and a regrade given
-// only the sessions that hold a moved URL equals one given the whole
-// window), and emit() equals pruning a copy of the base by rule 4 with
+// equals a rebuild of the window under the new grades (and a regrade that
+// names only the sessions that hold a moved URL equals one that names the
+// whole window), and emit() equals pruning a copy of the base by rule 4 with
 // rule-3 links ranked. The tail form: under any sequence of edits the base
 // expands to the tree a plain node-per-node PredictionTree holds, and
 // stores the shape a fresh base holding the same sessions stores.
@@ -13,6 +13,7 @@
 #include <array>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <span>
 #include <utility>
 #include <vector>
@@ -63,6 +64,13 @@ std::vector<std::uint32_t> counts_of(
     for (const auto u : s.urls) ++counts[u];
   }
   return counts;
+}
+
+/// Every position of `window`: a regrade that re-walks all of it.
+std::vector<std::uint32_t> all_of(std::span<const session::Session> window) {
+  std::vector<std::uint32_t> positions(window.size());
+  std::iota(positions.begin(), positions.end(), 0u);
+  return positions;
 }
 
 PopularityPpmConfig prune_config(bool aggressive) {
@@ -152,7 +160,7 @@ TEST_P(PbBaseTest, RegradeEqualsRebuildUnderRandomGradeDrift) {
     PbBase base(cfg, tables.back().get());
     base.insert(window);
     // A twin regraded through only the sessions that hold a moved URL, as
-    // the online trainer's URL index finds them.
+    // IncrementalModel's URL index names them.
     PbBase indexed(cfg, tables.back().get());
     indexed.insert(window);
 
@@ -171,18 +179,19 @@ TEST_P(PbBaseTest, RegradeEqualsRebuildUnderRandomGradeDrift) {
       const auto* next = tables.back().get();
       const popularity::PopularityTable& prev = base.grades();
       const bool drifted = grades_differ(prev, *next);
-      std::vector<session::Session> holding;
-      for (const auto& s : window) {
-        if (std::any_of(s.urls.begin(), s.urls.end(), [&](UrlId u) {
+      std::vector<std::uint32_t> holding;
+      for (std::size_t i = 0; i < window.size(); ++i) {
+        const auto& urls = window[i].urls;
+        if (std::any_of(urls.begin(), urls.end(), [&](UrlId u) {
               return prev.grade(u) != next->grade(u);
             })) {
-          holding.push_back(s);
+          holding.push_back(static_cast<std::uint32_t>(i));
         }
       }
-      const std::size_t regraded = base.regrade(next, window);
+      const std::size_t regraded = base.regrade(next, window, all_of(window));
       EXPECT_EQ(regraded != 0, drifted);
       if (regraded != 0 && regraded < window.size()) ++local_rounds;
-      EXPECT_EQ(indexed.regrade(next, holding), regraded);
+      EXPECT_EQ(indexed.regrade(next, window, holding), regraded);
       EXPECT_EQ(shape_of(indexed), shape_of(base));
       EXPECT_EQ(indexed.emit(), base.emit());
 
@@ -273,7 +282,7 @@ TEST(PbBase, RegradeWithoutDriftRewalksNothing) {
   PbBase base(PopularityPpmConfig{}, &a);
   base.insert(window);
   EXPECT_FALSE(grades_differ(a, b));
-  EXPECT_EQ(base.regrade(&b, window), 0u);
+  EXPECT_EQ(base.regrade(&b, window, all_of(window)), 0u);
   EXPECT_EQ(&base.grades(), &b);
 }
 
@@ -420,7 +429,7 @@ TEST_P(PbBaseTailForm, RandomEditsMatchTheOracle) {
               popularity::PopularityTable::from_counts(counts)));
           oracle.retract(grades, held);
           oracle.insert(*tables.back(), held);
-          base.regrade(tables.back().get(), held);
+          base.regrade(tables.back().get(), held, all_of(held));
           break;
         }
         default: {  // a publish: open tails go in around the emit
