@@ -1,8 +1,5 @@
 #include "cluster/router.hpp"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -40,8 +37,6 @@ PredictRouter::PredictRouter(RouterConfig config)
           .requests = &metrics_.counter("webppm_cluster_requests_total"),
           .responses = &metrics_.counter("webppm_cluster_responses_total"),
           .batches = &metrics_.counter("webppm_cluster_batches_total"),
-          .accepted =
-              &metrics_.counter("webppm_cluster_connections_accepted_total"),
           .degraded = &metrics_.counter("webppm_cluster_degraded_total"),
           .retries = &metrics_.counter("webppm_cluster_retries_total"),
           .connect_failures =
@@ -63,12 +58,28 @@ PredictRouter::PredictRouter(RouterConfig config)
               &metrics_.counter("webppm_cluster_probe_failures_total"),
           .protocol_errors =
               &metrics_.counter("webppm_cluster_protocol_errors_total"),
-          .shed = &metrics_.counter("webppm_cluster_shed_total"),
           .version_skew = &metrics_.gauge("webppm_cluster_version_skew"),
           .shards_serving = &metrics_.gauge("webppm_cluster_shards_serving"),
           .breakers_open = &metrics_.gauge("webppm_cluster_breakers_open"),
       },
-      budget_(config_.retry_budget, &metrics_) {
+      budget_(config_.retry_budget, &metrics_),
+      acceptor_(
+          net::AcceptorConfig{
+              .host = config_.host,
+              .port = config_.port,
+              .admin = config_.admin,
+              .admin_port = config_.admin_port,
+              .max_connections = config_.max_connections,
+              // Each connection is read on its own blocking thread.
+              .nonblocking = false,
+              .admit = std::bind_front(&PredictRouter::admit, this),
+              .live =
+                  [this] { return active_.load(std::memory_order_relaxed); },
+              .shed_version = [] { return std::uint64_t{0}; },
+              .admin_response =
+                  std::bind_front(&PredictRouter::admin_response, this),
+          },
+          metrics_, "webppm_cluster") {
   if (config_.max_frame_bytes == 0) {
     config_.max_frame_bytes = net::kDefaultMaxFrameBytes;
   }
@@ -94,24 +105,13 @@ bool PredictRouter::start(std::string* error) {
     if (error != nullptr) *error = "no shards configured";
     return false;
   }
-  std::string err =
-      net::open_listener(config_.host, config_.port, listen_fd_, &port_);
+  stopping_.store(false, std::memory_order_release);
+  const std::string err = acceptor_.start();
   if (!err.empty()) {
     if (error != nullptr) *error = err;
     return false;
   }
-  if (config_.admin) {
-    err = net::open_listener(config_.host, config_.admin_port, admin_fd_,
-                             &admin_port_);
-    if (!err.empty()) {
-      listen_fd_.reset();
-      if (error != nullptr) *error = "admin " + err;
-      return false;
-    }
-  }
   started_ = true;
-  stopping_.store(false, std::memory_order_release);
-  acceptor_ = std::thread([this] { acceptor_main(); });
   if (config_.probe_interval_ms != 0) {
     prober_ = std::thread([this] { prober_main(); });
   }
@@ -122,66 +122,30 @@ bool PredictRouter::start(std::string* error) {
 void PredictRouter::shutdown() {
   if (!started_) return;
   stopping_.store(true, std::memory_order_release);
-  if (acceptor_.joinable()) acceptor_.join();
+  acceptor_.stop();
   if (prober_.joinable()) prober_.join();
   reap_finished(/*all=*/true);
-  listen_fd_.reset();
-  admin_fd_.reset();
   started_ = false;
 }
 
 // ---------------------------------------------------------------------------
-// Accept loop (downstream + admin).
+// Admission: one forwarding thread per admitted connection.
 
-void PredictRouter::acceptor_main() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    pollfd fds[2];
-    nfds_t nfds = 0;
-    fds[nfds++] = {listen_fd_.get(), POLLIN, 0};
-    if (admin_fd_.valid()) fds[nfds++] = {admin_fd_.get(), POLLIN, 0};
-    const int r = ::poll(fds, nfds, net::kLoopTickMs);
-    if (r < 0 && errno != EINTR) break;
-    if (r <= 0) {
-      reap_finished(/*all=*/false);
-      continue;
-    }
-    if (fds[0].revents & POLLIN) {
-      const int fd = ::accept4(listen_fd_.get(), nullptr, nullptr,
-                               SOCK_CLOEXEC);
-      if (fd >= 0) {
-        ins_.accepted->add();
-        if (active_.load(std::memory_order_relaxed) >=
-            config_.max_connections) {
-          // Mirror PredictServer's shed contract: one kRetryLater frame,
-          // then close. The client backs off and retries.
-          ins_.shed->add();
-          std::vector<std::uint8_t> frame;
-          net::encode_response(retry_later_response(), frame);
-          send_all(fd, frame.data(), frame.size());
-          ::close(fd);
-        } else {
-          const int one = 1;
-          ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-          net::set_socket_timeout(fd, SO_RCVTIMEO, net::kLoopTickMs);
-          auto conn = std::make_unique<DownConn>();
-          conn->fd = fd;
-          DownConn* raw = conn.get();
-          active_.fetch_add(1, std::memory_order_relaxed);
-          {
-            std::lock_guard lk(conns_mu_);
-            conns_.push_back(std::move(conn));
-          }
-          raw->thread = std::thread([this, raw] { conn_main(raw); });
-        }
-      }
-    }
-    if (nfds > 1 && (fds[1].revents & POLLIN)) {
-      const int fd = ::accept4(admin_fd_.get(), nullptr, nullptr,
-                               SOCK_CLOEXEC);
-      if (fd >= 0) handle_admin(fd);
-    }
-    reap_finished(/*all=*/false);
+void PredictRouter::admit(int fd) {
+  // Threads of connections that closed are joined at the next admission
+  // (and at shutdown), so finished threads never outnumber the peak of
+  // live connections.
+  reap_finished(/*all=*/false);
+  net::set_socket_timeout(fd, SO_RCVTIMEO, net::kLoopTickMs);
+  auto conn = std::make_unique<DownConn>();
+  conn->fd = fd;
+  DownConn* raw = conn.get();
+  active_.fetch_add(1, std::memory_order_relaxed);
+  {
+    std::lock_guard lk(conns_mu_);
+    conns_.push_back(std::move(conn));
   }
+  raw->thread = std::thread([this, raw] { conn_main(raw); });
 }
 
 void PredictRouter::reap_finished(bool all) {
@@ -462,44 +426,12 @@ void PredictRouter::refresh_gauges() {
 }
 
 // ---------------------------------------------------------------------------
-// Admin listener (text): GET /metrics, /healthz, /cluster.
+// Admin replies (text): GET /metrics, /healthz, /cluster.
 
-void PredictRouter::handle_admin(int fd) {
-  // One deadline for the whole request, not per read: a client sending a
-  // byte just inside every read timeout would otherwise hold the acceptor
-  // thread (new accepts, shutdown's join) for as long as it likes.
-  const std::uint64_t deadline = now_ms() + net::kAdminDeadlineMs;
-  net::set_socket_timeout(fd, SO_SNDTIMEO, net::kAdminDeadlineMs);  // the reply
-  std::string in;
-  char buf[1024];
-  while (in.find("\r\n\r\n") == std::string::npos &&
-         in.size() <= net::kAdminRequestCapBytes) {
-    const std::uint64_t now = now_ms();
-    if (now >= deadline) break;
-    pollfd p{fd, POLLIN, 0};
-    const int r = ::poll(&p, 1, static_cast<int>(deadline - now));
-    if (r < 0 && errno == EINTR) continue;
-    if (r <= 0) break;
-    const ssize_t n = ::read(fd, buf, sizeof buf);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    in.append(buf, static_cast<std::size_t>(n));
-  }
-  if (in.find("\r\n\r\n") != std::string::npos) {
-    const std::string resp = admin_response(in.substr(0, in.find("\r\n")));
-    send_all(fd, resp.data(), resp.size());
-  }
-  ::close(fd);
-}
-
-std::string PredictRouter::admin_response(const std::string& request_line) {
+net::AdminReply PredictRouter::admin_response(const std::string& path) {
   std::string body;
   std::string status = "200 OK";
-  const auto path = net::admin_get_path(request_line);
-  if (!path) {
-    status = "400 Bad Request";
-    body = "only GET is supported\n";
-  } else if (*path == "/metrics") {
+  if (path == "/metrics") {
     if (config_.metrics == nullptr) {
       status = "503 Service Unavailable";
       body = "no metrics registry attached\n";
@@ -507,7 +439,7 @@ std::string PredictRouter::admin_response(const std::string& request_line) {
       refresh_gauges();
       body = config_.metrics->prometheus_text();
     }
-  } else if (*path == "/healthz") {
+  } else if (path == "/healthz") {
     // The router serves no snapshot itself; its health is "can it route".
     std::size_t reachable = 0;
     {
@@ -532,7 +464,7 @@ std::string PredictRouter::admin_response(const std::string& request_line) {
     body.append("\nserving ").append(std::to_string(reachable));
     body.append("\nversion_skew ").append(std::to_string(version_skew()));
     body.append("\n");
-  } else if (*path == "/cluster") {
+  } else if (path == "/cluster") {
     // One line per shard: state the supervisor and a human both read.
     // Skew first — version_skew() takes health_mu_ itself.
     const std::uint64_t skew = version_skew();
@@ -563,9 +495,9 @@ std::string PredictRouter::admin_response(const std::string& request_line) {
     body.append("\n");
   } else {
     status = "404 Not Found";
-    body = "unknown path " + *path + "\n";
+    body = "unknown path " + path + "\n";
   }
-  return net::admin_reply(status, body);
+  return {status, body};
 }
 
 }  // namespace webppm::cluster

@@ -132,7 +132,6 @@ struct ClusterInstruments {
   obs::Counter* requests = nullptr;
   obs::Counter* responses = nullptr;
   obs::Counter* batches = nullptr;
-  obs::Counter* accepted = nullptr;
   obs::Counter* degraded = nullptr;
   obs::Counter* retries = nullptr;
   obs::Counter* connect_failures = nullptr;
@@ -147,7 +146,6 @@ struct ClusterInstruments {
   obs::Counter* probes = nullptr;
   obs::Counter* probe_failures = nullptr;
   obs::Counter* protocol_errors = nullptr;
-  obs::Counter* shed = nullptr;
   obs::Gauge* version_skew = nullptr;
   obs::Gauge* shards_serving = nullptr;
   obs::Gauge* breakers_open = nullptr;

@@ -79,22 +79,6 @@ bool send_all(int fd, const void* data, std::size_t len,
   return true;
 }
 
-std::optional<std::string> admin_get_path(const std::string& request_line) {
-  if (request_line.rfind("GET ", 0) != 0) return std::nullopt;
-  return request_line.substr(4, request_line.find(' ', 4) - 4);
-}
-
-std::string admin_reply(const std::string& status, const std::string& body) {
-  std::string resp;
-  resp.reserve(body.size() + 128);
-  resp.append("HTTP/1.0 ").append(status).append("\r\n");
-  resp.append("Content-Type: text/plain; charset=utf-8\r\n");
-  resp.append("Content-Length: ").append(std::to_string(body.size()));
-  resp.append("\r\nConnection: close\r\n\r\n");
-  resp.append(body);
-  return resp;
-}
-
 std::uint64_t now_ms() {
   timespec ts{};
   ::clock_gettime(CLOCK_MONOTONIC, &ts);

@@ -1,11 +1,12 @@
 // webppm::net event-loop primitives (DESIGN.md §10): a thin epoll wrapper
 // with an eventfd wake channel, an owned-fd RAII handle, the lazy timing
-// wheel the connection idle timeout rides on, and the socket and admin
-// reply helpers the server, router, upstream pool and load client share.
+// wheel the connection idle timeout rides on, and the socket helpers and
+// limits the acceptor, server, router, upstream pool and load client
+// share.
 //
 // Ownership model: every fd is owned by exactly one thread's EventLoop —
 // the acceptor owns the listen and admin fds, each loop worker owns the
-// connection fds dispatched to it. Cross-thread communication is
+// connection fds admitted to it. Cross-thread communication is
 // inbox-plus-wake only (the acceptor pushes accepted fds into a worker's
 // inbox and wakes its eventfd); no fd is ever touched by two threads.
 #pragma once
@@ -15,7 +16,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -83,14 +83,6 @@ inline constexpr std::size_t kAdminRequestCapBytes = 4 * 1024;
 /// request and writing the reply: a client that goes silent, or stops
 /// mid-request, is closed once it is spent.
 inline constexpr std::uint64_t kAdminDeadlineMs = 1000;
-
-/// The path of an admin request line ("GET /metrics HTTP/1.0" →
-/// "/metrics"); nullopt for any method but GET.
-std::optional<std::string> admin_get_path(const std::string& request_line);
-
-/// One HTTP/1.0 admin reply: status line, plain-text headers, `body`. The
-/// connection closes after it.
-std::string admin_reply(const std::string& status, const std::string& body);
 
 /// Monotonic milliseconds (CLOCK_MONOTONIC), the loop's time base.
 std::uint64_t now_ms();

@@ -1,12 +1,11 @@
 #include "net/server.hpp"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <mutex>
+#include <unordered_map>
 
 #include "fault/fault.hpp"
 #include "obs/trace_event.hpp"
@@ -15,14 +14,6 @@
 namespace webppm::net {
 namespace {
 
-/// Epoll dispatch tag: every pointer registered with an EventLoop (other
-/// than the loop's own wake tag) points at one of these, embedded first in
-/// the concrete per-fd state so the event handler can downcast.
-struct EvTag {
-  enum class Kind : std::uint8_t { kListen, kAdminListen, kAdminConn, kConn };
-  Kind kind;
-};
-
 /// Per-connection stage-attribution cadence: 1 in this many frames times
 /// every pipeline stage. The first frame of a connection is always sampled
 /// so short-lived test connections land in the histograms.
@@ -30,8 +21,8 @@ constexpr std::uint32_t kStageSampleEvery = 64;
 
 }  // namespace
 
+/// A worker's epoll data for a connection fd is its Connection.
 struct PredictServer::Connection {
-  EvTag tag{EvTag::Kind::kConn};
   int fd = -1;
   std::vector<std::uint8_t> in;    ///< unparsed request bytes
   WriteRing out;                   ///< unflushed response bytes
@@ -46,22 +37,13 @@ struct PredictServer::Connection {
   std::size_t pending_out() const { return out.pending(); }
 };
 
-struct PredictServer::AdminConn {
-  EvTag tag{EvTag::Kind::kAdminConn};
-  int fd = -1;
-  std::uint64_t deadline_ms = 0;  ///< closed at this time, done or not
-  std::string in;
-  std::string out;
-  std::size_t out_pos = 0;
-};
-
 struct PredictServer::Worker {
   std::size_t index = 0;
   EventLoop loop;
   std::unordered_map<int, std::unique_ptr<Connection>> conns;
   TimeoutWheel wheel;
   std::mutex inbox_mu;
-  std::vector<int> inbox;  ///< fds dispatched by the acceptor
+  std::vector<int> inbox;  ///< fds the acceptor admitted
 
   Worker(std::size_t idx, std::uint64_t idle_timeout_ms)
       : index(idx),
@@ -116,19 +98,15 @@ trace::Request to_trace_request(const WireRequest& w) {
 PredictServer::Counters PredictServer::register_counters(
     obs::MetricsRegistry& reg) {
   return Counters{
-      reg.counter("webppm_net_connections_accepted_total"),
       reg.counter("webppm_net_connections_closed_total"),
       reg.counter("webppm_net_requests_total"),
       reg.counter("webppm_net_responses_total"),
       reg.counter("webppm_net_protocol_errors_total"),
-      reg.counter("webppm_net_shed_total"),
       reg.counter("webppm_net_slow_client_disconnects_total"),
       reg.counter("webppm_net_idle_timeouts_total"),
-      reg.counter("webppm_net_accept_failures_total"),
       reg.counter("webppm_net_short_reads_total"),
       reg.counter("webppm_net_short_writes_total"),
       reg.counter("webppm_net_stalls_total"),
-      reg.counter("webppm_net_admin_requests_total"),
       reg.counter("webppm_net_batches_total"),
       reg.counter("webppm_net_batch_entry_errors_total"),
       reg.counter("webppm_net_response_truncated_total"),
@@ -145,7 +123,22 @@ PredictServer::PredictServer(serve::ModelServer& model, NetServerConfig config)
     : model_(model),
       config_(std::move(config)),
       c_(register_counters(
-          obs::attached_or_owned(config_.metrics, own_metrics_))) {
+          obs::attached_or_owned(config_.metrics, own_metrics_))),
+      acceptor_(
+          AcceptorConfig{
+              .host = config_.host,
+              .port = config_.port,
+              .admin = config_.admin,
+              .admin_port = config_.admin_port,
+              .max_connections = config_.max_connections,
+              .admit = std::bind_front(&PredictServer::dispatch, this),
+              .live = [this] { return active_connections(); },
+              .shed_version = [this] { return model_.version(); },
+              .admin_response =
+                  std::bind_front(&PredictServer::admin_response, this),
+          },
+          obs::attached_or_owned(config_.metrics, own_metrics_),
+          "webppm_net") {
   if (config_.workers == 0) config_.workers = 1;
   if (config_.max_frame_bytes == 0) config_.max_frame_bytes = kDefaultMaxFrameBytes;
   if (config_.metrics != nullptr) {
@@ -168,18 +161,14 @@ bool PredictServer::start(std::string* error) {
     if (error != nullptr) *error = "already started";
     return false;
   }
-  std::string err = open_listener(config_.host, config_.port, listen_fd_,
-                                  &port_);
-  if (err.empty() && config_.admin) {
-    err = open_listener(config_.host, config_.admin_port, admin_fd_,
-                        &admin_port_);
-  }
-  accept_loop_ = std::make_unique<EventLoop>();
-  if (err.empty() && !accept_loop_->ok()) err = accept_loop_->error();
+  std::string err;
   for (std::size_t i = 0; err.empty() && i < config_.workers; ++i) {
     workers_.push_back(std::make_unique<Worker>(i, config_.idle_timeout_ms));
     if (!workers_.back()->loop.ok()) err = workers_.back()->loop.error();
   }
+  // The workers' inboxes take fds from here on; their threads adopt them
+  // once started below.
+  if (err.empty()) err = acceptor_.start();
   if (!err.empty()) {
     if (error != nullptr) *error = err;
     obs::log_event(obs::Severity::kError, "net.start_failed", err);
@@ -187,7 +176,6 @@ bool PredictServer::start(std::string* error) {
   }
 
   running_.store(true, std::memory_order_release);
-  accept_thread_ = std::thread([this] { acceptor_main(); });
   for (auto& w : workers_) {
     worker_threads_.emplace_back([this, &w] { worker_main(*w); });
   }
@@ -196,150 +184,34 @@ bool PredictServer::start(std::string* error) {
 
 void PredictServer::shutdown() {
   if (!started_.load(std::memory_order_acquire)) return;
-  if (stopping_.exchange(true)) {
-    // Second caller (e.g. the destructor after an explicit shutdown): just
-    // make sure the threads are gone.
-  } else {
-    if (accept_loop_ != nullptr) accept_loop_->wake();
+  // Stop accepting first, so no fd reaches a worker after its drain began.
+  // A second caller (e.g. the destructor after an explicit shutdown) just
+  // makes sure the threads are gone.
+  const bool first = !stopping_.exchange(true);
+  acceptor_.stop();
+  if (first) {
     for (auto& w : workers_) w->loop.wake();
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   for (auto& t : worker_threads_) {
     if (t.joinable()) t.join();
+  }
+  // An fd admitted after its worker stopped was never adopted.
+  for (auto& w : workers_) {
+    for (const int fd : w->inbox) {
+      ::close(fd);
+      c_.closed.add();
+      c_.active.sub(1);
+    }
+    w->inbox.clear();
   }
   running_.store(false, std::memory_order_release);
 }
 
-// ---------------------------------------------------------------------------
-// Acceptor thread: listen fd + admin listener + admin connections.
-
-void PredictServer::acceptor_main() {
-  static EvTag listen_tag{EvTag::Kind::kListen};
-  static EvTag admin_listen_tag{EvTag::Kind::kAdminListen};
-  accept_loop_->add(listen_fd_.get(), EPOLLIN, &listen_tag);
-  if (admin_fd_.valid()) {
-    accept_loop_->add(admin_fd_.get(), EPOLLIN, &admin_listen_tag);
-  }
-
-  std::vector<epoll_event> events;
-  while (!stopping_.load(std::memory_order_acquire)) {
-    const int n = accept_loop_->wait(kLoopTickMs, events);
-    for (int i = 0; i < n; ++i) {
-      void* data = events[static_cast<std::size_t>(i)].data.ptr;
-      if (data == accept_loop_->wake_tag()) {
-        accept_loop_->drain_wake();
-        continue;
-      }
-      auto* tag = static_cast<EvTag*>(data);
-      switch (tag->kind) {
-        case EvTag::Kind::kListen:
-          handle_accept(listen_fd_.get());
-          break;
-        case EvTag::Kind::kAdminListen:
-          handle_accept(admin_fd_.get());
-          break;
-        case EvTag::Kind::kAdminConn: {
-          auto* a = reinterpret_cast<AdminConn*>(tag);
-          const auto ev = events[static_cast<std::size_t>(i)].events;
-          if ((ev & (EPOLLHUP | EPOLLERR)) != 0) {
-            close_admin(a->fd);
-          } else if ((ev & EPOLLIN) != 0) {
-            admin_readable(*a);
-          } else if ((ev & EPOLLOUT) != 0) {
-            admin_writable(*a);
-          }
-          break;
-        }
-        case EvTag::Kind::kConn:
-          break;  // connections never live on the acceptor loop
-      }
-    }
-    // An admin connection past its deadline (kAdminDeadlineMs from
-    // accept) is closed, whether it is still reading or still writing.
-    const std::uint64_t now = now_ms();
-    std::erase_if(admin_conns_, [&](const auto& entry) {
-      if (now < entry.second->deadline_ms) return false;
-      accept_loop_->del(entry.first);
-      ::close(entry.first);
-      return true;
-    });
-  }
-  // Stop accepting immediately; pending admin conversations just close
-  // (scrapers retry; the drain budget belongs to prediction clients).
-  for (auto& [fd, conn] : admin_conns_) {
-    accept_loop_->del(fd);
-    ::close(fd);
-  }
-  admin_conns_.clear();
-  listen_fd_.reset();
-  admin_fd_.reset();
-}
-
-void PredictServer::handle_accept(int listen_fd) {
-  const bool is_admin = admin_fd_.valid() && listen_fd == admin_fd_.get();
-  while (true) {
-    const int fd = ::accept4(listen_fd, nullptr, nullptr,
-                             SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) {
-      if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
-        c_.accept_failures.add();
-      }
-      return;
-    }
-    if (WEBPPM_FAULT_INJECT("net.accept")) {
-      // Scripted accept failure: the kernel handed us a connection and the
-      // server "fails" it — counted, closed, and visible to chaos gates.
-      c_.accept_failures.add();
-      ::close(fd);
-      continue;
-    }
-    if (is_admin) {
-      auto a = std::make_unique<AdminConn>();
-      a->fd = fd;
-      a->deadline_ms = now_ms() + kAdminDeadlineMs;
-      accept_loop_->add(fd, EPOLLIN, &a->tag);
-      admin_conns_.emplace(fd, std::move(a));
-      continue;
-    }
-    if (config_.max_connections != 0 &&
-        c_.active.value() >=
-            static_cast<std::int64_t>(config_.max_connections)) {
-      shed_connection(fd);
-      continue;
-    }
-    dispatch(fd);
-  }
-}
-
-void PredictServer::shed_connection(int fd) {
-  // Over the cap: answer with one retryable frame, then close. Mirrors the
-  // serve layer's shard-cap shed — the client is told to back off, not
-  // left to diagnose a silent RST.
-  WireResponse resp;
-  resp.status = Status::kRetryLater;
-  resp.snapshot_version = model_.version();
-  std::vector<std::uint8_t> frame;
-  encode_response(resp, frame);
-  // Best-effort single write: the frame is far below any socket buffer, so
-  // a fresh connection either takes it whole or is already broken.
-  // MSG_NOSIGNAL everywhere a socket is written: a peer that already
-  // closed must surface as EPIPE, never as a process-killing SIGPIPE.
-  [[maybe_unused]] const ssize_t n =
-      ::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
-  ::close(fd);
-  c_.shed.add();
-}
-
 void PredictServer::dispatch(int fd) {
-  // The protocol is request/response ping-pong; without TCP_NODELAY every
-  // closed-loop exchange eats a Nagle/delayed-ACK stall.
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
   if (config_.sndbuf_bytes > 0) {
     ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &config_.sndbuf_bytes,
                  sizeof config_.sndbuf_bytes);
   }
-  c_.accepted.add();
   c_.active.add(1);
   Worker& w = *workers_[next_worker_];
   next_worker_ = (next_worker_ + 1) % workers_.size();
@@ -388,7 +260,7 @@ void PredictServer::worker_main(Worker& w) {
         w.loop.drain_wake();
         continue;
       }
-      auto* c = reinterpret_cast<Connection*>(static_cast<EvTag*>(data));
+      auto* c = static_cast<Connection*>(data);
       const int cfd = c->fd;  // c may be freed by conn_readable below
       const auto ev = events[static_cast<std::size_t>(i)].events;
       if ((ev & (EPOLLHUP | EPOLLERR)) != 0) {
@@ -403,7 +275,7 @@ void PredictServer::worker_main(Worker& w) {
       }
     }
 
-    // Adopt connections the acceptor dispatched to us.
+    // Adopt connections the acceptor admitted to us.
     std::vector<int> adopted;
     {
       std::lock_guard lock(w.inbox_mu);
@@ -420,7 +292,7 @@ void PredictServer::worker_main(Worker& w) {
       c->fd = fd;
       c->last_activity_ms = now_ms();
       c->interest = EPOLLIN;
-      w.loop.add(fd, c->interest, &c->tag);
+      w.loop.add(fd, c->interest, c.get());
       if (config_.idle_timeout_ms != 0) arm_idle(w, *c);
       w.conns.emplace(fd, std::move(c));
     }
@@ -475,7 +347,7 @@ void PredictServer::conn_update_interest(Worker& w, Connection& c) {
   if (c.pending_out() > 0) want |= EPOLLOUT;
   if (want != c.interest) {
     c.interest = want;
-    w.loop.mod(c.fd, want, &c.tag);
+    w.loop.mod(c.fd, want, &c);
   }
 }
 
@@ -751,16 +623,12 @@ void PredictServer::conn_writable(Worker& w, Connection& c) {
 }
 
 // ---------------------------------------------------------------------------
-// Admin listener (text): GET /metrics, GET /healthz, GET /snapshot.
+// Admin replies (text): GET /metrics, /healthz, /scoreboard, /snapshot.
 
-std::string PredictServer::admin_response(const std::string& request_line) {
+AdminReply PredictServer::admin_response(const std::string& path) {
   std::string body;
   std::string status = "200 OK";
-  const auto path = admin_get_path(request_line);
-  if (!path) {
-    status = "400 Bad Request";
-    body = "only GET is supported\n";
-  } else if (*path == "/metrics") {
+  if (path == "/metrics") {
     if (config_.metrics == nullptr) {
       status = "503 Service Unavailable";
       body = "no metrics registry attached\n";
@@ -769,7 +637,7 @@ std::string PredictServer::admin_response(const std::string& request_line) {
       // asserted byte-identical by the exposition golden test.
       body = serve::render_metrics_exposition(model_, *config_.metrics);
     }
-  } else if (*path == "/healthz") {
+  } else if (path == "/healthz") {
     // First line: the overall state word (what a human or a `grep -q ok`
     // liveness check reads). The lines after it are the machine-parseable
     // fields the cluster prober and ShardSupervisor need — serving snapshot
@@ -802,14 +670,14 @@ std::string PredictServer::admin_response(const std::string& request_line) {
     body.append("\ndrift ").append(model_.drift_alert() ? "1" : "0");
     body.append("\ndraining ").append(draining ? "1" : "0");
     body.append("\n");
-  } else if (*path == "/scoreboard") {
+  } else if (path == "/scoreboard") {
     if (model_.scoreboard() == nullptr) {
       status = "503 Service Unavailable";
       body = "no scoreboard\n";
     } else {
       body = model_.scoreboard_json();
     }
-  } else if (*path == "/snapshot") {
+  } else if (path == "/snapshot") {
     // What is this box serving, and how big is it? One line per field so
     // `curl :port/snapshot | grep bytes` works without a JSON parser.
     const auto snap = model_.snapshot();
@@ -832,62 +700,7 @@ std::string PredictServer::admin_response(const std::string& request_line) {
     status = "404 Not Found";
     body = "unknown path\n";
   }
-  return admin_reply(status, body);
-}
-
-void PredictServer::admin_readable(AdminConn& a) {
-  char buf[1024];
-  while (true) {
-    const ssize_t n = ::read(a.fd, buf, sizeof buf);
-    if (n == 0) {
-      close_admin(a.fd);
-      return;
-    }
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) break;
-      close_admin(a.fd);
-      return;
-    }
-    a.in.append(buf, static_cast<std::size_t>(n));
-    if (a.in.size() > kAdminRequestCapBytes) {
-      close_admin(a.fd);  // no legitimate scrape request is this large
-      return;
-    }
-  }
-  // Answer only once the full header block has arrived — responding and
-  // closing mid-request would race the client's remaining writes into an
-  // RST that can eat the response.
-  if (a.in.find("\r\n\r\n") == std::string::npos) return;
-  const auto eol = a.in.find("\r\n");
-  c_.admin_requests.add();
-  a.out = admin_response(a.in.substr(0, eol));
-  a.out_pos = 0;
-  admin_writable(a);
-}
-
-void PredictServer::admin_writable(AdminConn& a) {
-  while (a.out_pos < a.out.size()) {
-    const ssize_t n = ::send(a.fd, a.out.data() + a.out_pos,
-                             a.out.size() - a.out_pos, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
-        accept_loop_->mod(a.fd, EPOLLOUT, &a.tag);
-        return;
-      }
-      close_admin(a.fd);
-      return;
-    }
-    a.out_pos += static_cast<std::size_t>(n);
-  }
-  close_admin(a.fd);  // Connection: close — one exchange per connection
-}
-
-void PredictServer::close_admin(int fd) {
-  const auto it = admin_conns_.find(fd);
-  if (it == admin_conns_.end()) return;
-  accept_loop_->del(fd);
-  ::close(fd);
-  admin_conns_.erase(it);
+  return {status, body};
 }
 
 }  // namespace webppm::net
