@@ -1,12 +1,12 @@
 // Capped exponential backoff with seeded, deterministic jitter.
 //
-// Shared by the cluster router's upstream retry loop and LoadClient's
-// kRetryLater/reconnect handling. The jitter source is a private xorshift64
-// stream seeded by the caller, so a replay with the same seed produces the
-// same delay sequence — the same property the fault framework relies on for
-// reproducible chaos runs. The helper only computes delays; sleeping is the
-// caller's job (some callers want to wait on a condition variable instead so
-// a shutdown can interrupt the backoff).
+// Used by the cluster router's upstream retry loop (cluster::Upstream). The
+// jitter source is a private xorshift64 stream seeded by the caller, so a
+// replay with the same seed produces the same delay sequence — the same
+// property the fault framework relies on for reproducible chaos runs. The
+// helper only computes delays; sleeping is the caller's job (a caller may
+// wait on a condition variable instead so a shutdown can interrupt the
+// backoff).
 #pragma once
 
 #include <algorithm>

@@ -43,100 +43,37 @@ struct ConnOutcome {
   std::uint64_t requests = 0;
   std::uint64_t responses = 0;
   std::array<std::uint64_t, 6> status_counts{};
-  std::uint64_t retries = 0;
-  std::uint64_t reconnects = 0;
   std::vector<double> latencies_us;
   std::vector<std::vector<std::uint8_t>> frames;
   std::string error;
 };
 
-/// Transient-failure bookkeeping for one exchange: charges one unit of the
-/// retry budget and sleeps the backoff delay. Returns false when the budget
-/// is spent — the caller fails the connection with `err`.
-bool charge_retry(Backoff& backoff,
-                  std::size_t& attempts_left, ConnOutcome& oc,
-                  const std::string& err) {
-  if (attempts_left == 0) {
-    oc.error = err.empty() ? "retry budget exhausted" : err;
-    return false;
-  }
-  --attempts_left;
-  ++oc.retries;
-  std::this_thread::sleep_for(
-      std::chrono::milliseconds(backoff.next_delay_ms()));
-  return true;
-}
-
-/// Re-establishes `fd` if it died. Returns false on connect failure with
-/// `*err` set (a transient — the caller charges the retry budget).
-bool ensure_connected(OwnedFd& fd, const LoadClientConfig& config,
-                      ConnOutcome& oc, std::string* err) {
-  if (fd.valid()) return true;
-  fd = connect_to(config.host, config.port, 0, err);
-  if (!fd.valid()) return false;
-  ++oc.reconnects;
-  return true;
-}
-
 /// Closed-loop v1 replay of one connection's shard: one frame per query.
-/// With max_retries > 0, a kRetryLater response or a dead socket is
-/// retried (reconnecting as needed) under capped backoff; the query's
-/// latency is its *total* elapsed time across attempts.
-void run_conn_single(OwnedFd& fd, const LoadClientConfig& config,
-                     std::span<const WireRequest> reqs, Backoff& backoff,
-                     ConnOutcome& oc) {
+void run_conn_single(int fd, const LoadClientConfig& config,
+                     std::span<const WireRequest> reqs, ConnOutcome& oc) {
   std::vector<std::uint8_t> req_buf, resp_frame;
   for (const auto& req : reqs) {
     req_buf.clear();
     encode_request(req, req_buf);
     const auto q0 = Clock::now();
-    std::size_t attempts_left = config.max_retries;
-    bool counted = false;  // each query lands in oc.requests exactly once
-    for (;;) {
-      std::string err;
-      if (!ensure_connected(fd, config, oc, &err) ||
-          !send_all(fd.get(), req_buf.data(), req_buf.size(), &err)) {
-        fd.reset();
-        if (!charge_retry(backoff, attempts_left, oc, err)) return;
-        continue;
-      }
-      if (!counted) {
-        ++oc.requests;
-        counted = true;
-      }
-      if (!read_frame(fd.get(), config.max_frame_bytes, resp_frame, &err)) {
-        fd.reset();
-        if (!charge_retry(backoff, attempts_left, oc, err)) return;
-        continue;
-      }
-      WireResponse resp;
-      const auto derr = decode_response(
-          std::span<const std::uint8_t>(resp_frame)
-              .subspan(kFrameHeaderBytes),
-          resp);
-      if (!derr.ok()) {
-        oc.error = "response decode: " + derr.reason;
-        return;
-      }
-      if (resp.status == Status::kRetryLater && attempts_left > 0) {
-        // Shed signal: the server closes the connection right after this
-        // frame, so drop the socket and retry the same query on a fresh
-        // one. Counted in status_counts + retries, never recorded — the
-        // final successful frame is what byte-identity compares.
-        ++oc.status_counts[static_cast<std::size_t>(resp.status)];
-        fd.reset();
-        if (!charge_retry(backoff, attempts_left, oc, {})) return;
-        continue;
-      }
-      oc.latencies_us.push_back(
-          std::chrono::duration<double, std::micro>(Clock::now() - q0)
-              .count());
-      ++oc.responses;
-      ++oc.status_counts[static_cast<std::size_t>(resp.status)];
-      if (config.record_responses) oc.frames.push_back(resp_frame);
-      break;
+    if (!send_all(fd, req_buf.data(), req_buf.size(), &oc.error)) return;
+    ++oc.requests;
+    if (!read_frame(fd, config.max_frame_bytes, resp_frame, &oc.error)) {
+      return;
     }
-    backoff.reset();
+    WireResponse resp;
+    const auto derr = decode_response(
+        std::span<const std::uint8_t>(resp_frame).subspan(kFrameHeaderBytes),
+        resp);
+    if (!derr.ok()) {
+      oc.error = "response decode: " + derr.reason;
+      return;
+    }
+    oc.latencies_us.push_back(
+        std::chrono::duration<double, std::micro>(Clock::now() - q0).count());
+    ++oc.responses;
+    ++oc.status_counts[static_cast<std::size_t>(resp.status)];
+    if (config.record_responses) oc.frames.push_back(resp_frame);
   }
 }
 
@@ -144,14 +81,8 @@ void run_conn_single(OwnedFd& fd, const LoadClientConfig& config,
 /// frame's round-trip is recorded once per sub-request — every query in it
 /// left and returned on the same wire exchange, so that *is* each one's
 /// latency; percentiles stay per-request and comparable with v1 runs.
-/// Retry semantics (max_retries > 0): a whole-frame v1 kRetryLater answer
-/// (the server shed the frame before touching any entry) and dead-socket
-/// IO are retried like the v1 path; per-entry kRetryLater statuses inside
-/// a decoded batch are final — their siblings already consumed their
-/// clicks, so resending the frame would double-feed those sessions.
-void run_conn_batched(OwnedFd& fd, const LoadClientConfig& config,
-                      std::span<const WireRequest> reqs, Backoff& backoff,
-                      ConnOutcome& oc) {
+void run_conn_batched(int fd, const LoadClientConfig& config,
+                      std::span<const WireRequest> reqs, ConnOutcome& oc) {
   const std::uint32_t resp_cap =
       std::max(config.max_frame_bytes, kDefaultMaxBatchFrameBytes);
   std::vector<std::uint8_t> req_buf, resp_frame;
@@ -161,61 +92,29 @@ void run_conn_batched(OwnedFd& fd, const LoadClientConfig& config,
     req_buf.clear();
     encode_batch_request(reqs.subspan(off, n), req_buf);
     const auto q0 = Clock::now();
-    std::size_t attempts_left = config.max_retries;
-    bool counted = false;
-    for (;;) {
-      std::string err;
-      if (!ensure_connected(fd, config, oc, &err) ||
-          !send_all(fd.get(), req_buf.data(), req_buf.size(), &err)) {
-        fd.reset();
-        if (!charge_retry(backoff, attempts_left, oc, err)) return;
-        continue;
-      }
-      if (!counted) {
-        oc.requests += n;
-        counted = true;
-      }
-      if (!read_frame(fd.get(), resp_cap, resp_frame, &err)) {
-        fd.reset();
-        if (!charge_retry(backoff, attempts_left, oc, err)) return;
-        continue;
-      }
-      const auto body = std::span<const std::uint8_t>(resp_frame)
-                            .subspan(kFrameHeaderBytes);
-      if (frame_version(body) == kWireVersion && attempts_left > 0) {
-        // A v1 frame answering a v2 batch is the shed path: the server
-        // refused the whole frame (kRetryLater) before decoding entries.
-        WireResponse shed;
-        if (decode_response(body, shed).ok() &&
-            shed.status == Status::kRetryLater) {
-          ++oc.status_counts[static_cast<std::size_t>(shed.status)];
-          fd.reset();
-          if (!charge_retry(backoff, attempts_left, oc, {})) return;
-          continue;
-        }
-      }
-      const auto derr = decode_batch_response(body, subs);
-      if (!derr.ok()) {
-        oc.error = "batch response decode: " + derr.reason;
-        return;
-      }
-      if (subs.size() != n) {
-        oc.error = "batch response carries " + std::to_string(subs.size()) +
-                   " sub-responses, sent " + std::to_string(n);
-        return;
-      }
-      const double rtt_us =
-          std::chrono::duration<double, std::micro>(Clock::now() - q0)
-              .count();
-      for (const auto& sub : subs) {
-        ++oc.status_counts[static_cast<std::size_t>(sub.status)];
-        oc.latencies_us.push_back(rtt_us);
-      }
-      oc.responses += n;
-      if (config.record_responses) oc.frames.push_back(resp_frame);
-      break;
+    if (!send_all(fd, req_buf.data(), req_buf.size(), &oc.error)) return;
+    oc.requests += n;
+    if (!read_frame(fd, resp_cap, resp_frame, &oc.error)) return;
+    const auto derr = decode_batch_response(
+        std::span<const std::uint8_t>(resp_frame).subspan(kFrameHeaderBytes),
+        subs);
+    if (!derr.ok()) {
+      oc.error = "batch response decode: " + derr.reason;
+      return;
     }
-    backoff.reset();
+    if (subs.size() != n) {
+      oc.error = "batch response carries " + std::to_string(subs.size()) +
+                 " sub-responses, sent " + std::to_string(n);
+      return;
+    }
+    const double rtt_us =
+        std::chrono::duration<double, std::micro>(Clock::now() - q0).count();
+    for (const auto& sub : subs) {
+      ++oc.status_counts[static_cast<std::size_t>(sub.status)];
+      oc.latencies_us.push_back(rtt_us);
+    }
+    oc.responses += n;
+    if (config.record_responses) oc.frames.push_back(resp_frame);
   }
 }
 
@@ -224,12 +123,9 @@ void run_conn_batched(OwnedFd& fd, const LoadClientConfig& config,
 /// FIN — the server consumes a connection's bytes in order, so the FIN
 /// proves every frame was decoded and fed to the observer tap before the
 /// client returns (the sync barrier the online-training convergence gate
-/// leans on). Dead-socket IO retries reconnect-and-resend the current
-/// frame; with no per-frame acknowledgement a resend can double-feed the
-/// trainer, so determinism-sensitive runs use max_retries = 0.
-void run_conn_observe(OwnedFd& fd, const LoadClientConfig& config,
-                      std::span<const WireRequest> reqs, Backoff& backoff,
-                      ConnOutcome& oc) {
+/// leans on).
+void run_conn_observe(int fd, const LoadClientConfig& config,
+                      std::span<const WireRequest> reqs, ConnOutcome& oc) {
   constexpr std::size_t kDefaultPerFrame = 256;
   const std::size_t per_frame =
       config.batch_size == 0 ? kDefaultPerFrame : config.batch_size;
@@ -238,29 +134,16 @@ void run_conn_observe(OwnedFd& fd, const LoadClientConfig& config,
     const std::size_t n = std::min(per_frame, reqs.size() - off);
     req_buf.clear();
     encode_observe_frame(reqs.subspan(off, n), req_buf);
-    std::size_t attempts_left = config.max_retries;
-    for (;;) {
-      std::string err;
-      if (!ensure_connected(fd, config, oc, &err) ||
-          !send_all(fd.get(), req_buf.data(), req_buf.size(), &err)) {
-        fd.reset();
-        if (!charge_retry(backoff, attempts_left, oc, err)) return;
-        continue;
-      }
-      oc.requests += n;
-      break;
-    }
-    backoff.reset();
+    if (!send_all(fd, req_buf.data(), req_buf.size(), &oc.error)) return;
+    oc.requests += n;
   }
-  if (!fd.valid()) return;
-  ::shutdown(fd.get(), SHUT_WR);
+  ::shutdown(fd, SHUT_WR);
   std::uint8_t byte = 0;
   for (;;) {
-    const ssize_t n = ::read(fd.get(), &byte, 1);
+    const ssize_t n = ::read(fd, &byte, 1);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;  // FIN (or error): the server is done with our bytes
   }
-  fd.reset();
 }
 
 }  // namespace
@@ -299,18 +182,16 @@ LoadClientResult LoadClient::run_sharded(
   for (std::size_t i = 0; i < shards.size(); ++i) {
     threads.emplace_back([this, &shards, &outcomes, i] {
       ConnOutcome& oc = outcomes[i];
-      OwnedFd fd = connect_to(config_.host, config_.port, 0, &oc.error);
-      if (!fd.valid() && config_.max_retries == 0) return;
+      const OwnedFd fd = connect_to(config_.host, config_.port, 0, &oc.error);
+      if (!fd.valid()) return;
       if (config_.record_responses) oc.frames.reserve(shards[i].size());
       oc.latencies_us.reserve(shards[i].size());
-      Backoff backoff(config_.retry_backoff, config_.retry_seed + i);
-      oc.error.clear();  // a failed first connect retries inside run_conn_*
       if (config_.observe) {
-        run_conn_observe(fd, config_, shards[i], backoff, oc);
+        run_conn_observe(fd.get(), config_, shards[i], oc);
       } else if (config_.batch_size == 0) {
-        run_conn_single(fd, config_, shards[i], backoff, oc);
+        run_conn_single(fd.get(), config_, shards[i], oc);
       } else {
-        run_conn_batched(fd, config_, shards[i], backoff, oc);
+        run_conn_batched(fd.get(), config_, shards[i], oc);
       }
     });
   }
@@ -325,8 +206,6 @@ LoadClientResult LoadClient::run_sharded(
   for (auto& oc : outcomes) {
     res.requests += oc.requests;
     res.responses += oc.responses;
-    res.retries += oc.retries;
-    res.reconnects += oc.reconnects;
     for (std::size_t s = 0; s < oc.status_counts.size(); ++s) {
       res.status_counts[s] += oc.status_counts[s];
     }

@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "net/backoff.hpp"
 #include "net/event_loop.hpp"
 #include "net/wire.hpp"
 #include "trace/record.hpp"
@@ -54,24 +53,6 @@ struct LoadClientConfig {
   /// every observation was absorbed before run() returns. responses /
   /// latencies stay zero; `requests` counts observations sent.
   bool observe = false;
-  /// Per-exchange retry budget for *transient* failures: a v1 kRetryLater
-  /// response (the server's shed signal), a refused connect, EPIPE on
-  /// write, or the connection dropping mid-read. 0 (default) fails fast —
-  /// exactly the historical behavior every byte-identity gate was built
-  /// on. With N > 0, each exchange is attempted up to N+1 times with
-  /// capped exponential backoff + jitter, reconnecting first whenever the
-  /// socket died; the retry/reconnect counters in the result keep latency
-  /// percentiles honest (a retried exchange reports its *total* elapsed
-  /// time, not just the final attempt's). Per-entry kRetryLater statuses
-  /// inside a v2 batch response are final, never retried — sibling entries
-  /// in the same frame already consumed their click, so resending the
-  /// frame would double-feed their sessions.
-  std::size_t max_retries = 0;
-  /// Backoff schedule for those retries (see net/backoff.hpp).
-  BackoffPolicy retry_backoff{};
-  /// Seed for the backoff jitter stream; connection i uses retry_seed + i
-  /// so threads draw independent, reproducible delay sequences.
-  std::uint64_t retry_seed = 1;
 };
 
 struct LoadClientResult {
@@ -79,23 +60,17 @@ struct LoadClientResult {
   std::string error;  ///< first failure across connections
   std::uint64_t requests = 0;
   std::uint64_t responses = 0;
-  /// Responses by wire status, indexed by Status.
+  /// Responses by wire status, indexed by Status. A kRetryLater answer
+  /// (a shed connection, a router's give-up) is counted here like any
+  /// other: the client never retries.
   std::array<std::uint64_t, 6> status_counts{};
-  /// Transient-failure retries taken (kRetryLater, connect/IO failure).
-  /// Always 0 when max_retries == 0.
-  std::uint64_t retries = 0;
-  /// Successful re-connects after the original socket died.
-  std::uint64_t reconnects = 0;
   double seconds = 0.0;
   double qps = 0.0;
   double p50_us = 0.0;
   double p99_us = 0.0;
   /// Raw response frames, [connection][frame index], in send order.
   /// Populated only with record_responses. In batch mode each entry is one
-  /// v2 batch frame (carrying up to batch_size sub-responses). Retried
-  /// exchanges record only the final frame — kRetryLater frames that were
-  /// retried away are counted in status_counts/retries, not recorded, so
-  /// a retrying replay still byte-compares 1:1 against an in-process one.
+  /// v2 batch frame (carrying up to batch_size sub-responses).
   std::vector<std::vector<std::vector<std::uint8_t>>> frames;
 };
 
