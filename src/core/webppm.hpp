@@ -20,7 +20,6 @@
 #include "frozen/frozen.hpp"          // IWYU pragma: export
 #include "net/latency.hpp"            // IWYU pragma: export
 #include "popularity/popularity.hpp"  // IWYU pragma: export
-#include "popularity/sliding.hpp"     // IWYU pragma: export
 #include "ppm/lrs_ppm.hpp"            // IWYU pragma: export
 #include "ppm/pb_base.hpp"            // IWYU pragma: export
 #include "ppm/predictor.hpp"          // IWYU pragma: export

@@ -37,9 +37,6 @@ TEST(Umbrella, ExposesEveryPublicComponent) {
   const auto spec = core::ModelSpec::pb_model();
   EXPECT_EQ(spec.kind, core::ModelKind::kPopularity);
 
-  popularity::SlidingPopularity sliding(2, 4);
-  EXPECT_EQ(sliding.window_days(), 2u);
-
   const auto cfg = workload::nasa_like(1, 0.01);
   EXPECT_GE(cfg.population.days, 1u);
 
