@@ -364,15 +364,44 @@ TEST_F(SnapshotStoreTest, DirsyncFaultOnEveryAttemptFailsPublishCleanly) {
 }
 
 TEST_F(SnapshotStoreTest, ManifestWriteFailureDoesNotFailPublish) {
-  SnapshotStore store(cfg());
-  fault::arm(fault::Plan{}.fail("serve.manifest.write"));
-  const auto pub = store.publish(*make_test_snapshot(5));
+  // Any step of the manifest's atomic write may fail.
+  for (const char* site : {"serve.manifest.write", "serve.manifest.fsync",
+                           "serve.manifest.rename", "serve.manifest.dirsync"}) {
+    SCOPED_TRACE(site);
+    fs::remove_all(dir_);
+    SnapshotStore store(cfg());
+    fault::arm(fault::Plan{}.fail(site));
+    const auto pub = store.publish(*make_test_snapshot(5));
+    fault::disarm();
+    ASSERT_TRUE(pub.ok) << pub.error;
+    // No manifest, but the directory scan finds the generation.
+    const auto loaded = store.load_latest();
+    ASSERT_NE(loaded.snapshot, nullptr) << loaded.error;
+    EXPECT_EQ(loaded.snapshot->version, 5u);
+  }
+}
+
+TEST_F(SnapshotStoreTest, SerializeFaultFailsPublishBeforeAnyWrite) {
+#ifdef WEBPPM_FAULT_DISABLED
+  GTEST_SKIP() << "fault layer compiled out";
+#endif
+  obs::MetricsRegistry registry;
+  auto c = cfg();
+  c.metrics = &registry;
+  SnapshotStore store(c);
+  ASSERT_TRUE(store.publish(*make_test_snapshot(1)).ok);
+
+  fault::arm(fault::Plan{}.fail("serve.snapshot.serialize"));
+  const auto pub = store.publish(*make_test_snapshot(2));
   fault::disarm();
-  ASSERT_TRUE(pub.ok) << pub.error;
-  // No manifest, but the directory scan finds the generation.
+
+  EXPECT_FALSE(pub.ok);
+  EXPECT_NE(pub.error.find("serialize"), std::string::npos) << pub.error;
+  EXPECT_EQ(pub.attempts, 0u);  // no write was attempted
+  EXPECT_EQ(store.generations(), (std::vector<std::uint64_t>{1}));
   const auto loaded = store.load_latest();
   ASSERT_NE(loaded.snapshot, nullptr) << loaded.error;
-  EXPECT_EQ(loaded.snapshot->version, 5u);
+  EXPECT_EQ(loaded.snapshot->version, 1u);
 }
 
 TEST_F(SnapshotStoreTest, ReadFaultRollsBackLikeCorruption) {

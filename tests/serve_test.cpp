@@ -616,16 +616,20 @@ TEST(MetricsReporter, UnwritablePathCountsFailuresAndNeverTearsFile) {
     good << in.rdbuf();
     ASSERT_FALSE(good.str().empty());
 
-    fault::arm(fault::Plan{}.fail("serve.report.rename"));
-    registry.counter("test_extra_counter").add();  // change the exposition
-    reporter.tick_now();
-    fault::disarm();
+    // The temp file's write or its rename into place may fail.
+    for (const char* site : {"serve.report.write", "serve.report.rename"}) {
+      SCOPED_TRACE(site);
+      fault::arm(fault::Plan{}.fail(site));
+      registry.counter("test_extra_counter").add();  // change the exposition
+      reporter.tick_now();
+      fault::disarm();
 
-    EXPECT_FALSE(fs::exists(path + ".tmp"));  // stale temp removed
-    std::ifstream again(path);
-    std::stringstream now;
-    now << again.rdbuf();
-    EXPECT_EQ(now.str(), good.str());  // last-good exposition untouched
+      EXPECT_FALSE(fs::exists(path + ".tmp"));  // stale temp removed
+      std::ifstream again(path);
+      std::stringstream now;
+      now << again.rdbuf();
+      EXPECT_EQ(now.str(), good.str());  // last-good exposition untouched
+    }
     reporter.stop();  // clean final flush now succeeds and updates the file
     std::remove(path.c_str());
   }
