@@ -14,16 +14,16 @@ std::string serialize_snapshot_frozen(const Snapshot& snap) {
   }
   frozen::BuildSpec spec;
   spec.popularity = &snap.popularity;
-  if (const auto* m =
+  if (const auto* standard =
           dynamic_cast<const ppm::StandardPpm*>(snap.model.get())) {
     spec.kind = frozen::kKindStandard;
-    spec.standard = m->config();
-    spec.tree = &m->tree();
-  } else if (const auto* m =
+    spec.standard = standard->config();
+    spec.tree = &standard->tree();
+  } else if (const auto* lrs =
                  dynamic_cast<const ppm::LrsPpm*>(snap.model.get())) {
     spec.kind = frozen::kKindLrs;
-    spec.lrs = m->config();
-    spec.tree = &m->tree();
+    spec.lrs = lrs->config();
+    spec.tree = &lrs->tree();
   } else {
     spec.kind = frozen::kKindDegraded;  // degraded or unfreezable predictor
   }

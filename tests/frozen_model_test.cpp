@@ -96,13 +96,13 @@ TEST(FrozenFormatTest, RoundTripHeaderAndSections) {
   EXPECT_EQ(view.child_begin.size(), m.node_count() + 1);
 
   // Every section sits on the 64-byte grid relative to the payload start.
-  const auto* base = payload.data();
-  EXPECT_EQ((reinterpret_cast<const char*>(view.urls.data()) - base) %
-                kSectionAlign, 0);
-  EXPECT_EQ((reinterpret_cast<const char*>(view.counts.data()) - base) %
-                kSectionAlign, 0);
-  EXPECT_EQ((reinterpret_cast<const char*>(view.pop_grades.data()) - base) %
-                kSectionAlign, 0);
+  const auto offset_of = [&](const void* section) {
+    return static_cast<std::size_t>(static_cast<const char*>(section) -
+                                    payload.data());
+  };
+  EXPECT_EQ(offset_of(view.urls.data()) % kSectionAlign, 0u);
+  EXPECT_EQ(offset_of(view.counts.data()) % kSectionAlign, 0u);
+  EXPECT_EQ(offset_of(view.pop_grades.data()) % kSectionAlign, 0u);
 
   // BFS layout: roots first and strictly sorted, child ranges tile.
   for (std::uint32_t r = 1; r < view.header.root_count; ++r) {

@@ -212,9 +212,10 @@ TEST(MetricsRegistry, ReferencesAreStableAndIdempotent) {
 
   // Registering many other metrics must not move the first.
   for (int i = 0; i < 100; ++i) {
-    reg.counter("c" + std::to_string(i));
-    reg.gauge("g" + std::to_string(i));
-    reg.histogram("h" + std::to_string(i));
+    const std::string n = std::to_string(i);
+    reg.counter("c" + n);
+    reg.gauge("g" + n);
+    reg.histogram("h" + n);
   }
   EXPECT_EQ(&reg.counter("x_total"), &a);
 
@@ -325,7 +326,8 @@ TEST(MetricsRegistry, RenderSafeUnderConcurrentRegistration) {
       for (int i = 0; i < kPerWriter; ++i) {
         const std::string tag =
             std::to_string(w) + "_" + std::to_string(i);
-        reg.counter("hammer_c" + tag + "_total").add(i + 1);
+        reg.counter("hammer_c" + tag + "_total")
+            .add(static_cast<std::uint64_t>(i) + 1);
         reg.gauge("hammer_g" + tag).set(-(i + 1));
         reg.histogram("hammer_h" + tag + "_ns").record(
             static_cast<std::uint64_t>(i));

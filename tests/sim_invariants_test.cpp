@@ -35,7 +35,9 @@ void check_invariants(const Metrics& m) {
   EXPECT_LE(m.prefetch_accuracy(), 1.0);
   // Latency is non-negative and zero only if every request hit.
   EXPECT_GE(m.latency_seconds, 0.0);
-  if (m.demand_misses > 0) EXPECT_GT(m.latency_seconds, 0.0);
+  if (m.demand_misses > 0) {
+    EXPECT_GT(m.latency_seconds, 0.0);
+  }
 }
 
 class SimInvariantsTest
